@@ -1,7 +1,7 @@
 #include "core/checkpoint.hpp"
 
 #include <cerrno>
-#include <cstring>
+#include <cstdlib>
 #include <fstream>
 #include <sstream>
 
@@ -100,8 +100,7 @@ void fsync_file(std::FILE* f) {
 /// Drop a torn tail (bytes after the last '\n') before reopening for
 /// append. Without this, the first record a resumed run appends would
 /// concatenate onto the partial line a SIGKILL left behind, corrupting a
-/// *mid-file* record — which the tolerant loader treats as the end of the
-/// journal and the strict loader rejects outright.
+/// *mid-file* record — which the loader treats as the end of the journal.
 void truncate_torn_tail(const std::string& path) {
   std::ifstream in(path, std::ios::binary);
   if (!in) return;
@@ -194,78 +193,6 @@ CheckpointJournal::LoadResult CheckpointJournal::load(
     point.pareto = false;  // recomputed after the sweep
     if (!res.points[index]) ++res.replayed;
     res.points[index] = std::move(point);
-  }
-  return res;
-}
-
-CheckpointJournal::LoadResult CheckpointJournal::load_strict(
-    const std::string& path, std::uint64_t fp,
-    const std::vector<std::pair<SynthesisOptions, std::string>>& configs) {
-  LoadResult res;
-  res.points.resize(configs.size());
-  std::ifstream in(path, std::ios::binary);
-  if (!in) throw Error("cannot open shard journal '" + path + "'");
-  std::string content((std::istreambuf_iterator<char>(in)),
-                      std::istreambuf_iterator<char>());
-  const std::size_t hdr_nl = content.find('\n');
-  if (hdr_nl == std::string::npos) {
-    throw JournalCorruptError("shard journal '" + path +
-                              "' has no complete header line");
-  }
-  const std::string first = content.substr(0, hdr_nl);
-  if (first.rfind(kMagic, 0) != 0) {
-    throw JournalCorruptError("shard journal '" + path +
-                              "' does not carry a journal header");
-  }
-  std::string expected = header_line(fp);
-  expected.pop_back();
-  if (first != expected) {
-    throw JournalMismatchError(
-        "shard journal '" + path +
-        "' was written by a different exploration configuration (stale "
-        "fingerprint " + first.substr(std::strlen(kMagic)) + ")");
-  }
-  if (!content.empty() && content.back() != '\n') {
-    throw JournalCorruptError(
-        "shard journal '" + path +
-        "' ends in a torn record — the shard crashed mid-append and was "
-        "never resumed to completion; re-run it before merging");
-  }
-  std::size_t pos = hdr_nl + 1;
-  std::size_t lineno = 1;
-  while (pos < content.size()) {
-    const std::size_t nl = content.find('\n', pos);
-    MCRTL_CHECK(nl != std::string::npos);  // torn tail excluded above
-    const std::string line = content.substr(pos, nl - pos);
-    pos = nl + 1;
-    ++lineno;
-    std::size_t index;
-    ExplorationPoint point;
-    if (!parse_record(line, index, point)) {
-      throw JournalCorruptError("shard journal '" + path + "' line " +
-                                std::to_string(lineno) +
-                                ": malformed or checksum-failing record");
-    }
-    if (index >= configs.size()) {
-      throw JournalCorruptError(
-          "shard journal '" + path + "' line " + std::to_string(lineno) +
-          ": index " + std::to_string(index) + " is outside the enumeration");
-    }
-    if (point.label != configs[index].second) {
-      throw JournalCorruptError(
-          "shard journal '" + path + "' line " + std::to_string(lineno) +
-          ": label '" + point.label + "' does not match enumerated '" +
-          configs[index].second + "' at index " + std::to_string(index));
-    }
-    if (res.points[index]) {
-      throw JournalCorruptError("shard journal '" + path + "' line " +
-                                std::to_string(lineno) + ": duplicate record "
-                                "for index " + std::to_string(index));
-    }
-    point.options = configs[index].first;
-    point.pareto = false;
-    res.points[index] = std::move(point);
-    ++res.replayed;
   }
   return res;
 }

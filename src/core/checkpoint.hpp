@@ -45,17 +45,6 @@ class JournalMismatchError : public Error {
   explicit JournalMismatchError(const std::string& what) : Error(what) {}
 };
 
-/// Thrown by CheckpointJournal::load_strict() when a journal is
-/// structurally damaged: torn tail, checksum failure, unknown index, label
-/// mismatch, or a duplicate record. Resume tolerates all of these (an
-/// interrupted sweep re-evaluates what it cannot replay); a *merge* must
-/// not — silently dropping a shard's records would produce a report that
-/// looks complete but is missing measurements.
-class JournalCorruptError : public Error {
- public:
-  explicit JournalCorruptError(const std::string& what) : Error(what) {}
-};
-
 /// Hash of (behaviour, measurement knobs) — the part of a sweep's identity
 /// that is independent of which *other* configurations ride in the same
 /// sweep. The checkpoint fingerprint builds on it; the search layer's
@@ -88,18 +77,6 @@ class CheckpointJournal {
   /// header with a different fingerprint throws JournalMismatchError;
   /// trailing truncated/corrupt records are dropped silently.
   static LoadResult load(
-      const std::string& path, std::uint64_t fp,
-      const std::vector<std::pair<SynthesisOptions, std::string>>& configs);
-
-  /// The merge-side loader: parse the *whole* journal or refuse. Where
-  /// load() silently stops at the first damaged line, load_strict() throws
-  /// — Error when the file cannot be opened, JournalMismatchError on a
-  /// foreign fingerprint, JournalCorruptError on a malformed header, a
-  /// torn tail, a checksum failure, an out-of-range index, a label
-  /// mismatch or a duplicate index. Missing records are NOT an error here:
-  /// per-journal completeness is meaningless for a shard; coverage is
-  /// validated across all journals by merge_shard_journals().
-  static LoadResult load_strict(
       const std::string& path, std::uint64_t fp,
       const std::vector<std::pair<SynthesisOptions, std::string>>& configs);
 

@@ -92,20 +92,16 @@ std::vector<std::pair<SynthesisOptions, std::string>> enumerate_configurations(
   return configs;
 }
 
-bool shard_owns(const ExplorerConfig& cfg, std::size_t i) {
-  if (cfg.shard_count <= 1) return true;
-  return i % static_cast<std::size_t>(cfg.shard_count) ==
-         static_cast<std::size_t>(cfg.shard_index);
-}
-
 std::size_t num_configurations(const ExplorerConfig& cfg) {
-  const std::size_t total = enumerate_configurations(cfg).size();
-  if (cfg.shard_count <= 1) return total;
-  std::size_t owned = 0;
-  for (std::size_t i = 0; i < total; ++i) owned += shard_owns(cfg, i) ? 1 : 0;
-  return owned;
+  return enumerate_configurations(cfg).size();
 }
 
+namespace {
+
+/// The explorer's final step: stable sort by point_order_less, then
+/// recompute the power/area Pareto flags. `points` must be in enumeration
+/// order — stable_sort only yields one answer for equal keys when the
+/// pre-sort order is fixed.
 void finalize_points(std::vector<ExplorationPoint>& points) {
   obs::Span sort_span("explore.sort");
   std::stable_sort(points.begin(), points.end(), point_order_less);
@@ -118,6 +114,8 @@ void finalize_points(std::vector<ExplorationPoint>& points) {
   }
 }
 
+}  // namespace
+
 ExplorationResult explore(const dfg::Graph& graph, const dfg::Schedule& sched,
                           const ExplorerConfig& cfg) {
   obs::Span span("explore");
@@ -126,11 +124,6 @@ ExplorationResult explore(const dfg::Graph& graph, const dfg::Schedule& sched,
                       cfg.streams <= sim::Simulator::kMaxStreams,
                   "ExplorerConfig::streams must be in 1.."
                       << sim::Simulator::kMaxStreams);
-  MCRTL_CHECK_MSG(cfg.shard_count == 0 ||
-                      (cfg.shard_index >= 0 &&
-                       cfg.shard_index < cfg.shard_count),
-                  "ExplorerConfig shard_index must be in 0..shard_count-1");
-  const bool sharded = cfg.shard_count > 1;
   graph.validate();
   sched.validate();
 
@@ -170,17 +163,7 @@ ExplorationResult explore(const dfg::Graph& graph, const dfg::Schedule& sched,
       try {
         auto loaded = CheckpointJournal::load(cfg.checkpoint_file, fp, configs);
         replayed = std::move(loaded.points);
-        // A shard only credits (and uses) records for slots it owns. Shard
-        // fields are execution knobs outside the fingerprint, so a journal
-        // from a different shard of the same sweep *matches* — its foreign
-        // records are simply ignored rather than smuggled into this slice.
-        for (std::size_t i = 0; i < replayed.size(); ++i) {
-          if (!shard_owns(cfg, i)) {
-            replayed[i].reset();
-          } else if (replayed[i]) {
-            ++replayed_count;
-          }
-        }
+        replayed_count = loaded.replayed;
       } catch (const JournalMismatchError&) {
         throw;
       } catch (const std::exception&) {
@@ -197,17 +180,11 @@ ExplorationResult explore(const dfg::Graph& graph, const dfg::Schedule& sched,
   // explicit_configs, e.g. the search layer's survivor lists) are
   // simulated once per unique config hash; the measurement is fanned out
   // to the duplicate labels after the join. canonical[i] == i marks the
-  // slot that actually evaluates. Dedup is scoped to the shard's own
-  // slice — a shard never depends on a measurement another process owns,
-  // which is what keeps shards fully independent.
+  // slot that actually evaluates.
   std::vector<std::size_t> canonical(configs.size());
   {
     std::unordered_map<std::uint64_t, std::size_t> first;
     for (std::size_t i = 0; i < configs.size(); ++i) {
-      if (!shard_owns(cfg, i)) {
-        canonical[i] = i;
-        continue;
-      }
       canonical[i] = first.emplace(config_hash(configs[i].first), i)
                          .first->second;
     }
@@ -412,7 +389,7 @@ ExplorationResult explore(const dfg::Graph& graph, const dfg::Schedule& sched,
   const unsigned jobs = ThreadPool::resolve_jobs(cfg.jobs);
   if (jobs <= 1) {
     for (std::size_t i = 0; i < configs.size(); ++i) {
-      if (shard_owns(cfg, i) && canonical[i] == i) run_point(i);
+      if (canonical[i] == i) run_point(i);
     }
   } else {
     // Longest-first scheduling: simulation cost is dominated by the clock
@@ -425,7 +402,7 @@ ExplorationResult explore(const dfg::Graph& graph, const dfg::Schedule& sched,
     std::vector<std::size_t> order;
     order.reserve(configs.size());
     for (std::size_t i = 0; i < configs.size(); ++i) {
-      if (shard_owns(cfg, i) && canonical[i] == i) order.push_back(i);
+      if (canonical[i] == i) order.push_back(i);
     }
     auto cost_rank = [&](std::size_t i) {
       const SynthesisOptions& o = configs[i].first;
@@ -467,24 +444,22 @@ ExplorationResult explore(const dfg::Graph& graph, const dfg::Schedule& sched,
       // Degraded mode: any slot the pool never executed (task-level fault)
       // runs inline on this thread — slower, but the sweep completes.
       for (std::size_t i = 0; i < configs.size(); ++i) {
-        if (shard_owns(cfg, i) && canonical[i] == i && !done[i]) run_point(i);
+        if (canonical[i] == i && !done[i]) run_point(i);
       }
     }
   }
   for (std::size_t i = 0; i < configs.size(); ++i) {
-    if (shard_owns(cfg, i) && canonical[i] != i) fill_duplicate(i);
+    if (canonical[i] != i) fill_duplicate(i);
   }
-  obs::count("explore.points", num_configurations(cfg));
+  obs::count("explore.points", configs.size());
 
-  // Quarantined slots hold default-constructed points, and under sharding
-  // so do all unowned slots; compact both out in enumeration order before
-  // the sort.
-  if (sharded || std::any_of(failed.begin(), failed.end(),
-                             [](const auto& f) { return f != nullptr; })) {
+  // Quarantined slots hold default-constructed points; compact them out in
+  // enumeration order before the sort.
+  if (std::any_of(failed.begin(), failed.end(),
+                  [](const auto& f) { return f != nullptr; })) {
     std::vector<ExplorationPoint> kept;
     kept.reserve(configs.size());
     for (std::size_t i = 0; i < configs.size(); ++i) {
-      if (!shard_owns(cfg, i)) continue;
       if (failed[i]) {
         result.failed_points.push_back(std::move(*failed[i]));
       } else {

@@ -140,20 +140,6 @@ struct ExplorerConfig {
   /// distinct; configurations need not be (identical ones are deduplicated
   /// and the measurement fanned out, see explore()).
   std::vector<std::pair<SynthesisOptions, std::string>> explicit_configs;
-
-  // ---- multi-process sharding (see core/shard.hpp, DESIGN.md §12) ----------
-  /// Split the enumeration across `shard_count` independent worker
-  /// *processes*: shard `shard_index` (0-based, < shard_count) evaluates
-  /// exactly the enumeration indices i with i % shard_count == shard_index
-  /// and returns only those points. 0 = unsharded (the default). Sharding
-  /// is an execution knob like `jobs`: it does not enter the checkpoint
-  /// fingerprint, so K shard journals of one sweep all carry the same
-  /// fingerprint and merge_shard_journals() can replay them into a result
-  /// byte-identical to an unsharded run. A shard result's own sort/Pareto
-  /// flags are shard-local and carry no global meaning — the journal is
-  /// the shard's real product.
-  int shard_index = 0;
-  int shard_count = 0;
 };
 
 /// A configuration that exhausted its attempts under
@@ -188,22 +174,9 @@ struct ExplorationResult {
 std::vector<std::pair<SynthesisOptions, std::string>> enumerate_configurations(
     const ExplorerConfig& cfg);
 
-/// Number of design points explore() will evaluate for `cfg` — the shard's
-/// slice when cfg is sharded, the whole enumeration otherwise.
+/// Number of design points explore() evaluates for `cfg` — the size of
+/// the enumeration.
 std::size_t num_configurations(const ExplorerConfig& cfg);
-
-/// Does `cfg`'s shard own enumeration index `i`? Always true unsharded.
-/// This is THE shard-assignment rule (round-robin on the enumeration
-/// index); merge validation and the differential tests both derive
-/// coverage from it.
-bool shard_owns(const ExplorerConfig& cfg, std::size_t i);
-
-/// The explorer's final step, shared with merge_shard_journals() so a
-/// merged K-shard result is byte-identical to an unsharded run: stable
-/// sort by point_order_less, then recompute the power/area Pareto flags.
-/// Callers must pass points in enumeration order — stable_sort only
-/// yields one answer for equal keys when the pre-sort order is fixed.
-void finalize_points(std::vector<ExplorationPoint>& points);
 
 /// Explore `graph`/`sched`. Every point is simulated with the same input
 /// stream and checked equivalent to the golden model (throws on mismatch —

@@ -250,28 +250,14 @@ std::size_t ResultCache::load(const std::string& path) {
 }
 
 ResultCache::CompactStats ResultCache::load_and_compact(
-    const std::string& path, std::size_t max_rows, std::size_t max_pruned) {
+    const std::string& path) {
   CompactStats st;
   // Parse into a scratch cache so the duplicate count reflects the file
   // alone, not records this cache already held.
   ResultCache scratch;
   st.bad_lines = scratch.load(path);
   st.superseded = scratch.last_superseded_;
-  if (max_rows > 0) {
-    while (scratch.rows_.size() > max_rows) {
-      scratch.rows_.erase(std::prev(scratch.rows_.end()));
-      ++st.evicted_rows;
-    }
-  }
-  if (max_pruned > 0) {
-    while (scratch.pruned_.size() > max_pruned) {
-      scratch.pruned_.erase(std::prev(scratch.pruned_.end()));
-      ++st.evicted_marks;
-    }
-  }
-  const bool dirty =
-      st.bad_lines > 0 || st.superseded > 0 || st.evicted_rows > 0 ||
-      st.evicted_marks > 0;
+  const bool dirty = st.bad_lines > 0 || st.superseded > 0;
   // Never rewrite a file we parsed zero records from: an all-corrupt (or
   // foreign) file is worth more to the user as evidence than as an empty
   // fresh DB.

@@ -212,25 +212,18 @@ class ResultCache {
 
   /// What load_and_compact() found and did.
   struct CompactStats {
-    std::size_t bad_lines = 0;      ///< corrupt lines dropped
-    std::size_t superseded = 0;     ///< records shadowed by a later same-key line
-    std::size_t evicted_rows = 0;   ///< rows dropped to satisfy max_rows
-    std::size_t evicted_marks = 0;  ///< pruned markers dropped for max_pruned
-    bool rewritten = false;         ///< the on-disk DB was rewritten
+    std::size_t bad_lines = 0;   ///< corrupt lines dropped
+    std::size_t superseded = 0;  ///< records shadowed by a later same-key line
+    bool rewritten = false;      ///< the on-disk DB was rewritten
   };
 
   /// load() plus housekeeping: a DB that has accumulated superseded
-  /// duplicates (append-heavy histories), corrupt lines, or more records
-  /// than the caller wants to carry (`max_rows` / `max_pruned`, 0 = no
-  /// bound; eviction drops the numerically largest keys — deterministic,
-  /// and keys are hashes so "largest" is an unbiased victim) is rewritten
-  /// in place (atomic save) so it never grows without bound. A clean,
-  /// in-bounds DB is left untouched byte-for-byte. The surviving records
-  /// are exactly what load() would have yielded, so a compacted DB replays
-  /// identically (asserted by tests/test_search.cpp).
-  CompactStats load_and_compact(const std::string& path,
-                                std::size_t max_rows = 0,
-                                std::size_t max_pruned = 0);
+  /// duplicates (append-heavy histories) or corrupt lines is rewritten in
+  /// place (atomic save) so it does not grow with every run. A clean DB is
+  /// left untouched byte-for-byte. The surviving records are exactly what
+  /// load() would have yielded, so a compacted DB replays identically
+  /// (asserted by tests/test_search.cpp).
+  CompactStats load_and_compact(const std::string& path);
 
   const ExplorationPoint* find_row(std::uint64_t key) const;
   const PrunedMark* find_pruned(std::uint64_t sweep_fp,

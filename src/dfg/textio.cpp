@@ -1,5 +1,7 @@
 #include "dfg/textio.hpp"
 
+#include <cerrno>
+#include <cstdlib>
 #include <map>
 #include <sstream>
 #include <vector>
@@ -13,6 +15,18 @@ namespace {
 
 [[noreturn]] void fail(int line, const std::string& msg) {
   throw Error(str_format("dfg parse error at line %d: %s", line, msg.c_str()));
+}
+
+/// Parse all of `tok` as a decimal integer in [lo, hi]. Trailing
+/// characters, overflow and out-of-range values fail the parse at `line`.
+int parse_int(int line, const std::string& tok, int lo, int hi,
+              const char* what) {
+  const auto v = parse_number(tok, lo, hi);
+  if (!v) {
+    fail(line, str_format("%s must be an integer in %d..%d, got '%s'", what,
+                          lo, hi, tok.c_str()));
+  }
+  return *v;
 }
 
 std::vector<std::string> tokenize(const std::string& line) {
@@ -36,7 +50,7 @@ ParsedDfg parse_dfg(std::istream& in) {
     int step;
   };
   std::vector<PendingStep> steps;
-  std::vector<std::string> outputs;
+  std::vector<std::pair<std::string, int>> outputs;  // name, line
   bool all_scheduled = true;
   bool any_node = false;
 
@@ -52,8 +66,7 @@ ParsedDfg parse_dfg(std::istream& in) {
       if (tok.size() != 4 || tok[2] != "width") {
         fail(lineno, "expected: graph <name> width <bits>");
       }
-      const int w = std::atoi(tok[3].c_str());
-      if (w < 1 || w > 64) fail(lineno, "width must be 1..64");
+      const int w = parse_int(lineno, tok[3], 1, 64, "width");
       graph = std::make_unique<Graph>(tok[1], static_cast<unsigned>(w));
       continue;
     }
@@ -70,8 +83,9 @@ ParsedDfg parse_dfg(std::istream& in) {
       }
       if (names.count(tok[1])) fail(lineno, "name '" + tok[1] + "' reused");
       char* end = nullptr;
+      errno = 0;
       const long long v = std::strtoll(tok[3].c_str(), &end, 0);
-      if (end == tok[3].c_str() || *end != '\0') {
+      if (end == tok[3].c_str() || *end != '\0' || errno == ERANGE) {
         fail(lineno, "bad constant value '" + tok[3] + "'");
       }
       names[tok[1]] = graph->add_constant(v, tok[1]);
@@ -108,25 +122,22 @@ ParsedDfg parse_dfg(std::istream& in) {
       names[tok[1]] = graph->node(nid).output;
       if (i < tok.size()) {  // "@ step"
         if (i + 2 != tok.size()) fail(lineno, "expected: @ <step>");
-        const int step = std::atoi(tok[i + 1].c_str());
-        if (step < 1) fail(lineno, "steps are 1-based");
-        steps.push_back({nid, step});
+        steps.push_back(
+            {nid, parse_int(lineno, tok[i + 1], 1, kMaxDfgStep, "step")});
       } else {
         all_scheduled = false;
       }
     } else if (tok[0] == "output") {
       if (tok.size() != 2) fail(lineno, "expected: output <name>");
-      outputs.push_back(tok[1]);
+      outputs.emplace_back(tok[1], lineno);
     } else {
       fail(lineno, "unknown directive '" + tok[0] + "'");
     }
   }
   if (!graph) fail(lineno, "empty document");
-  for (const auto& name : outputs) {
+  for (const auto& [name, line] : outputs) {
     auto it = names.find(name);
-    if (it == names.end()) {
-      throw Error("dfg parse error: unknown output '" + name + "'");
-    }
+    if (it == names.end()) fail(line, "unknown output '" + name + "'");
     graph->mark_output(it->second);
   }
   graph->validate();

@@ -13,7 +13,9 @@
 //
 // Operands name inputs, constants or earlier node results (a node's result
 // has the node's own name). When every node carries "@ step", parsing also
-// yields a Schedule.
+// yields a Schedule. Numbers are read in full: a width is 1..64, a step
+// 1..kMaxDfgStep, a constant any 64-bit signed value (decimal, 0x hex or
+// 0 octal); trailing characters or an out-of-range value are parse errors.
 #pragma once
 
 #include <iosfwd>
@@ -25,6 +27,11 @@
 #include "dfg/schedule.hpp"
 
 namespace mcrtl::dfg {
+
+/// Largest control step a .dfg "@ step" annotation may name. The schedule
+/// length sizes the synthesized controller and every simulated period, so
+/// an unbounded step (one typo) would allocate without limit.
+inline constexpr int kMaxDfgStep = 4096;
 
 /// A parsed .dfg document: the graph, plus the schedule when every node had
 /// an "@ step" annotation.

@@ -196,16 +196,30 @@ std::vector<SpanStats> Registry::span_stats() const {
 }
 
 std::vector<LaneStats> Registry::lane_stats() const {
-  std::map<int, LaneStats> by_lane;
+  // Busy time is the union of each lane's span intervals: nested spans
+  // (explore.point inside explore, sim.run inside explore.point) cover the
+  // same wall time and must count once.
+  std::map<int, std::vector<std::pair<std::uint64_t, std::uint64_t>>> by_lane;
   for (const auto& s : spans()) {
-    auto& st = by_lane[s.lane];
-    st.lane = s.lane;
-    ++st.spans;
-    st.busy_ms += ms(s.dur_ns);
+    by_lane[s.lane].emplace_back(s.start_ns, s.start_ns + s.dur_ns);
   }
   std::vector<LaneStats> out;
   out.reserve(by_lane.size());
-  for (auto& [_, st] : by_lane) out.push_back(st);
+  for (auto& [lane, iv] : by_lane) {
+    std::sort(iv.begin(), iv.end());
+    LaneStats st;
+    st.lane = lane;
+    st.spans = iv.size();
+    std::uint64_t busy_ns = 0;
+    std::uint64_t covered = 0;  // end of the union so far
+    for (const auto& [start, end] : iv) {
+      if (end <= covered) continue;
+      busy_ns += end - std::max(start, covered);
+      covered = end;
+    }
+    st.busy_ms = ms(busy_ns);
+    out.push_back(st);
+  }
   return out;
 }
 

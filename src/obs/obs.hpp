@@ -73,7 +73,9 @@ struct SpanStats {
   double max_ms = 0;
 };
 
-/// Busy time accumulated per lane (for utilization reports).
+/// Busy time per lane (for utilization reports): the union of the lane's
+/// span intervals, so nested spans count once and busy_ms never exceeds
+/// the lane's wall time.
 struct LaneStats {
   int lane = 0;
   std::uint64_t spans = 0;

@@ -40,8 +40,6 @@ const std::vector<const char*>& Injector::known_sites() {
       "journal.append",    // core/checkpoint.cpp CheckpointJournal::append
       "pool.task",         // util/thread_pool.hpp parallel_for_index task
       "explore.point",     // core/explorer.cpp, detail = configuration label
-      "journal.merge",     // core/shard.cpp per journal, detail = path
-      "serve.request",     // core/serve.cpp parse_request, detail = line
   };
   return sites;
 }

@@ -1,7 +1,11 @@
-// Small string helpers shared by report printers and the VHDL emitter.
+// Small string helpers shared by report printers, parsers and the VHDL
+// emitter.
 #pragma once
 
+#include <charconv>
+#include <optional>
 #include <string>
+#include <system_error>
 #include <vector>
 
 namespace mcrtl {
@@ -25,5 +29,20 @@ std::string sanitize_identifier(const std::string& s);
 /// Format a double with `digits` significant decimals, trimming trailing
 /// zeros ("3.50" stays "3.50" when digits==2; used for table output).
 std::string format_fixed(double v, int digits);
+
+/// Parse all of `text` as a decimal T (integer or floating point) in
+/// [lo, hi]. nullopt for anything else: empty text, a trailing suffix, a
+/// sign on an unsigned type, overflow, NaN, or a value out of range.
+template <class T>
+std::optional<T> parse_number(const std::string& text, T lo, T hi) {
+  T v{};
+  const char* end = text.data() + text.size();
+  const auto [ptr, ec] = std::from_chars(text.data(), end, v);
+  if (text.empty() || ec != std::errc() || ptr != end || !(v >= lo) ||
+      !(v <= hi)) {
+    return std::nullopt;
+  }
+  return v;
+}
 
 }  // namespace mcrtl

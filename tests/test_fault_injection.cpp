@@ -18,8 +18,6 @@
 #include <string>
 
 #include "core/explorer.hpp"
-#include "core/serve.hpp"
-#include "core/shard.hpp"
 #include "suite/benchmarks.hpp"
 #include "util/fault_injection.hpp"
 #include "util/thread_pool.hpp"
@@ -96,12 +94,6 @@ TEST_F(FaultInjectionTest, EverySiteIsReachable) {
   cfg.include_split = true;  // covers alloc.split alongside alloc.integrated
   cfg.checkpoint_file = journal.path;
   core::explore(*b.graph, *b.schedule, cfg);
-  // journal.merge: a one-journal merge of the run above covers it.
-  core::merge_shard_journals(*b.graph, *b.schedule, cfg, {journal.path});
-  // serve.request: the daemon's request parser carries the site.
-  core::SweepRequest ping;
-  ping.verb = "ping";
-  core::parse_request(core::encode_request(ping));
   // explore() never builds a pool for jobs = 1; drive the site directly
   // (ThreadPool's serial fallbacks skip the task wrapper, so this needs
   // real workers and more than one task).

@@ -4,6 +4,7 @@
 // results.
 #include <gtest/gtest.h>
 
+#include <chrono>
 #include <set>
 #include <string>
 
@@ -120,11 +121,38 @@ TEST_F(ObsTest, SpanStatsAggregateByName) {
   ASSERT_EQ(lanes.size(), 2u);
   EXPECT_EQ(lanes[0].lane, 0);
   EXPECT_EQ(lanes[0].spans, 2u);
+  // phase.b [20ns, 1ms+20ns) lies inside phase.a [0, 2ms): busy time is
+  // the union of the intervals, not the 3ms sum of the durations.
+  EXPECT_DOUBLE_EQ(lanes[0].busy_ms, 2.0);
   EXPECT_EQ(lanes[1].lane, 1);
+  EXPECT_DOUBLE_EQ(lanes[1].busy_ms, 4.0);
 
   const auto summary = obs::Registry::instance().summary();
   EXPECT_NE(summary.find("phase.a"), std::string::npos);
   EXPECT_NE(summary.find("worker-0"), std::string::npos);
+}
+
+// `mcrtl explore --jobs 2` with tracing reports explore.worker<k>.utilization
+// as the worker lane's busy time over the explore wall clock. Nested spans
+// (explore.point > sim.run > ...) must not be double-counted: every
+// utilization stays <= 1.
+TEST_F(ObsTest, WorkerUtilizationNeverExceedsOne) {
+  if (ThreadPool::resolve_jobs(2) < 2) GTEST_SKIP() << "single-core host";
+  obs::set_enabled(true);
+  const auto b = suite::by_name("biquad", 4);
+  const auto t0 = std::chrono::steady_clock::now();
+  core::explore(*b.graph, *b.schedule, small_config(2));
+  const double elapsed_ms = std::chrono::duration<double, std::milli>(
+                                std::chrono::steady_clock::now() - t0)
+                                .count();
+  std::size_t workers = 0;
+  for (const auto& lane : obs::Registry::instance().lane_stats()) {
+    if (lane.lane == 0) continue;
+    ++workers;
+    EXPECT_GT(lane.busy_ms, 0.0) << "worker-" << lane.lane - 1;
+    EXPECT_LE(lane.busy_ms / elapsed_ms, 1.0) << "worker-" << lane.lane - 1;
+  }
+  EXPECT_GE(workers, 1u);
 }
 
 // An instrumented parallel exploration must produce valid Chrome

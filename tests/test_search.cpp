@@ -367,7 +367,7 @@ TEST(ResultCache, CompactionDropsSupersededAndCorruptAndReplaysIdentically) {
   }
   ASSERT_NE(replay.find_pruned(7, 8), nullptr);
 
-  // A clean, in-bounds DB is left untouched byte-for-byte.
+  // A clean DB is left untouched byte-for-byte.
   const std::string before = slurp_db(db);
   core::ResultCache again;
   const auto stats2 = again.load_and_compact(db);
@@ -375,37 +375,6 @@ TEST(ResultCache, CompactionDropsSupersededAndCorruptAndReplaysIdentically) {
   EXPECT_EQ(stats2.bad_lines, 0u);
   EXPECT_EQ(stats2.superseded, 0u);
   EXPECT_EQ(before, slurp_db(db));
-  std::remove(db.c_str());
-}
-
-TEST(ResultCache, CompactionBoundsTheDatabaseSize) {
-  const std::string db = tmp_path("compact_bound.db");
-  std::remove(db.c_str());
-  core::ResultCache big;
-  for (std::uint64_t k = 1; k <= 6; ++k) big.put_row(k, cache_point(k, 0.0));
-  for (std::uint64_t s = 1; s <= 4; ++s) {
-    big.put_pruned(s, 100 + s, core::ResultCache::PrunedMark{1, "x"});
-  }
-  ASSERT_TRUE(big.save(db));
-
-  core::ResultCache cache;
-  const auto stats = cache.load_and_compact(db, /*max_rows=*/4,
-                                            /*max_pruned=*/2);
-  EXPECT_EQ(stats.evicted_rows, 2u);
-  EXPECT_EQ(stats.evicted_marks, 2u);
-  EXPECT_TRUE(stats.rewritten);
-  EXPECT_EQ(cache.num_rows(), 4u);
-  EXPECT_EQ(cache.num_pruned(), 2u);
-  // Deterministic victims: the numerically largest keys go first.
-  EXPECT_NE(cache.find_row(1), nullptr);
-  EXPECT_NE(cache.find_row(4), nullptr);
-  EXPECT_EQ(cache.find_row(5), nullptr);
-  EXPECT_EQ(cache.find_row(6), nullptr);
-
-  core::ResultCache replay;
-  EXPECT_EQ(replay.load(db), 0u);
-  EXPECT_EQ(replay.num_rows(), 4u);
-  EXPECT_EQ(replay.num_pruned(), 2u);
   std::remove(db.c_str());
 }
 

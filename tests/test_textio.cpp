@@ -91,6 +91,58 @@ TEST(TextIoTest, RejectsUnknownOutput) {
                Error);
 }
 
+/// The parse error `text` raises; empty if it parses.
+std::string parse_error(const std::string& text) {
+  try {
+    parse_dfg(text);
+  } catch (const Error& e) {
+    return e.what();
+  }
+  return "";
+}
+
+TEST(TextIoTest, UnknownOutputCarriesItsLineNumber) {
+  const std::string err =
+      parse_error("graph g width 4\ninput a\noutput zz\nnode n = neg a\n");
+  EXPECT_NE(err.find("line 3"), std::string::npos) << err;
+  EXPECT_NE(err.find("'zz'"), std::string::npos) << err;
+}
+
+TEST(TextIoTest, RejectsTrailingCharactersInNumbers) {
+  for (const char* text : {"graph g width 8x\n", "graph g width 4.0\n",
+                           "graph g width +\n"}) {
+    const std::string err = parse_error(text);
+    EXPECT_NE(err.find("line 1"), std::string::npos) << text << ": " << err;
+  }
+  const std::string err =
+      parse_error("graph g width 4\ninput a\nnode n = neg a @ 1x\noutput n\n");
+  EXPECT_NE(err.find("line 3"), std::string::npos) << err;
+  EXPECT_NE(err.find("'1x'"), std::string::npos) << err;
+  EXPECT_NE(parse_error("graph g width 4\nconst c = 0x1g\n").find("line 2"),
+            std::string::npos);
+}
+
+TEST(TextIoTest, RejectsOutOfRangeNumbers) {
+  // A step that would wrap a 32-bit int (to about 1.4e9) must not reach the
+  // synthesizer, and neither may any step past the documented bound.
+  for (const std::string& step :
+       {std::string("9999999995"), std::string("2147483648"),
+        std::string("-1"), std::string("0"),
+        std::to_string(kMaxDfgStep + 1)}) {
+    const std::string err = parse_error(
+        "graph g width 4\ninput a\nnode n = neg a @ " + step + "\noutput n\n");
+    EXPECT_NE(err.find("line 3"), std::string::npos) << step << ": " << err;
+  }
+  EXPECT_EQ(parse_error("graph g width 4\ninput a\nnode n = neg a @ " +
+                        std::to_string(kMaxDfgStep) + "\noutput n\n"),
+            "");
+  EXPECT_NE(parse_error("graph g width 99999999999\n").find("line 1"),
+            std::string::npos);
+  EXPECT_NE(parse_error("graph g width 4\nconst c = 99999999999999999999\n")
+                .find("line 2"),
+            std::string::npos);
+}
+
 TEST(TextIoTest, RejectsPrecedenceViolatingSchedule) {
   EXPECT_THROW(parse_dfg("graph g width 4\ninput a\nnode n1 = neg a @ 2\n"
                          "node n2 = neg n1 @ 1\noutput n2\n"),

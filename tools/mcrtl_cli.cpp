@@ -20,20 +20,6 @@
 //       early-abort, optional persistent result cache. Prints the
 //       per-behaviour Pareto front; --csv/--json write every surviving row
 //       (plus the pruned candidates) in a deterministic order.
-//   mcrtl merge (<benchmark> | --dfg <file>) --journals a,b,... [options]
-//       Merge the checkpoint journals of a sharded sweep (see --shard)
-//       into the complete result. Strict: a torn/corrupt/stale journal,
-//       overlapping disagreement or missing coverage aborts with a
-//       diagnostic; on success the --csv/--json reports are byte-identical
-//       to an unsharded `mcrtl explore` of the same sweep.
-//   mcrtl serve --socket PATH [--shards N] [--cache-db FILE] [options]
-//       Long-lived sweep daemon on a unix socket: dedupes concurrent
-//       identical requests, serves repeated sweeps from the point cache,
-//       optionally fans each computed sweep out to N shard worker
-//       processes. Stop with `mcrtl query --socket PATH --shutdown`.
-//   mcrtl query <benchmark> --socket PATH [options]
-//       Ask a running daemon for a sweep; prints the CSV report (the same
-//       bytes `mcrtl explore --csv` writes) on stdout.
 //
 // Options:
 //   --clocks N       number of non-overlapping clocks (default 2)
@@ -58,17 +44,6 @@
 //                    resumes, skipping journalled points (byte-identical
 //                    reports). A journal from a different configuration is
 //                    rejected.
-//   --shard i/N      (explore) evaluate only shard i of N (1-based): the
-//                    enumeration indices with (index-1) mod N == i-1 by
-//                    round-robin. Requires --checkpoint — the journal is
-//                    the shard's product; run all N shards (as separate
-//                    processes, any order) and `mcrtl merge` the journals
-//   --journals LIST  (merge) comma-separated shard journal files
-//   --socket PATH    (serve/query) unix socket of the sweep daemon
-//   --shards N       (serve) fan each computed sweep out to N worker
-//                    processes (default: compute in-process)
-//   --work-dir DIR   (serve) scratch directory for shard journals
-//   --shutdown       (query) ask the daemon to stop instead of sweeping
 //   --point-timeout S (explore) per-point simulation deadline in seconds;
 //                    an expired point is retried/quarantined like a failure
 //   --retries N      (explore) extra attempts per failing point (default 0)
@@ -111,20 +86,27 @@
 //                    markers per sweep; a repeated search is 100% cache
 //                    hits and simulates nothing
 //   --pareto-only    (search) restrict --csv/--json to the Pareto front
+//
+// Numeric values are parsed in full: garbage, a trailing suffix, a sign on
+// a count or a value outside the flag's range is a usage error (exit 2)
+// that names the flag. Ranges: --clocks 1..16; --width and each --widths
+// entry 1..64; --computations 1..10000000; --seed any 64-bit unsigned;
+// --streams 1..64; --jobs 0..1024 (0 = all cores); --retries 0..100;
+// --backoff 0..60000; --point-timeout 0..86400; --power-top 0..100000;
+// --budget-rungs 0..16; --promote-frac and --optimism 0.001..1;
+// --min-survivors 0..100000; each --limits entry 0..1024.
 #include <atomic>
 #include <chrono>
 #include <cstdio>
-#include <cstring>
 #include <fstream>
 #include <memory>
 #include <sstream>
 #include <string>
+#include <type_traits>
 #include <vector>
 
 #include "core/explorer.hpp"
 #include "core/search.hpp"
-#include "core/serve.hpp"
-#include "core/shard.hpp"
 #include "core/synthesizer.hpp"
 #include "dfg/dot.hpp"
 #include "dfg/textio.hpp"
@@ -140,7 +122,6 @@
 #include "suite/benchmarks.hpp"
 #include "util/error.hpp"
 #include "util/fault_injection.hpp"
-#include "util/subprocess.hpp"
 #include "util/strings.hpp"
 #include "util/table.hpp"
 #include "util/thread_pool.hpp"
@@ -166,7 +147,7 @@ struct CliOptions {
   std::size_t streams = 1;
   std::string csv_file;
   std::string json_file;
-  int jobs = 0;  // <= 0: auto (hardware concurrency)
+  int jobs = 0;  // 0: auto (hardware concurrency)
   std::string checkpoint_file;
   double point_timeout_s = 0.0;
   int retries = 0;
@@ -181,21 +162,14 @@ struct CliOptions {
   std::string metrics_file;
   bool progress = false;
   // search-specific
-  std::string widths;        // comma list; empty = just `width`
-  std::string limits = "0";  // comma list; 0 = reference schedule
+  std::vector<int> widths;      // empty = just `width`
+  std::vector<int> limits{0};   // 0 = reference schedule
   int budget_rungs = 3;
   double promote_frac = 0.4;
   double optimism = 0.85;
   std::size_t min_survivors = 4;
   std::string cache_db;
   bool pareto_only = false;
-  // shard/daemon-specific
-  std::string shard;     // "i/N" (explore)
-  std::string journals;  // comma list (merge)
-  std::string socket;    // unix socket path (serve/query)
-  int shards = 0;        // worker processes per sweep (serve)
-  std::string work_dir;  // shard journal scratch (serve)
-  bool shutdown = false; // query: stop the daemon
 
   /// Any observability request turns collection on.
   bool obs_enabled() const {
@@ -203,10 +177,16 @@ struct CliOptions {
   }
 };
 
+/// A malformed command line: reported with the usage text, exit code 2.
+class UsageError : public mcrtl::Error {
+ public:
+  explicit UsageError(const std::string& what) : Error(what) {}
+};
+
 int usage() {
   std::fprintf(stderr,
                "usage: mcrtl <list|synth|table|emit|emit-verilog|dot|explore"
-               "|search|merge|serve|query> [<benchmark>] "
+               "|search> [<benchmark>] "
                "[--dfg file] [--clocks N] [--width W]\n"
                "             [--style conv|gated|multi] [--method "
                "integrated|split] [--dff] [--isolation]\n"
@@ -222,175 +202,125 @@ int usage() {
                "             [--widths LIST] [--limits LIST] "
                "[--budget-rungs N] [--promote-frac F] [--optimism F]\n"
                "             [--min-survivors N] [--cache-db file] "
-               "[--pareto-only]\n"
-               "             [--shard i/N] [--journals a,b,...] "
-               "[--socket path] [--shards N] [--work-dir dir] [--shutdown]\n");
+               "[--pareto-only]\n");
   return 2;
 }
 
-bool parse_args(int argc, char** argv, CliOptions& o) {
-  if (argc < 2) return false;
+/// parse_number() for a flag value: anything it rejects is a UsageError
+/// naming `flag` and the accepted range.
+template <class T>
+T parse_flag(const std::string& flag, const std::string& text, T lo, T hi) {
+  const auto v = parse_number(text, lo, hi);
+  if (!v) {
+    std::ostringstream os;
+    os << "invalid " << flag << " '" << text << "' (expected "
+       << (std::is_integral_v<T> ? "an integer" : "a number") << " in " << lo
+       << ".." << hi << ')';
+    throw UsageError(os.str());
+  }
+  return *v;
+}
+
+/// A comma-separated list of integers in [lo, hi]; empty items are skipped.
+std::vector<int> parse_int_list(const std::string& flag, const std::string& s,
+                                int lo, int hi) {
+  std::vector<int> out;
+  std::istringstream is(s);
+  std::string tok;
+  while (std::getline(is, tok, ',')) {
+    if (!tok.empty()) out.push_back(parse_flag(flag, tok, lo, hi));
+  }
+  return out;
+}
+
+CliOptions parse_args(int argc, char** argv) {
+  if (argc < 2) throw UsageError("no command given");
+  CliOptions o;
   o.command = argv[1];
   for (int i = 2; i < argc; ++i) {
     const std::string a = argv[i];
-    auto next = [&]() -> const char* {
-      return i + 1 < argc ? argv[++i] : nullptr;
+    auto value = [&]() -> std::string {
+      if (i + 1 >= argc) throw UsageError(a + " needs a value");
+      return argv[++i];
+    };
+    auto number = [&](auto lo, auto hi) {
+      return parse_flag(a, value(), lo, hi);
     };
     if (a == "--dfg") {
-      const char* v = next();
-      if (!v) return false;
-      o.dfg_file = v;
+      o.dfg_file = value();
     } else if (a == "--clocks") {
-      const char* v = next();
-      if (!v) return false;
-      o.clocks = std::atoi(v);
+      o.clocks = number(1, 16);
     } else if (a == "--width") {
-      const char* v = next();
-      if (!v) return false;
-      o.width = static_cast<unsigned>(std::atoi(v));
+      o.width = number(1u, 64u);
     } else if (a == "--style") {
-      const char* v = next();
-      if (!v) return false;
-      o.style = v;
+      o.style = value();
     } else if (a == "--method") {
-      const char* v = next();
-      if (!v) return false;
-      o.method = v;
+      o.method = value();
     } else if (a == "--dff") {
       o.dff = true;
     } else if (a == "--isolation") {
       o.isolation = true;
     } else if (a == "--computations") {
-      const char* v = next();
-      if (!v) return false;
-      o.computations = static_cast<std::size_t>(std::atoll(v));
+      o.computations = number(std::size_t{1}, std::size_t{10'000'000});
     } else if (a == "--seed") {
-      const char* v = next();
-      if (!v) return false;
-      o.seed = static_cast<std::uint64_t>(std::atoll(v));
+      o.seed = number(std::uint64_t{0}, ~std::uint64_t{0});
     } else if (a == "--streams") {
-      const char* v = next();
-      if (!v) return false;
-      o.streams = static_cast<std::size_t>(std::atoll(v));
+      o.streams = number(std::size_t{1}, std::size_t{64});
     } else if (a == "--csv") {
-      const char* v = next();
-      if (!v) return false;
-      o.csv_file = v;
+      o.csv_file = value();
     } else if (a == "--json") {
-      const char* v = next();
-      if (!v) return false;
-      o.json_file = v;
+      o.json_file = value();
     } else if (a == "--checkpoint") {
-      const char* v = next();
-      if (!v) return false;
-      o.checkpoint_file = v;
+      o.checkpoint_file = value();
     } else if (a == "--point-timeout") {
-      const char* v = next();
-      if (!v) return false;
-      o.point_timeout_s = std::atof(v);
+      o.point_timeout_s = number(0.0, 86400.0);
     } else if (a == "--retries") {
-      const char* v = next();
-      if (!v) return false;
-      o.retries = std::atoi(v);
+      o.retries = number(0, 100);
     } else if (a == "--backoff") {
-      const char* v = next();
-      if (!v) return false;
-      o.backoff_ms = std::atof(v);
+      o.backoff_ms = number(0.0, 60000.0);
     } else if (a == "--no-quarantine") {
       o.no_quarantine = true;
     } else if (a == "--fault-inject") {
-      const char* v = next();
-      if (!v) return false;
-      o.fault_specs.emplace_back(v);
+      o.fault_specs.push_back(value());
     } else if (a == "--jobs") {
-      const char* v = next();
-      if (!v) return false;
-      o.jobs = std::atoi(v);
+      o.jobs = number(0, 1024);
     } else if (a == "--vcd") {
-      const char* v = next();
-      if (!v) return false;
-      o.vcd_file = v;
+      o.vcd_file = value();
     } else if (a == "--power-trace-out") {
-      const char* v = next();
-      if (!v) return false;
-      o.power_trace_file = v;
+      o.power_trace_file = value();
     } else if (a == "--power-flame") {
-      const char* v = next();
-      if (!v) return false;
-      o.power_flame_file = v;
+      o.power_flame_file = value();
     } else if (a == "--power-top") {
-      const char* v = next();
-      if (!v) return false;
-      o.power_top = std::atoi(v);
+      o.power_top = number(0, 100'000);
     } else if (a == "--trace-out") {
-      const char* v = next();
-      if (!v) return false;
-      o.trace_file = v;
+      o.trace_file = value();
     } else if (a == "--metrics-out") {
-      const char* v = next();
-      if (!v) return false;
-      o.metrics_file = v;
+      o.metrics_file = value();
     } else if (a == "--progress") {
       o.progress = true;
     } else if (a == "--widths") {
-      const char* v = next();
-      if (!v) return false;
-      o.widths = v;
+      o.widths = parse_int_list(a, value(), 1, 64);
     } else if (a == "--limits") {
-      const char* v = next();
-      if (!v) return false;
-      o.limits = v;
+      o.limits = parse_int_list(a, value(), 0, 1024);
     } else if (a == "--budget-rungs") {
-      const char* v = next();
-      if (!v) return false;
-      o.budget_rungs = std::atoi(v);
+      o.budget_rungs = number(0, 16);
     } else if (a == "--promote-frac") {
-      const char* v = next();
-      if (!v) return false;
-      o.promote_frac = std::atof(v);
+      o.promote_frac = number(0.001, 1.0);
     } else if (a == "--optimism") {
-      const char* v = next();
-      if (!v) return false;
-      o.optimism = std::atof(v);
+      o.optimism = number(0.001, 1.0);
     } else if (a == "--min-survivors") {
-      const char* v = next();
-      if (!v) return false;
-      o.min_survivors = static_cast<std::size_t>(std::atoll(v));
+      o.min_survivors = number(std::size_t{0}, std::size_t{100'000});
     } else if (a == "--cache-db") {
-      const char* v = next();
-      if (!v) return false;
-      o.cache_db = v;
+      o.cache_db = value();
     } else if (a == "--pareto-only") {
       o.pareto_only = true;
-    } else if (a == "--shard") {
-      const char* v = next();
-      if (!v) return false;
-      o.shard = v;
-    } else if (a == "--journals") {
-      const char* v = next();
-      if (!v) return false;
-      o.journals = v;
-    } else if (a == "--socket") {
-      const char* v = next();
-      if (!v) return false;
-      o.socket = v;
-    } else if (a == "--shards") {
-      const char* v = next();
-      if (!v) return false;
-      o.shards = std::atoi(v);
-    } else if (a == "--work-dir") {
-      const char* v = next();
-      if (!v) return false;
-      o.work_dir = v;
-    } else if (a == "--shutdown") {
-      o.shutdown = true;
     } else if (!a.empty() && a[0] != '-') {
       o.benchmark = a;
     } else {
-      return false;
+      throw UsageError("unknown option " + a);
     }
   }
-  return true;
+  return o;
 }
 
 /// Load the behaviour: built-in benchmark or .dfg file.
@@ -626,22 +556,55 @@ int cmd_table(const CliOptions& o) {
   return 0;
 }
 
-/// The explore/merge ExplorerConfig, minus execution knobs only explore
-/// uses — both commands must describe the *same sweep* (same checkpoint
-/// fingerprint) or merge would reject every shard journal.
-core::ExplorerConfig explorer_config(const CliOptions& o) {
+/// The report rows of an exploration result (experiment "cli_explore"):
+/// one record per point in result order, dominated_by resolved from the
+/// sorted points exactly like the explorer table.
+std::vector<power::ExperimentRecord> explore_records(
+    const core::ExplorationResult& r, const std::string& benchmark,
+    unsigned width, std::size_t computations, std::size_t streams) {
+  std::vector<power::ExperimentRecord> recs;
+  recs.reserve(r.points.size());
+  for (const auto& p : r.points) {
+    power::ExperimentRecord rec;
+    rec.experiment = "cli_explore";
+    rec.design = p.label;
+    rec.benchmark = benchmark;
+    rec.width = width;
+    rec.computations = computations;
+    rec.streams = streams;
+    rec.power = p.power;
+    rec.power_stddev = p.power_stddev;
+    rec.power_ci95 = p.power_ci95;
+    rec.hotspot = p.hotspot;
+    rec.hotspot_share = p.hotspot_share;
+    rec.crest = p.crest;
+    rec.area = p.area;
+    rec.stats = p.stats;
+    rec.pareto = p.pareto;
+    if (!p.pareto) {
+      // The lowest-power dominating row: points are sorted by ascending
+      // power, so the first power/area dominator found is it.
+      for (const auto& q : r.points) {
+        if (core::dominates_power_area(core::point_metrics(q),
+                                       core::point_metrics(p))) {
+          rec.dominated_by = q.label;
+          break;
+        }
+      }
+    }
+    recs.push_back(std::move(rec));
+  }
+  return recs;
+}
+
+int cmd_explore(const CliOptions& o) {
+  const Loaded l = load(o);
   core::ExplorerConfig cfg;
   cfg.max_clocks = o.clocks;
   cfg.include_dff_variant = o.dff;
   cfg.computations = o.computations;
   cfg.seed = o.seed;
   cfg.streams = o.streams;
-  return cfg;
-}
-
-int cmd_explore(const CliOptions& o) {
-  const Loaded l = load(o);
-  core::ExplorerConfig cfg = explorer_config(o);
   cfg.jobs = o.jobs;
   cfg.checkpoint_file = o.checkpoint_file;
   cfg.point_timeout_s = o.point_timeout_s;
@@ -650,16 +613,6 @@ int cmd_explore(const CliOptions& o) {
   // The CLI sweep is fault-isolated by default: one bad configuration is
   // reported in the "failed" table below rather than killing a long run.
   cfg.quarantine = !o.no_quarantine;
-  if (!o.shard.empty()) {
-    const core::ShardSpec spec = core::parse_shard(o.shard);
-    cfg.shard_index = spec.index;
-    cfg.shard_count = spec.count;
-    if (cfg.shard_count > 1 && o.checkpoint_file.empty()) {
-      throw mcrtl::Error(
-          "--shard needs --checkpoint: the journal is the shard's product "
-          "(mcrtl merge reassembles the sweep from the shard journals)");
-    }
-  }
 
   // Live progress: counts points as workers finish them (the hook runs
   // concurrently — everything it touches is atomic or a local stderr write).
@@ -700,9 +653,6 @@ int cmd_explore(const CliOptions& o) {
 
   std::printf("%s: %zu design points (%u jobs)", l.name.c_str(),
               r.points.size(), ThreadPool::resolve_jobs(o.jobs));
-  if (cfg.shard_count > 1) {
-    std::printf(", shard %d/%d", cfg.shard_index + 1, cfg.shard_count);
-  }
   if (r.replayed_points > 0) {
     std::printf(", %zu replayed from %s", r.replayed_points,
                 o.checkpoint_file.c_str());
@@ -726,10 +676,8 @@ int cmd_explore(const CliOptions& o) {
                  format_fixed(p.area.total / 1e6, 2), p.pareto ? "*" : ""});
     }
   }
-  // One record builder for explore, merge and the daemon — byte-identical
-  // CSV/JSON across all three paths.
-  const auto recs = core::explore_records(r, l.name, l.graph->width(),
-                                          o.computations, o.streams);
+  const auto recs = explore_records(r, l.name, l.graph->width(),
+                                    o.computations, o.streams);
   std::fputs(t.render().c_str(), stdout);
   if (!r.failed_points.empty()) {
     std::printf("\n%zu configuration(s) failed and were quarantined:\n",
@@ -758,145 +706,6 @@ int cmd_explore(const CliOptions& o) {
   return 0;
 }
 
-int cmd_merge(const CliOptions& o) {
-  if (o.journals.empty()) {
-    throw mcrtl::Error("merge needs --journals a.journal,b.journal,...");
-  }
-  std::vector<std::string> paths;
-  {
-    std::istringstream is(o.journals);
-    std::string tok;
-    while (std::getline(is, tok, ',')) {
-      if (!tok.empty()) paths.push_back(tok);
-    }
-  }
-  const Loaded l = load(o);
-  const core::ExplorerConfig cfg = explorer_config(o);
-  core::MergeStats ms;
-  const auto r =
-      core::merge_shard_journals(*l.graph, *l.schedule, cfg, paths, &ms);
-
-  std::printf("%s: merged %zu design points from %zu shard journal(s)",
-              l.name.c_str(), r.points.size(), ms.journals);
-  if (ms.overlap_records > 0) {
-    std::printf(", %zu agreeing overlap record(s)", ms.overlap_records);
-  }
-  std::printf("\n\n");
-  const bool sliced = o.streams > 1;
-  TextTable t(sliced ? std::vector<std::string>{"configuration", "P[mW]",
-                                                "+/-95%", "area[1e6 l^2]",
-                                                "Pareto"}
-                     : std::vector<std::string>{"configuration", "P[mW]",
-                                                "area[1e6 l^2]", "Pareto"});
-  for (const auto& p : r.points) {
-    if (sliced) {
-      t.add_row({p.label, format_fixed(p.power.total, 2),
-                 format_fixed(p.power_ci95, 2),
-                 format_fixed(p.area.total / 1e6, 2), p.pareto ? "*" : ""});
-    } else {
-      t.add_row({p.label, format_fixed(p.power.total, 2),
-                 format_fixed(p.area.total / 1e6, 2), p.pareto ? "*" : ""});
-    }
-  }
-  const auto recs = core::explore_records(r, l.name, l.graph->width(),
-                                          o.computations, o.streams);
-  std::fputs(t.render().c_str(), stdout);
-  if (!r.points.empty()) {
-    std::printf("best power: %s (%.2f mW)\n", r.best_power().label.c_str(),
-                r.best_power().power.total);
-  }
-  if (!o.csv_file.empty()) {
-    std::ofstream(o.csv_file) << power::to_csv(recs);
-    std::printf("wrote %s\n", o.csv_file.c_str());
-  }
-  if (!o.json_file.empty()) {
-    std::ofstream(o.json_file) << power::to_json(recs);
-    std::printf("wrote %s\n", o.json_file.c_str());
-  }
-  return 0;
-}
-
-int cmd_serve(const CliOptions& o) {
-  if (o.socket.empty()) throw mcrtl::Error("serve needs --socket PATH");
-  core::SweepServer::Config sc;
-  sc.socket_path = o.socket;
-  sc.cache_db = o.cache_db;
-  sc.work_dir = o.work_dir;
-  sc.shards = o.shards;
-  sc.jobs = o.jobs;
-  if (o.shards > 1) {
-    sc.cli_path = proc::self_exe_path();
-    if (sc.cli_path.empty()) {
-      throw mcrtl::Error(
-          "--shards needs the executable's own path, which this platform "
-          "cannot provide; run without --shards");
-    }
-  }
-  core::SweepServer server(std::move(sc));
-  server.start();
-  std::printf("serving on %s (%s%s)\n", o.socket.c_str(),
-              o.shards > 1
-                  ? str_format("%d shard processes per sweep", o.shards)
-                        .c_str()
-                  : "in-process",
-              o.cache_db.empty() ? "" : ", persistent cache");
-  std::fflush(stdout);
-  server.wait_until_stopped();
-  server.stop();
-  const auto st = server.stats();
-  std::printf("served %llu request(s): %llu computed, %llu from cache, "
-              "%llu joined in-flight, %llu rejected\n",
-              static_cast<unsigned long long>(st.requests),
-              static_cast<unsigned long long>(st.sweeps_computed),
-              static_cast<unsigned long long>(st.served_from_cache),
-              static_cast<unsigned long long>(st.joined_inflight),
-              static_cast<unsigned long long>(st.rejected));
-  return 0;
-}
-
-int cmd_query(const CliOptions& o) {
-  if (o.socket.empty()) throw mcrtl::Error("query needs --socket PATH");
-  if (o.shutdown) {
-    if (!core::serve_shutdown(o.socket)) {
-      throw mcrtl::Error("daemon at " + o.socket +
-                         " did not acknowledge the shutdown");
-    }
-    std::printf("daemon at %s shutting down\n", o.socket.c_str());
-    return 0;
-  }
-  if (o.benchmark.empty()) throw mcrtl::Error("query needs a benchmark name");
-  core::SweepRequest req;
-  req.benchmark = o.benchmark;
-  req.width = o.width;
-  req.clocks = o.clocks;
-  req.dff = o.dff;
-  req.computations = o.computations;
-  req.seed = o.seed;
-  req.streams = o.streams;
-  const auto rep = core::serve_query(o.socket, req);
-  if (!rep.ok) throw mcrtl::Error("daemon refused the sweep: " + rep.error);
-  std::fprintf(stderr, "%zu rows, %s (cached %zu/%zu points, fp %s)\n",
-               rep.rows, rep.computed ? "computed" : "served from cache",
-               rep.cached_points, rep.total_points, rep.fingerprint.c_str());
-  if (!o.csv_file.empty()) {
-    std::ofstream(o.csv_file) << rep.payload;
-    std::fprintf(stderr, "wrote %s\n", o.csv_file.c_str());
-  } else {
-    std::fputs(rep.payload.c_str(), stdout);
-  }
-  return 0;
-}
-
-std::vector<int> parse_int_list(const std::string& s) {
-  std::vector<int> out;
-  std::istringstream is(s);
-  std::string tok;
-  while (std::getline(is, tok, ',')) {
-    if (!tok.empty()) out.push_back(std::atoi(tok.c_str()));
-  }
-  return out;
-}
-
 int cmd_search(const CliOptions& o) {
   // Behaviour grid: benchmarks (comma list) x widths x schedule resource
   // limits. Limit 0 keeps the benchmark's reference schedule; L > 0
@@ -910,11 +719,11 @@ int cmd_search(const CliOptions& o) {
       if (!tok.empty()) names.push_back(tok);
     }
   }
-  std::vector<int> widths = o.widths.empty()
-                                ? std::vector<int>{static_cast<int>(o.width)}
-                                : parse_int_list(o.widths);
-  std::vector<int> limits = parse_int_list(o.limits);
-  if (limits.empty()) limits.push_back(0);
+  const std::vector<int> widths =
+      o.widths.empty() ? std::vector<int>{static_cast<int>(o.width)}
+                       : o.widths;
+  const std::vector<int> limits =
+      o.limits.empty() ? std::vector<int>{0} : o.limits;
 
   // The graphs/schedules must outlive search(); the space only points at
   // them.
@@ -1028,9 +837,6 @@ int dispatch(const CliOptions& o) {
   if (o.command == "dot") return cmd_dot(o);
   if (o.command == "explore") return cmd_explore(o);
   if (o.command == "search") return cmd_search(o);
-  if (o.command == "merge") return cmd_merge(o);
-  if (o.command == "serve") return cmd_serve(o);
-  if (o.command == "query") return cmd_query(o);
   return usage();
 }
 
@@ -1055,7 +861,12 @@ void flush_obs(const CliOptions& o) {
 
 int main(int argc, char** argv) {
   CliOptions o;
-  if (!parse_args(argc, argv, o)) return usage();
+  try {
+    o = parse_args(argc, argv);
+  } catch (const UsageError& e) {
+    std::fprintf(stderr, "error: %s\n", e.what());
+    return usage();
+  }
   if (o.obs_enabled()) obs::set_enabled(true);
   if (!o.fault_specs.empty()) {
     fault::set_enabled(true);
