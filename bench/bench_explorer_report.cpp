@@ -295,7 +295,7 @@ int main(int argc, char** argv) {
        << ",\n  \"hardware_concurrency\": " << ThreadPool::default_concurrency()
        << ",\n  \"scheduling\": \"longest_first\""
        << ",\n  \"single_pass_explore\": true"
-       << ",\n  \"sim_kernel\": \"event_driven\",\n  \"benchmarks\": [\n";
+       << ",\n  \"sim_kernel\": \"time_sliced\",\n  \"benchmarks\": [\n";
     for (std::size_t i = 0; i < timings.size(); ++i) {
       const auto& tm = timings[i];
       js << "    {\"name\": \"" << tm.name << "\", \"points\": " << tm.points

@@ -18,6 +18,15 @@
 //  4. batch throughput — aggregate streams x steps/s of the sliced kernel
 //     must be at least 8x the serial baseline, measured on the median rep.
 //
+// A third leg benchmarks time slicing: one 2000-computation stream through
+// run_time_sliced() against the scalar run(), both with a PowerProbe
+// attached, with two more guards:
+//
+//  5. identity — outputs, the full Activity and every waveform entry (as
+//     raw double bits) must match the scalar run;
+//  6. speedup — the aggregate scalar pct50 over the time-sliced pct50 must
+//     be at least 4x.
+//
 // Timing is reported as percentiles over the reps (pct50/pct90/pct99 +
 // stddev, see util/stats.hpp) rather than best-of-N: the median is what
 // the speedup floor checks, the tail and spread make runner noise visible
@@ -27,11 +36,13 @@
 #include <algorithm>
 #include <chrono>
 #include <cstdio>
+#include <cstring>
 #include <fstream>
 #include <string>
 #include <vector>
 
 #include "core/synthesizer.hpp"
+#include "power/attribution.hpp"
 #include "sim/simulator.hpp"
 #include "sim/stimulus.hpp"
 #include "suite/benchmarks.hpp"
@@ -91,6 +102,28 @@ struct SlicedRow {
   double serial_throughput() const { return lane_steps / serial.pct50; }
   double speedup() const { return serial.pct50 / sliced.pct50; }
 };
+
+struct TimeSlicedRow {
+  std::string bench;
+  int num_clocks = 0;
+  RunStats sliced;  // run_time_sliced() with the probe attached
+  RunStats scalar;  // run() with the probe attached
+  double speedup() const { return scalar.pct50 / sliced.pct50; }
+};
+
+/// The probe's whole waveform as raw bits, step-major.
+std::vector<std::uint64_t> waveform_bits(const sim::PowerProbe& probe) {
+  std::vector<std::uint64_t> bits;
+  for (std::size_t s = 0; s < probe.steps(); ++s) {
+    for (int d = 0; d <= probe.num_domains(); ++d) {
+      const double e = probe.step_fj(s, d);
+      std::uint64_t b;
+      std::memcpy(&b, &e, sizeof b);
+      bits.push_back(b);
+    }
+  }
+  return bits;
+}
 
 }  // namespace
 
@@ -245,6 +278,74 @@ int main() {
     ok = false;
   }
 
+  // --- time-sliced leg: one stream cut into 64 chunks vs the scalar run --
+  constexpr std::size_t kTimeSlicedComputations = 2000;
+  std::vector<TimeSlicedRow> trows;
+  double total_ts_s = 0, total_scalar_s = 0;
+  const auto tech = power::TechLibrary::cmos08();
+  std::printf("\n=== time-sliced kernel: one %zu-computation stream, "
+              "run_time_sliced vs scalar run, power probe attached ===\n\n",
+              kTimeSlicedComputations);
+  for (const char* name : {"facet", "hal", "biquad", "bandpass"}) {
+    const auto b = suite::by_name(name, 4);
+    for (int n = 1; n <= 4; ++n) {
+      core::SynthesisOptions opts;
+      opts.style = core::DesignStyle::MultiClock;
+      opts.num_clocks = n;
+      const auto syn = core::synthesize(*b.graph, *b.schedule, opts);
+      const power::Attribution attr(*syn.design, tech);
+      Rng rng(2024);
+      const auto stream = sim::uniform_stream(
+          rng, b.graph->inputs().size(), kTimeSlicedComputations, 4);
+      TimeSlicedRow row;
+      row.bench = name;
+      row.num_clocks = n;
+      sim::SimResult ts_res, sc_res;
+      std::vector<std::uint64_t> ts_bits, sc_bits;
+      std::vector<double> ts_samples, sc_samples;
+      for (int rep = 0; rep < kReps; ++rep) {
+        sim::Simulator ts(*syn.design, sim::Simulator::Mode::BitSliced);
+        sim::PowerProbe ts_probe(attr.energy_model());
+        ts.set_power_probe(&ts_probe);
+        auto t0 = std::chrono::steady_clock::now();
+        ts_res = ts.run_time_sliced(stream, b.graph->inputs(),
+                                    b.graph->outputs());
+        ts_samples.push_back(seconds_since(t0));
+
+        sim::Simulator sc(*syn.design);
+        sim::PowerProbe sc_probe(attr.energy_model());
+        sc.set_power_probe(&sc_probe);
+        t0 = std::chrono::steady_clock::now();
+        sc_res = sc.run(stream, b.graph->inputs(), b.graph->outputs());
+        sc_samples.push_back(seconds_since(t0));
+        if (rep == 0) {
+          ts_bits = waveform_bits(ts_probe);
+          sc_bits = waveform_bits(sc_probe);
+        }
+      }
+      row.sliced = RunStats::from_samples(std::move(ts_samples));
+      row.scalar = RunStats::from_samples(std::move(sc_samples));
+      if (!identical(ts_res, sc_res) || ts_bits != sc_bits) {
+        std::fprintf(stderr,
+                     "FATAL: %s n=%d time-sliced run differs from the "
+                     "scalar run (outputs, Activity or waveform)\n",
+                     name, n);
+        ok = false;
+      }
+      total_ts_s += row.sliced.pct50;
+      total_scalar_s += row.scalar.pct50;
+      trows.push_back(row);
+    }
+  }
+  const double time_sliced_speedup = total_scalar_s / total_ts_s;
+  if (time_sliced_speedup < 4.0) {
+    std::fprintf(stderr,
+                 "FATAL: time-sliced speedup %.2fx is below the 4x floor "
+                 "(scalar pct50 %.3fs / time-sliced pct50 %.3fs)\n",
+                 time_sliced_speedup, total_scalar_s, total_ts_s);
+    ok = false;
+  }
+
   TextTable t({"bench", "n", "comb", "obliv steps/s", "event steps/s",
                "speedup", "obliv evals/step", "event evals/step"});
   for (const auto& r : rows) {
@@ -273,6 +374,19 @@ int main() {
   std::fputs(st.render().c_str(), stdout);
   std::printf("\nbatch speedup (aggregate): %.2fx (floor 8x)\n",
               batch_speedup);
+
+  std::printf("\n");
+  TextTable tt({"bench", "n", "time-sliced pct50", "scalar pct50",
+                "speedup"});
+  for (const auto& r : trows) {
+    tt.add_row({r.bench, std::to_string(r.num_clocks),
+                format_fixed(r.sliced.pct50 * 1e3, 2) + "ms",
+                format_fixed(r.scalar.pct50 * 1e3, 2) + "ms",
+                format_fixed(r.speedup(), 2) + "x"});
+  }
+  std::fputs(tt.render().c_str(), stdout);
+  std::printf("\ntime-sliced speedup (aggregate): %.2fx (floor 4x)\n",
+              time_sliced_speedup);
 
   {
     std::ofstream js("BENCH_sim.json");
@@ -321,12 +435,30 @@ int main() {
          << ", \"speedup\": " << r.speedup() << "}"
          << (i + 1 < srows.size() ? "," : "") << "\n";
     }
+    js << "  ]},\n  \"time_sliced\": {\"computations\": "
+       << kTimeSlicedComputations
+       << ", \"speedup\": " << time_sliced_speedup
+       << ", \"speedup_floor\": 4.0,\n  \"configs\": [\n";
+    for (std::size_t i = 0; i < trows.size(); ++i) {
+      const auto& r = trows[i];
+      js << "    {\"bench\": \"" << r.bench
+         << "\", \"num_clocks\": " << r.num_clocks
+         << ", \"sliced_seconds\": " << r.sliced.pct50
+         << ", \"scalar_seconds\": " << r.scalar.pct50
+         << ",\n     \"sliced_timing\": {";
+      emit_timing(js, r.sliced);
+      js << "}, \"scalar_timing\": {";
+      emit_timing(js, r.scalar);
+      js << "},\n     \"speedup\": " << r.speedup() << "}"
+         << (i + 1 < trows.size() ? "," : "") << "\n";
+    }
     js << "  ]},\n  \"identical_results\": " << (ok ? "true" : "false")
        << ",\n  \"guard\": \"event evals <= oblivious evals on every config; "
           "results bit-identical; sliced results bit-identical per stream; "
-          "batch speedup (pct50) >= 8x\"\n}\n";
+          "batch speedup (pct50) >= 8x; time-sliced results and waveform "
+          "bit-identical to scalar; time-sliced speedup (pct50) >= 4x\"\n}\n";
   }
-  std::printf("\nwrote BENCH_sim.json (%zu + %zu configs), guard %s\n",
-              rows.size(), srows.size(), ok ? "OK" : "FAILED");
+  std::printf("\nwrote BENCH_sim.json (%zu + %zu + %zu configs), guard %s\n",
+              rows.size(), srows.size(), trows.size(), ok ? "OK" : "FAILED");
   return ok ? 0 : 1;
 }

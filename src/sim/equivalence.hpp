@@ -10,7 +10,9 @@
 // check_outputs() compares *already sampled* outputs, so a caller that needs
 // the simulation's Activity anyway (the explorer's power estimate) can run
 // the RTL simulation once and feed both the checker and the power model
-// from the same SimResult.
+// from the same SimResult. A caller checking many designs against one
+// stream (the explorer) runs the interpreter once with golden_outputs() and
+// compares every design against that.
 #pragma once
 
 #include <string>
@@ -34,6 +36,23 @@ struct EquivalenceReport {
 /// SimResult and its Activity.
 EquivalenceReport check_outputs(const dfg::Graph& graph,
                                 const InputStream& stream,
+                                const std::vector<OutputSample>& outputs,
+                                const std::string& style_name);
+
+/// The interpreter's outputs of a graph for every computation of one
+/// stream — what check_outputs() compares against — stored flat.
+struct GoldenOutputs {
+  std::size_t computations = 0;
+  std::size_t outputs = 0;            ///< values per computation
+  std::vector<std::uint64_t> values;  ///< computation-major
+};
+GoldenOutputs golden_outputs(const dfg::Graph& graph,
+                             const InputStream& stream);
+
+/// check_outputs() against precomputed golden outputs; same report, same
+/// mismatch text.
+EquivalenceReport check_outputs(const dfg::Graph& graph,
+                                const GoldenOutputs& golden,
                                 const std::vector<OutputSample>& outputs,
                                 const std::string& style_name);
 

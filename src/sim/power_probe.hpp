@@ -12,14 +12,17 @@
 // the full per-step waveform and accumulating it into a (domain ×
 // period-step) folded profile.
 //
-// For Mode::BitSliced runs the probe receives the *aggregate across lanes*:
+// For run_sliced() batches the probe receives the *aggregate across lanes*:
 // the kernel already compresses each changed write's XOR-diff planes into
 // bit-sliced per-lane sums, and the total toggle count across lanes falls
 // out of those sums for a few popcounts — so the aggregate waveform is the
 // exact sum of the per-stream waveforms (at integer-toggle granularity) and
 // scale-invariant shapes like the crest factor need no unpacking. Exact
 // per-stream attribution is always available post-run from the per-stream
-// Activity records (power::Attribution::attribute).
+// Activity records (power::Attribution::attribute). run_time_sliced()
+// instead keeps one row per lane, adds in the scalar kernel's event order,
+// and hands the closed rows of counted steps over with assign_steps() in
+// time order — the scalar run's waveform, bit for bit.
 //
 // Attachment follows the PhaseHeatmap pattern: explicit opt-in, nullptr to
 // detach, no collection cost when detached (one pointer test on the
@@ -28,6 +31,7 @@
 // with a probe attached or not (asserted by tests/test_attribution.cpp).
 #pragma once
 
+#include <algorithm>
 #include <cstdint>
 #include <vector>
 
@@ -82,18 +86,28 @@ class PowerProbe {
   /// Close the current step's row. `period_step` is the step's position in
   /// the master period (1..P), for the folded profile.
   void end_step(int period_step) {
-    const std::size_t d = row_.size();
     waveform_.insert(waveform_.end(), row_.begin(), row_.end());
-    double* fold = profile_.data() + static_cast<std::size_t>(period_step - 1);
-    for (std::size_t i = 0; i < d; ++i) {
-      fold[i * static_cast<std::size_t>(model_->period)] += row_[i];
-      row_[i] = 0.0;
-    }
+    fold(row_.data(), period_step);
+    std::fill(row_.begin(), row_.end(), 0.0);
     ++steps_;
+  }
+  /// Replace the record with whole steps accumulated elsewhere: `rows`
+  /// holds n+1 domain energies per step, step-major, from the first step of
+  /// a period on — exactly as if reset() had been followed by closing each
+  /// step with end_step().
+  void assign_steps(std::vector<double> rows) {
+    reset();
+    waveform_ = std::move(rows);
+    const std::size_t d = row_.size();
+    const auto P = static_cast<std::size_t>(model_->period);
+    for (; steps_ * d < waveform_.size(); ++steps_) {
+      fold(waveform_.data() + steps_ * d, static_cast<int>(steps_ % P) + 1);
+    }
   }
 
   // ---- results ----------------------------------------------------------
 
+  const EnergyModel& model() const { return *model_; }
   int num_domains() const { return model_->num_domains; }
   int period() const { return model_->period; }
   std::size_t steps() const { return steps_; }
@@ -156,6 +170,14 @@ class PowerProbe {
   }
 
  private:
+  /// Accumulate a closed row into the folded profile at `period_step`.
+  void fold(const double* row, int period_step) {
+    double* f = profile_.data() + static_cast<std::size_t>(period_step - 1);
+    for (std::size_t i = 0; i < row_.size(); ++i) {
+      f[i * static_cast<std::size_t>(model_->period)] += row[i];
+    }
+  }
+
   const EnergyModel* model_;
   std::vector<double> row_;       ///< current step, (n+1) domains
   std::vector<double> waveform_;  ///< steps × (n+1), row-major

@@ -150,7 +150,7 @@ void Simulator::write_net(NetId net, std::uint64_t value, Activity& act,
     if (probe_) probe_->add_net(net.index(), flips);
   }
   net_value_[net.index()] = value;
-  if (mode_ == Mode::EventDriven) mark_fanout_dirty(net);
+  if (mode_ != Mode::Oblivious) mark_fanout_dirty(net);
 }
 
 // Hot path: direct component-array indexing (CompIds are created dense and
@@ -183,10 +183,10 @@ std::uint64_t Simulator::eval_comp(const rtl::Component& c) const {
 void Simulator::settle(Activity& act, bool count) {
   ++kernel_stats_.settles;
   kernel_stats_.oblivious_evals += comb_order_.size();
-  if (mode_ == Mode::EventDriven) {
-    settle_event(act, count);
-  } else {
+  if (mode_ == Mode::Oblivious) {
     settle_oblivious(act, count);
+  } else {
+    settle_event(act, count);
   }
 }
 
@@ -227,6 +227,12 @@ SimResult Simulator::run(const InputStream& stream,
   MCRTL_CHECK_MSG(mode_ != Mode::BitSliced,
                   "run() is scalar-only; a BitSliced simulator batches "
                   "streams through run_sliced()");
+  return run_scalar(stream, input_order, output_order);
+}
+
+SimResult Simulator::run_scalar(const InputStream& stream,
+                                const std::vector<dfg::ValueId>& input_order,
+                                const std::vector<dfg::ValueId>& output_order) {
   const rtl::Design& d = *design_;
   const rtl::Netlist& nl = d.netlist;
   const auto& comps = nl.components();
@@ -276,7 +282,7 @@ SimResult Simulator::run(const InputStream& stream,
     // can produce nonzero outputs from all-zero inputs (e.g. an equality
     // ALU); the event-driven kernel therefore starts from a full worklist,
     // exactly reproducing the oblivious kernel's unconditional first pass.
-    if (mode_ == Mode::EventDriven) mark_all_dirty();
+    if (mode_ != Mode::Oblivious) mark_all_dirty();
     for (const auto& [net, value] : control_reset_writes_) {
       write_net(net, value, act, false);
     }
@@ -320,7 +326,7 @@ SimResult Simulator::run(const InputStream& stream,
       // 1. controller drives step-t values. EventDriven replays the
       // tabulated deltas (only the lines that move); Oblivious re-derives
       // every line from the ControlPlan, as the original inner loop did.
-      if (mode_ == Mode::EventDriven) {
+      if (mode_ != Mode::Oblivious) {
         for (const auto& [net, value] :
              control_step_writes_[static_cast<std::size_t>(t)]) {
           write_net(net, value, act, true);
@@ -399,7 +405,7 @@ SimResult Simulator::run(const InputStream& stream,
     obs::count("sim.net_toggles",
                std::accumulate(act.net_toggles.begin(), act.net_toggles.end(),
                                std::uint64_t{0}));
-    if (mode_ == Mode::EventDriven) {
+    if (mode_ != Mode::Oblivious) {
       const std::uint64_t popped = kernel_stats_.evals - evals_before;
       const std::uint64_t oblivious =
           kernel_stats_.oblivious_evals - oblivious_before;

@@ -47,6 +47,11 @@
 //    not controller-driven (never produced by synthesize()) are rejected
 //    at construction. Per stream, its results are bit-identical to an
 //    independent EventDriven run of that stream's stimulus.
+//    run_time_sliced() feeds the same kernel a single long stream instead:
+//    the stream is cut into up to 64 consecutive chunks, one per lane, each
+//    preceded by one uncounted warm-up computation, and the lanes' counted
+//    records are stitched back together in time order — bit-identical to
+//    the scalar run(), probe waveform included (DESIGN.md §7).
 //
 // Because every combinational component is a pure function of its input
 // nets and write_net() only counts transitions on real value changes, the
@@ -112,6 +117,31 @@ class Simulator {
       const std::vector<dfg::ValueId>& input_order,
       const std::vector<dfg::ValueId>& output_order);
 
+  /// BitSliced mode only: simulate one stream by time slicing. Lane k of
+  /// one bit-sliced pass runs the k-th of up to 64 consecutive chunks of
+  /// `stream`, starting one uncounted warm-up computation early; a per-lane
+  /// count mask keeps warm-ups and trailing computations out of every
+  /// count. The result — outputs, the full Activity, the waveform of an
+  /// attached PowerProbe and an attached PhaseHeatmap — is bit-identical to
+  /// run() of `stream` on a fresh EventDriven simulator. Every call starts
+  /// from the reset state. Designs without the one-period warm-up property
+  /// (time_sliceable()), a computation budget or an attached StepObserver
+  /// run that scalar simulation instead.
+  SimResult run_time_sliced(const InputStream& stream,
+                            const std::vector<dfg::ValueId>& input_order,
+                            const std::vector<dfg::ValueId>& output_order);
+
+  /// BitSliced mode only: whether run_time_sliced() may slice this design.
+  /// A static check over the schedule, no simulation: starting from an
+  /// arbitrary state
+  /// with only the controller lines, constants and input ports known, the
+  /// boundary edge before a period plus that whole master period of the
+  /// static schedule must leave every net and storage element determined by
+  /// the period's inputs (and the next inputs, presented at its last step).
+  /// A lane's single warm-up computation then reproduces the scalar run's
+  /// state at the chunk boundary exactly.
+  bool time_sliceable() const;
+
   /// Settle-kernel work accounting, accumulated over every run() of this
   /// Simulator. `evals` is the number of combinational evaluations the
   /// active kernel actually performed; `oblivious_evals` is what the
@@ -146,13 +176,15 @@ class Simulator {
 
   /// Optional per-domain energy telemetry (the power-attribution waveform):
   /// every counted transition is folded into `probe` with the weights of
-  /// its EnergyModel — per step and per clock domain. In BitSliced mode the
-  /// probe receives the aggregate across all lanes. Pass nullptr to detach;
+  /// its EnergyModel — per step and per clock domain. run_sliced() gives
+  /// the probe the aggregate across all lanes; run_time_sliced() gives it
+  /// exactly the scalar run's waveform. Pass nullptr to detach;
   /// no collection cost when detached, and attaching never changes results.
   void set_power_probe(PowerProbe* probe) { probe_ = probe; }
 
   /// Cooperative deadline: run() checks the clock once per computation
-  /// (i.e. once per master period) and throws mcrtl::TimeoutError when the
+  /// (i.e. once per master period; the sliced runs once per lockstep
+  /// computation of their lanes) and throws mcrtl::TimeoutError when the
   /// deadline has passed — the hook behind the explorer's --point-timeout,
   /// turning a pathologically slow configuration into an ordinary
   /// retryable/quarantinable failure instead of a hung sweep.
@@ -176,6 +208,11 @@ class Simulator {
  private:
   friend class SlicedKernel;  // sim/sliced.cpp: the BitSliced engine
 
+  /// run() without the mode check: the scalar event-driven (or Oblivious)
+  /// simulation, also the fallback of run_time_sliced().
+  SimResult run_scalar(const InputStream& stream,
+                       const std::vector<dfg::ValueId>& input_order,
+                       const std::vector<dfg::ValueId>& output_order);
   void settle(Activity& act, bool count);
   void settle_oblivious(Activity& act, bool count);
   void settle_event(Activity& act, bool count);

@@ -3,10 +3,19 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <map>
 
 #include "core/explorer.hpp"
+#include "core/record.hpp"
+#include "obs/obs.hpp"
+#include "power/attribution.hpp"
 #include "power/report.hpp"
+#include "sim/equivalence.hpp"
+#include "sim/simulator.hpp"
+#include "sim/stimulus.hpp"
 #include "suite/benchmarks.hpp"
+#include "util/error.hpp"
+#include "util/rng.hpp"
 
 namespace mcrtl::core {
 namespace {
@@ -99,6 +108,106 @@ TEST(ExplorerTest, StreamsOneMatchesHistoricalScalarPath) {
     EXPECT_EQ(a.points[i].power.total, b.points[i].power.total);
     EXPECT_EQ(b.points[i].power_stddev, 0.0);
     EXPECT_EQ(b.points[i].power_ci95, 0.0);
+  }
+}
+
+/// One point evaluated the way the explorer did before time slicing: a
+/// scalar EventDriven run with the power probe attached.
+ExplorationPoint scalar_replay(const dfg::Graph& graph,
+                               const dfg::Schedule& sched,
+                               const ExplorationPoint& like,
+                               const sim::InputStream& stream) {
+  const auto tech = power::TechLibrary::cmos08();
+  const power::PowerParams params;
+  const auto syn = synthesize(graph, sched, like.options);
+  sim::Simulator simulator(*syn.design);
+  const power::Attribution attribution(*syn.design, tech, params.vdd);
+  sim::PowerProbe probe(attribution.energy_model());
+  simulator.set_power_probe(&probe);
+  const auto res = simulator.run(stream, graph.inputs(), graph.outputs());
+  EXPECT_TRUE(sim::check_outputs(graph, stream, res.outputs, "replay")
+                  .equivalent);
+  ExplorationPoint p;
+  p.options = like.options;
+  p.label = like.label;
+  p.power = power::estimate_power(*syn.design, res.activity, tech, params);
+  const auto arep = attribution.attribute(res.activity);
+  p.hotspot = arep.rows.front().component;
+  p.hotspot_share = arep.rows.front().energy_fj / arep.total_fj;
+  p.crest = probe.crest();
+  p.area = power::estimate_area(*syn.design, tech);
+  p.stats = syn.design->stats;
+  return p;
+}
+
+TEST(ExplorerTest, TablesSweepIsTimeSlicedAndMatchesScalarReplay) {
+  // The paper's Tables 1-4 sweep (four behaviours, up to 4 clocks, the
+  // conventional and split variants: 36 points at 2000 computations).
+  // Every point must take the time-sliced path and still be bit-identical,
+  // crest included, to a scalar run of the same stream.
+  obs::Registry::instance().reset();
+  obs::set_enabled(true);
+  std::size_t points = 0;
+  for (const char* name : {"facet", "hal", "biquad", "bandpass"}) {
+    const auto b = suite::by_name(name, 4);
+    ExplorerConfig cfg;
+    cfg.computations = 2000;
+    cfg.seed = 1996;
+    const auto r = explore(*b.graph, *b.schedule, cfg);
+    Rng rng(cfg.seed);
+    const auto stream = sim::uniform_stream(rng, b.graph->inputs().size(),
+                                            cfg.computations, 4);
+    for (const auto& p : r.points) {
+      EXPECT_EQ(record::encode_point_fields(p),
+                record::encode_point_fields(
+                    scalar_replay(*b.graph, *b.schedule, p, stream)))
+          << name << " / " << p.label;
+    }
+    points += r.points.size();
+  }
+  obs::set_enabled(false);
+  std::map<std::string, std::uint64_t> counters;
+  for (const auto& [k, v] : obs::Registry::instance().counters()) {
+    counters[k] = v;
+  }
+  obs::Registry::instance().reset();
+  EXPECT_EQ(points, 36u);
+  EXPECT_EQ(counters["sim.time_sliced.runs"], 36u);
+  EXPECT_EQ(counters["sim.time_sliced.fallbacks"], 0u);
+}
+
+TEST(ExplorerTest, RejectsZeroComputationsUpFront) {
+  const auto b = suite::by_name("facet", 4);
+  ExplorerConfig cfg;
+  cfg.computations = 0;
+  cfg.quarantine = true;
+  try {
+    explore(*b.graph, *b.schedule, cfg);
+    FAIL() << "computations == 0 was accepted";
+  } catch (const Error& e) {
+    EXPECT_NE(std::string(e.what()).find("computations"), std::string::npos)
+        << e.what();
+  }
+}
+
+TEST(ExplorerTest, ExpiredPointDeadlineIsQuarantinedAsTimeout) {
+  // A deadline that has expired before the first computation fails every
+  // point with a TimeoutError, which quarantine records instead of
+  // aborting — on the time-sliced path (streams == 1) and the bit-sliced
+  // bundle path alike.
+  for (std::size_t streams : {1u, 4u}) {
+    ExplorerConfig cfg;
+    cfg.max_clocks = 2;
+    cfg.streams = streams;
+    cfg.quarantine = true;
+    cfg.point_timeout_s = 1e-9;
+    const auto r = explore_small("facet", cfg);
+    EXPECT_TRUE(r.points.empty()) << "streams=" << streams;
+    ASSERT_EQ(r.failed_points.size(), num_configurations(cfg));
+    for (const auto& f : r.failed_points) {
+      EXPECT_NE(f.error.find("deadline"), std::string::npos) << f.error;
+      EXPECT_EQ(f.attempts, 1);
+    }
   }
 }
 

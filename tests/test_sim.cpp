@@ -140,6 +140,34 @@ TEST(SimulatorTest, DeterministicAcrossRuns) {
   EXPECT_EQ(r1.outputs, r2.outputs);
 }
 
+TEST(SimulatorTest, PrecomputedGoldenOutputsGiveTheSameReport) {
+  // check_outputs against golden_outputs() must report exactly what the
+  // stream overload reports: every computation compared, same first
+  // mismatch, same text.
+  const auto b = suite::hal(4);
+  const auto syn = make(b, DesignStyle::MultiClock, 3);
+  Rng rng(17);
+  const auto stream = uniform_stream(rng, b.graph->inputs().size(), 40, 4);
+  auto outputs = simulate(b, *syn.design, stream).outputs;
+  const GoldenOutputs golden = golden_outputs(*b.graph, stream);
+  ASSERT_EQ(golden.computations, stream.size());
+  const auto ok = check_outputs(*b.graph, golden, outputs, "s");
+  EXPECT_TRUE(ok.equivalent);
+  EXPECT_EQ(ok.computations_checked, stream.size());
+
+  outputs[23].back() ^= 1;
+  const auto via_stream = check_outputs(*b.graph, stream, outputs, "s");
+  const auto via_golden = check_outputs(*b.graph, golden, outputs, "s");
+  EXPECT_FALSE(via_golden.equivalent);
+  EXPECT_EQ(via_golden.first_mismatch, 23u);
+  EXPECT_EQ(via_golden.computations_checked, 24u);
+  EXPECT_EQ(via_golden.detail, via_stream.detail);
+  EXPECT_EQ(via_golden.first_mismatch, via_stream.first_mismatch);
+  EXPECT_NE(via_golden.detail.find("computation 23, output '"),
+            std::string::npos)
+      << via_golden.detail;
+}
+
 TEST(StimulusTest, UniformShapeAndDeterminism) {
   Rng a(9), b(9);
   const auto s1 = uniform_stream(a, 3, 10, 8);

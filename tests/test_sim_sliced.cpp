@@ -6,19 +6,31 @@
 // full-width 64-bit datapaths), lane-permutation invariance of the
 // aggregates, the statistical summary layer, and per-stream functional
 // equivalence against the DFG golden model.
+//
+// The time-sliced mode (run_time_sliced: one stream cut into 64 chunks)
+// is held to the scalar run() itself: outputs, the full Activity, the
+// PhaseHeatmap and the power probe's waveform and crest, bit for bit, over
+// every suite behaviour x width x design style x stream length, plus fuzz
+// graphs, a design the static warm-up check must reject, and deadlines.
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <chrono>
 #include <cmath>
+#include <cstring>
+#include <memory>
 #include <sstream>
 #include <vector>
 
+#include "core/record.hpp"
 #include "core/synthesizer.hpp"
 #include "dfg/random_graph.hpp"
+#include "power/attribution.hpp"
 #include "sim/equivalence.hpp"
 #include "sim/simulator.hpp"
 #include "sim/stimulus.hpp"
 #include "suite/benchmarks.hpp"
+#include "util/bits.hpp"
 #include "util/error.hpp"
 #include "util/rng.hpp"
 
@@ -323,6 +335,284 @@ TEST(SimSlicedTest, RejectsUnsupportedConfigurations) {
   ragged[1].pop_back();
   EXPECT_THROW(sliced.run_sliced(ragged, in, out), Error);
   EXPECT_THROW(sliced.run_sliced({}, in, out), Error);
+}
+
+// ---- time slicing: one stream, 64 chunks, bit-identical to run() --------
+
+std::uint64_t bits_of(double v) {
+  std::uint64_t b;
+  std::memcpy(&b, &v, sizeof b);
+  return b;
+}
+
+/// Every style the explorer can produce at this width: both conventional
+/// baselines and multi-clock n = 1..4 x {integrated, split} x {latch, DFF}
+/// x operand isolation off/on (split only for n > 1, as enumerated).
+std::vector<StyleCase> time_sliced_styles() {
+  std::vector<StyleCase> out;
+  for (bool iso : {false, true}) {
+    const std::string suffix = iso ? "_iso" : "";
+    StyleCase ng{"conv_nongated" + suffix, {}};
+    ng.opts.style = DesignStyle::ConventionalNonGated;
+    ng.opts.operand_isolation = iso;
+    out.push_back(ng);
+    StyleCase g{"conv_gated" + suffix, {}};
+    g.opts.style = DesignStyle::ConventionalGated;
+    g.opts.operand_isolation = iso;
+    out.push_back(g);
+    for (int n = 1; n <= 4; ++n) {
+      for (AllocMethod m : {AllocMethod::Integrated, AllocMethod::Split}) {
+        if (m == AllocMethod::Split && n == 1) continue;
+        for (bool latches : {true, false}) {
+          StyleCase s{"multi_n" + std::to_string(n) +
+                          (m == AllocMethod::Split ? "_split" : "_int") +
+                          (latches ? "_latch" : "_dff") + suffix,
+                      {}};
+          s.opts.style = DesignStyle::MultiClock;
+          s.opts.num_clocks = n;
+          s.opts.method = m;
+          s.opts.use_latches = latches;
+          s.opts.operand_isolation = iso;
+          out.push_back(s);
+        }
+      }
+    }
+  }
+  return out;
+}
+
+/// run_time_sliced() on a BitSliced simulator against run() on a fresh
+/// EventDriven one, both with a power probe and a heatmap attached:
+/// outputs, Activity, heatmap, every per-domain waveform entry,
+/// step_energies() and crest() must agree bit for bit. Returns whether the
+/// design took the time-sliced path.
+bool differential_check_time_sliced(const rtl::Design& design,
+                                    const dfg::Graph& graph,
+                                    const InputStream& stream,
+                                    const std::string& what) {
+  const auto in = graph.inputs();
+  const auto out = graph.outputs();
+  const power::Attribution attr(design, power::TechLibrary::cmos08());
+
+  Simulator ev(design);
+  PowerProbe ev_probe(attr.energy_model());
+  PhaseHeatmap ev_hm;
+  ev.set_power_probe(&ev_probe);
+  ev.set_heatmap(&ev_hm);
+  const SimResult ref = ev.run(stream, in, out);
+
+  Simulator ts(design, Simulator::Mode::BitSliced);
+  PowerProbe ts_probe(attr.energy_model());
+  PhaseHeatmap ts_hm;
+  ts.set_power_probe(&ts_probe);
+  ts.set_heatmap(&ts_hm);
+  const SimResult got = ts.run_time_sliced(stream, in, out);
+
+  EXPECT_EQ(got.outputs, ref.outputs) << what;
+  expect_identical_activity(got.activity, ref.activity, what);
+  EXPECT_EQ(ts_hm.write_toggles, ev_hm.write_toggles) << what;
+  EXPECT_EQ(ts_hm.clock_events, ev_hm.clock_events) << what;
+  EXPECT_EQ(ts_probe.steps(), ev_probe.steps()) << what;
+  if (ts_probe.steps() == ev_probe.steps()) {
+    bool same = true;
+    for (std::size_t st = 0; st < ev_probe.steps() && same; ++st) {
+      for (int d = 0; d <= ev_probe.num_domains(); ++d) {
+        if (bits_of(ts_probe.step_fj(st, d)) !=
+            bits_of(ev_probe.step_fj(st, d))) {
+          ADD_FAILURE() << what << ": waveform differs at step " << st
+                        << " domain " << d;
+          same = false;
+          break;
+        }
+      }
+    }
+    for (int d = 0; d <= ev_probe.num_domains(); ++d) {
+      for (int t = 1; t <= ev_probe.period(); ++t) {
+        EXPECT_EQ(bits_of(ts_probe.profile_fj(d, t)),
+                  bits_of(ev_probe.profile_fj(d, t)))
+            << what << " profile d=" << d << " t=" << t;
+      }
+    }
+  }
+  const auto ts_e = ts_probe.step_energies();
+  const auto ev_e = ev_probe.step_energies();
+  EXPECT_TRUE(std::equal(ts_e.begin(), ts_e.end(), ev_e.begin(), ev_e.end(),
+                         [](double a, double b) {
+                           return bits_of(a) == bits_of(b);
+                         }))
+      << what << ": step_energies differ";
+  EXPECT_EQ(bits_of(ts_probe.crest()), bits_of(ev_probe.crest())) << what;
+  return ts.time_sliceable();
+}
+
+const std::size_t kSliceLengths[] = {1, 2, 63, 64, 65, 127};
+
+TEST(TimeSlicedTest, MatchesScalarRunOnEverySuiteConfiguration) {
+  // The static warm-up check must pass on every design the explorer can
+  // produce — otherwise the sweep would silently fall back to scalar.
+  for (const std::string& name : suite::all_names()) {
+    for (unsigned width : {4u, 8u}) {
+      const auto b = suite::by_name(name, width);
+      Rng rng(core::record::fnv1a64(name) + width);
+      const auto stream = uniform_stream(rng, b.graph->inputs().size(), 127,
+                                         width);
+      for (const auto& style : time_sliced_styles()) {
+        const auto syn = core::synthesize(*b.graph, *b.schedule, style.opts);
+        const std::string tag =
+            name + "/w" + std::to_string(width) + "/" + style.label;
+        for (std::size_t n : kSliceLengths) {
+          const InputStream prefix(stream.begin(), stream.begin() + n);
+          EXPECT_TRUE(differential_check_time_sliced(
+              *syn.design, *b.graph, prefix,
+              tag + " N=" + std::to_string(n)))
+              << tag << ": static warm-up check rejected a suite design";
+        }
+      }
+    }
+  }
+}
+
+TEST(TimeSlicedTest, MatchesScalarRunOnLongStreams) {
+  // The sweep's own depth: 2000 computations, 32 per lane over 63 lanes
+  // with a right-aligned short last lane.
+  for (const std::string& name : suite::all_names()) {
+    const auto b = suite::by_name(name, 4);
+    Rng rng(core::record::fnv1a64(name));
+    const auto stream =
+        uniform_stream(rng, b.graph->inputs().size(), 2000, 4);
+    for (const auto& style : time_sliced_styles()) {
+      if (style.opts.operand_isolation) continue;
+      const auto syn = core::synthesize(*b.graph, *b.schedule, style.opts);
+      EXPECT_TRUE(differential_check_time_sliced(
+          *syn.design, *b.graph, stream, name + "/" + style.label + " N=2000"));
+    }
+  }
+}
+
+TEST(TimeSlicedTest, MatchesScalarRunOnFuzzGraphs) {
+  for (std::uint64_t seed : {5101, 5102, 5103, 5104}) {
+    Rng grng(seed);
+    dfg::RandomGraphConfig gcfg;
+    gcfg.num_inputs = 2 + static_cast<unsigned>(grng.next_below(4));
+    gcfg.num_nodes = 8 + static_cast<unsigned>(grng.next_below(16));
+    gcfg.width =
+        seed == 5104 ? 64 : 4 + static_cast<unsigned>(grng.next_below(13));
+    const dfg::Graph g = dfg::random_graph(grng, gcfg);
+    const dfg::Schedule s = dfg::schedule_asap(g);
+    Rng srng(seed * 7 + 1);
+    const auto stream =
+        uniform_stream(srng, g.inputs().size(), 130, gcfg.width);
+    for (const auto& style : kernel_styles()) {
+      const auto syn = core::synthesize(g, s, style.opts);
+      for (std::size_t n : {1, 64, 65, 130}) {
+        const InputStream prefix(stream.begin(), stream.begin() + n);
+        std::ostringstream what;
+        what << "graph_seed=" << seed << " " << style.label << " N=" << n;
+        differential_check_time_sliced(*syn.design, g, prefix, what.str());
+      }
+    }
+  }
+}
+
+TEST(TimeSlicedTest, RepeatedCallsStartFromReset) {
+  const auto b = suite::by_name("hal", 4);
+  core::SynthesisOptions opts;
+  opts.style = DesignStyle::MultiClock;
+  opts.num_clocks = 3;
+  const auto syn = core::synthesize(*b.graph, *b.schedule, opts);
+  const auto in = b.graph->inputs();
+  const auto out = b.graph->outputs();
+  Rng rng(11);
+  const auto s1 = uniform_stream(rng, in.size(), 300, 4);
+  const auto s2 = uniform_stream(rng, in.size(), 90, 4);
+  Simulator ts(*syn.design, Simulator::Mode::BitSliced);
+  ts.run_time_sliced(s1, in, out);
+  const SimResult again = ts.run_time_sliced(s2, in, out);
+  Simulator fresh(*syn.design);
+  const SimResult ref = fresh.run(s2, in, out);
+  EXPECT_EQ(again.outputs, ref.outputs);
+  expect_identical_activity(again.activity, ref.activity, "second call");
+}
+
+/// A hand-built design without the one-period warm-up property: R2 loads
+/// the input at step 3, R1 loads R2 at step 1 — so at a period boundary R1
+/// holds a value from two computations back. Output = R1, sampled at T=3.
+struct TwoPeriodChain {
+  dfg::ValueId in_value{0};
+  dfg::ValueId out_value{1};
+  std::unique_ptr<rtl::Design> design;
+
+  TwoPeriodChain() {
+    rtl::Netlist nl("chain");
+    const auto in = nl.add_component(rtl::CompKind::InputPort, "in", 4);
+    const auto r2 = nl.add_component(rtl::CompKind::Register, "r2", 4);
+    const auto r1 = nl.add_component(rtl::CompKind::Register, "r1", 4);
+    const auto ld2 = nl.add_component(rtl::CompKind::ControlSource, "ld2", 1);
+    const auto ld1 = nl.add_component(rtl::CompKind::ControlSource, "ld1", 1);
+    nl.connect_input(r2, nl.comp(in).output);
+    nl.connect_input(r1, nl.comp(r2).output);
+    nl.set_load(r2, nl.comp(ld2).output);
+    nl.set_load(r1, nl.comp(ld1).output);
+    const rtl::ClockScheme cs(1, 3);
+    rtl::ControlPlan cp(cs);
+    const unsigned s2 =
+        cp.add_signal("ld2", rtl::SignalRole::Load, 1, false, 1, ld2);
+    const unsigned s1 =
+        cp.add_signal("ld1", rtl::SignalRole::Load, 1, false, 1, ld1);
+    cp.set_value(s2, 3, 1);
+    cp.set_value(s1, 1, 1);
+    design = std::make_unique<rtl::Design>("chain", std::move(nl), cs,
+                                           std::move(cp));
+    design->schedule_steps = 3;
+    design->input_ports[in_value] = in;
+    design->output_storage[out_value] = r1;
+  }
+};
+
+TEST(TimeSlicedTest, StaticCheckRejectsATwoPeriodChainAndFallsBack) {
+  TwoPeriodChain chain;
+  const rtl::Design& d = *chain.design;
+  Simulator ts(d, Simulator::Mode::BitSliced);
+  EXPECT_FALSE(ts.time_sliceable());
+  Rng rng(3);
+  const auto stream = uniform_stream(rng, 1, 200, 4);
+  const std::vector<dfg::ValueId> in{chain.in_value};
+  const std::vector<dfg::ValueId> out{chain.out_value};
+  const SimResult got = ts.run_time_sliced(stream, in, out);
+  Simulator ev(d);
+  const SimResult ref = ev.run(stream, in, out);
+  EXPECT_EQ(got.outputs, ref.outputs);
+  expect_identical_activity(got.activity, ref.activity, "fallback");
+  // Not vacuous: the chain really reaches two computations back, so a
+  // one-computation warm-up would have been wrong.
+  ASSERT_GE(ref.outputs.size(), 3u);
+  EXPECT_EQ(ref.outputs[2][0], truncate(stream[1][0], 4));
+}
+
+TEST(TimeSlicedTest, ExpiredDeadlineTimesOutOnBothPaths) {
+  const auto b = suite::by_name("facet", 4);
+  core::SynthesisOptions opts;
+  opts.style = DesignStyle::MultiClock;
+  opts.num_clocks = 2;
+  const auto syn = core::synthesize(*b.graph, *b.schedule, opts);
+  Rng rng(5);
+  const auto stream = uniform_stream(rng, b.graph->inputs().size(), 100, 4);
+  const auto expired =
+      std::chrono::steady_clock::now() - std::chrono::seconds(1);
+  Simulator ts(*syn.design, Simulator::Mode::BitSliced);
+  ASSERT_TRUE(ts.time_sliceable());
+  ts.set_deadline(expired);
+  EXPECT_THROW(
+      ts.run_time_sliced(stream, b.graph->inputs(), b.graph->outputs()),
+      TimeoutError);
+
+  TwoPeriodChain chain;
+  Simulator fb(*chain.design, Simulator::Mode::BitSliced);
+  ASSERT_FALSE(fb.time_sliceable());
+  fb.set_deadline(expired);
+  EXPECT_THROW(fb.run_time_sliced(uniform_stream(rng, 1, 10, 4),
+                                  {chain.in_value}, {chain.out_value}),
+               TimeoutError);
 }
 
 }  // namespace
