@@ -27,6 +27,16 @@
 //  6. speedup — the aggregate scalar pct50 over the time-sliced pct50 must
 //     be at least 4x.
 //
+// A fourth leg benchmarks time-sliced bundles: two 1200-computation
+// streams through the bundle run_time_sliced() (2 streams x 32 chunks)
+// against the lockstep run_sliced() of the same bundle, both with a
+// PowerProbe attached, with two more guards:
+//
+//  7. identity — per-stream outputs and Activity, and every aggregate
+//     waveform entry (as raw double bits), must match the lockstep run;
+//  8. speedup — the aggregate lockstep pct50 over the bundle pct50 must be
+//     at least 4x.
+//
 // Timing is reported as percentiles over the reps (pct50/pct90/pct99 +
 // stddev, see util/stats.hpp) rather than best-of-N: the median is what
 // the speedup floor checks, the tail and spread make runner noise visible
@@ -109,6 +119,14 @@ struct TimeSlicedRow {
   RunStats sliced;  // run_time_sliced() with the probe attached
   RunStats scalar;  // run() with the probe attached
   double speedup() const { return scalar.pct50 / sliced.pct50; }
+};
+
+struct BundleRow {
+  std::string bench;
+  int num_clocks = 0;
+  RunStats sliced;    // bundle run_time_sliced() with the probe attached
+  RunStats lockstep;  // run_sliced() of the bundle with the probe attached
+  double speedup() const { return lockstep.pct50 / sliced.pct50; }
 };
 
 /// The probe's whole waveform as raw bits, step-major.
@@ -346,6 +364,79 @@ int main() {
     ok = false;
   }
 
+  // --- bundle leg: 2 streams x 32 time chunks vs the lockstep pass -------
+  constexpr std::size_t kBundleStreams = 2;
+  constexpr std::size_t kBundleComputations = 1200;
+  std::vector<BundleRow> brows;
+  double total_bundle_s = 0, total_lockstep_s = 0;
+  std::printf("\n=== time-sliced bundles: %zu streams x %zu computations, "
+              "bundle run_time_sliced vs lockstep run_sliced, power probe "
+              "attached ===\n\n",
+              kBundleStreams, kBundleComputations);
+  for (const char* name : {"facet", "hal", "biquad", "bandpass"}) {
+    const auto b = suite::by_name(name, 4);
+    for (int n = 1; n <= 4; ++n) {
+      core::SynthesisOptions opts;
+      opts.style = core::DesignStyle::MultiClock;
+      opts.num_clocks = n;
+      const auto syn = core::synthesize(*b.graph, *b.schedule, opts);
+      const power::Attribution attr(*syn.design, tech);
+      const auto bundle =
+          sim::uniform_streams(2024, kBundleStreams, b.graph->inputs().size(),
+                               kBundleComputations, 4);
+      BundleRow row;
+      row.bench = name;
+      row.num_clocks = n;
+      std::vector<sim::SimResult> ts_res, ls_res;
+      std::vector<std::uint64_t> ts_bits, ls_bits;
+      std::vector<double> ts_samples, ls_samples;
+      for (int rep = 0; rep < kReps; ++rep) {
+        sim::Simulator ts(*syn.design, sim::Simulator::Mode::BitSliced);
+        sim::PowerProbe ts_probe(attr.energy_model());
+        ts.set_power_probe(&ts_probe);
+        auto t0 = std::chrono::steady_clock::now();
+        ts_res = ts.run_time_sliced(bundle, b.graph->inputs(),
+                                    b.graph->outputs());
+        ts_samples.push_back(seconds_since(t0));
+
+        sim::Simulator ls(*syn.design, sim::Simulator::Mode::BitSliced);
+        sim::PowerProbe ls_probe(attr.energy_model());
+        ls.set_power_probe(&ls_probe);
+        t0 = std::chrono::steady_clock::now();
+        ls_res = ls.run_sliced(bundle, b.graph->inputs(), b.graph->outputs());
+        ls_samples.push_back(seconds_since(t0));
+        if (rep == 0) {
+          ts_bits = waveform_bits(ts_probe);
+          ls_bits = waveform_bits(ls_probe);
+        }
+      }
+      row.sliced = RunStats::from_samples(std::move(ts_samples));
+      row.lockstep = RunStats::from_samples(std::move(ls_samples));
+      bool same = ts_res.size() == ls_res.size() && ts_bits == ls_bits;
+      for (std::size_t s = 0; same && s < ts_res.size(); ++s) {
+        same = identical(ts_res[s], ls_res[s]);
+      }
+      if (!same) {
+        std::fprintf(stderr,
+                     "FATAL: %s n=%d time-sliced bundle differs from the "
+                     "lockstep run (outputs, Activity or waveform)\n",
+                     name, n);
+        ok = false;
+      }
+      total_bundle_s += row.sliced.pct50;
+      total_lockstep_s += row.lockstep.pct50;
+      brows.push_back(row);
+    }
+  }
+  const double bundle_speedup = total_lockstep_s / total_bundle_s;
+  if (bundle_speedup < 4.0) {
+    std::fprintf(stderr,
+                 "FATAL: time-sliced bundle speedup %.2fx is below the 4x "
+                 "floor (lockstep pct50 %.3fs / bundle pct50 %.3fs)\n",
+                 bundle_speedup, total_lockstep_s, total_bundle_s);
+    ok = false;
+  }
+
   TextTable t({"bench", "n", "comb", "obliv steps/s", "event steps/s",
                "speedup", "obliv evals/step", "event evals/step"});
   for (const auto& r : rows) {
@@ -387,6 +478,18 @@ int main() {
   std::fputs(tt.render().c_str(), stdout);
   std::printf("\ntime-sliced speedup (aggregate): %.2fx (floor 4x)\n",
               time_sliced_speedup);
+
+  std::printf("\n");
+  TextTable bt({"bench", "n", "bundle pct50", "lockstep pct50", "speedup"});
+  for (const auto& r : brows) {
+    bt.add_row({r.bench, std::to_string(r.num_clocks),
+                format_fixed(r.sliced.pct50 * 1e3, 2) + "ms",
+                format_fixed(r.lockstep.pct50 * 1e3, 2) + "ms",
+                format_fixed(r.speedup(), 2) + "x"});
+  }
+  std::fputs(bt.render().c_str(), stdout);
+  std::printf("\ntime-sliced bundle speedup (aggregate): %.2fx (floor 4x)\n",
+              bundle_speedup);
 
   {
     std::ofstream js("BENCH_sim.json");
@@ -452,13 +555,34 @@ int main() {
       js << "},\n     \"speedup\": " << r.speedup() << "}"
          << (i + 1 < trows.size() ? "," : "") << "\n";
     }
+    js << "  ]},\n  \"bundle_sliced\": {\"streams\": " << kBundleStreams
+       << ", \"computations\": " << kBundleComputations
+       << ", \"speedup\": " << bundle_speedup
+       << ", \"speedup_floor\": 4.0,\n  \"configs\": [\n";
+    for (std::size_t i = 0; i < brows.size(); ++i) {
+      const auto& r = brows[i];
+      js << "    {\"bench\": \"" << r.bench
+         << "\", \"num_clocks\": " << r.num_clocks
+         << ", \"sliced_seconds\": " << r.sliced.pct50
+         << ", \"lockstep_seconds\": " << r.lockstep.pct50
+         << ",\n     \"sliced_timing\": {";
+      emit_timing(js, r.sliced);
+      js << "}, \"lockstep_timing\": {";
+      emit_timing(js, r.lockstep);
+      js << "},\n     \"speedup\": " << r.speedup() << "}"
+         << (i + 1 < brows.size() ? "," : "") << "\n";
+    }
     js << "  ]},\n  \"identical_results\": " << (ok ? "true" : "false")
        << ",\n  \"guard\": \"event evals <= oblivious evals on every config; "
           "results bit-identical; sliced results bit-identical per stream; "
           "batch speedup (pct50) >= 8x; time-sliced results and waveform "
-          "bit-identical to scalar; time-sliced speedup (pct50) >= 4x\"\n}\n";
+          "bit-identical to scalar; time-sliced speedup (pct50) >= 4x; "
+          "time-sliced bundle results and waveform bit-identical to "
+          "lockstep; bundle speedup (pct50) >= 4x\"\n}\n";
   }
-  std::printf("\nwrote BENCH_sim.json (%zu + %zu + %zu configs), guard %s\n",
-              rows.size(), srows.size(), trows.size(), ok ? "OK" : "FAILED");
+  std::printf(
+      "\nwrote BENCH_sim.json (%zu + %zu + %zu + %zu configs), guard %s\n",
+      rows.size(), srows.size(), trows.size(), brows.size(),
+      ok ? "OK" : "FAILED");
   return ok ? 0 : 1;
 }

@@ -50,7 +50,7 @@ unsigned Binding::add_storage(StorageKind kind, int partition) {
   s.index = static_cast<unsigned>(storage_.size());
   s.kind = kind;
   s.partition = partition;
-  s.name = str_format("%s%u", kind == StorageKind::Latch ? "L" : "R", s.index);
+  s.name = (kind == StorageKind::Latch ? "L" : "R") + std::to_string(s.index);
   storage_.push_back(std::move(s));
   return storage_.back().index;
 }
@@ -70,7 +70,7 @@ unsigned Binding::add_func_unit(int partition) {
   FuncUnit f;
   f.index = static_cast<unsigned>(fus_.size());
   f.partition = partition;
-  f.name = str_format("ALU%u", f.index);
+  f.name = "ALU" + std::to_string(f.index);
   fus_.push_back(std::move(f));
   return fus_.back().index;
 }
@@ -283,7 +283,7 @@ std::string Binding::alu_summary() const {
     if (counts[fs]++ == 0) order.push_back(fs);
   }
   std::vector<std::string> parts;
-  for (const auto& fs : order) parts.push_back(str_format("%d%s", counts[fs], fs.c_str()));
+  for (const auto& fs : order) parts.push_back(std::to_string(counts[fs]) + fs);
   return join(parts, ", ");
 }
 

@@ -226,9 +226,10 @@ ExplorationResult explore(const dfg::Graph& graph, const dfg::Schedule& sched,
     obs::Span point_span("explore.point");
     const auto& [opts, label] = configs[i];
     const auto syn = synthesize(graph, sched, opts);
-    // Both stimulus shapes run on the bit-sliced kernel: a bundle one
-    // stream per lane, a single stream time-sliced into 64 chunks (or, for
-    // a design without the one-period warm-up property, the scalar run).
+    // Both stimulus shapes run time-sliced on the bit-sliced kernel: a
+    // single stream cut into 64 chunks, a bundle of S streams into ⌊64/S⌋
+    // chunks each (for a design without the one-period warm-up property,
+    // the scalar run or the lockstep bundle).
     sim::Simulator simulator(*syn.design, sim::Simulator::Mode::BitSliced);
     if (cfg.point_timeout_s > 0) {
       simulator.set_deadline(std::chrono::steady_clock::now() +
@@ -273,10 +274,10 @@ ExplorationResult explore(const dfg::Graph& graph, const dfg::Schedule& sched,
                                       cfg.power_params);
       finish_attribution(res.activity);
     } else {
-      // One bit-sliced pass advances all streams; every lane must still be
-      // functionally equivalent to the golden model on its own.
+      // One bit-sliced pass advances all streams; every stream must still
+      // be functionally equivalent to the golden model on its own.
       const auto results =
-          simulator.run_sliced(bundle, graph.inputs(), graph.outputs());
+          simulator.run_time_sliced(bundle, graph.inputs(), graph.outputs());
       std::vector<double> totals(results.size());
       std::vector<power::PowerBreakdown> brs(results.size());
       for (std::size_t s = 0; s < results.size(); ++s) {

@@ -56,7 +56,7 @@ std::vector<NodeId> insert_transfers(dfg::Graph& g, dfg::Schedule& s, int n) {
         replacement = it->second;
       } else {
         const NodeId pass = g.add_node(
-            Op::Pass, {v}, str_format("xfer_%s_t%d", val.name.c_str(), tstep));
+            Op::Pass, {v}, "xfer_" + val.name + "_t" + std::to_string(tstep));
         s.extend_for(g);
         s.set_step(pass, tstep);
         replacement = g.node(pass).output;

@@ -330,7 +330,9 @@ SearchResult search(const SearchSpace& space, const SearchConfig& cfg) {
   obs::Span span("search");
   MCRTL_CHECK_MSG(!space.behaviours.empty(), "search space has no behaviours");
   MCRTL_CHECK_MSG(!space.candidates.empty(), "search space has no candidates");
-  MCRTL_CHECK(cfg.budget_rungs >= 0);
+  MCRTL_CHECK_MSG(cfg.budget_rungs >= 0 && cfg.budget_rungs <= kMaxBudgetRungs,
+                  "budget_rungs must be in 0.." << kMaxBudgetRungs << ", got "
+                                                << cfg.budget_rungs);
   MCRTL_CHECK_MSG(cfg.promote_fraction > 0.0 && cfg.promote_fraction <= 1.0,
                   "promote_fraction must be in (0, 1]");
   MCRTL_CHECK_MSG(cfg.optimism > 0.0 && cfg.optimism <= 1.0,
@@ -373,28 +375,12 @@ SearchResult search(const SearchSpace& space, const SearchConfig& cfg) {
     ng = ids.size();
   }
 
-  // Per-behaviour measurement identity and the (shared, read-only) prefix
-  // stimulus. The prefix ranks on the first stream — the exact stream the
-  // full-depth evaluation will use (streams == 1) or the first lane of its
-  // Monte-Carlo bundle, so a prefix estimate is a true prefix of a real
-  // measurement, not a differently-seeded proxy.
+  // Per-behaviour measurement identity.
   std::vector<std::uint64_t> bfp(nb);
-  std::vector<sim::InputStream> prefix_stream(nb);
   for (std::size_t b = 0; b < nb; ++b) {
     const auto& bh = space.behaviours[b];
     bfp[b] = measurement_fingerprint(*bh.graph, *bh.sched, cfg.computations,
                                      cfg.seed, cfg.streams, cfg.power_params);
-    if (cfg.streams == 1) {
-      Rng rng(cfg.seed);
-      prefix_stream[b] =
-          sim::uniform_stream(rng, bh.graph->inputs().size(),
-                              cfg.computations, bh.graph->width());
-    } else {
-      prefix_stream[b] = std::move(
-          sim::uniform_streams(cfg.seed, cfg.streams,
-                               bh.graph->inputs().size(), cfg.computations,
-                               bh.graph->width())[0]);
-    }
   }
 
   // Per-candidate cache keys and in-space deduplication (identical
@@ -489,6 +475,13 @@ SearchResult search(const SearchSpace& space, const SearchConfig& cfg) {
   }
 
   // ---- successive-halving rungs -------------------------------------------
+  // The (shared, read-only) prefix stimulus, built when the first rung runs.
+  // The prefix ranks on the first stream — the exact stream the full-depth
+  // evaluation will use (streams == 1) or the first lane of its Monte-Carlo
+  // bundle (stream seeds are derived in order, so it is the one stream of a
+  // 1-stream bundle), so a prefix estimate is a true prefix of a real
+  // measurement, not a differently-seeded proxy.
+  std::vector<sim::InputStream> prefix_stream;
   const unsigned jobs = ThreadPool::resolve_jobs(cfg.jobs);
   std::vector<PointMetrics> est(nc);
   for (int r = 0; r < cfg.budget_rungs; ++r) {
@@ -500,6 +493,19 @@ SearchResult search(const SearchSpace& space, const SearchConfig& cfg) {
     obs::Span rung_span("search.rung");
     obs::count("search.rungs");
     ++result.rungs_run;
+    for (std::size_t b = 0; prefix_stream.size() < nb; ++b) {
+      const auto& bh = space.behaviours[b];
+      if (cfg.streams == 1) {
+        Rng rng(cfg.seed);
+        prefix_stream.push_back(
+            sim::uniform_stream(rng, bh.graph->inputs().size(),
+                                cfg.computations, bh.graph->width()));
+      } else {
+        prefix_stream.push_back(std::move(
+            sim::uniform_streams(cfg.seed, 1, bh.graph->inputs().size(),
+                                 cfg.computations, bh.graph->width())[0]));
+      }
+    }
 
     std::size_t budget = cfg.computations >> (cfg.budget_rungs - r);
     budget = std::max(budget, kMinPrefixComputations);
@@ -510,35 +516,61 @@ SearchResult search(const SearchSpace& space, const SearchConfig& cfg) {
     // every jobs value. No equivalence check and no attribution here —
     // the prefix only ranks; the survivors' full-depth run does the
     // checking.
-    auto eval_prefix = [&](std::size_t i) {
-      obs::Span pspan("search.prefix");
-      const auto& cand = space.candidates[i];
-      const auto& bh = space.behaviours[cand.behaviour];
-      const auto syn = synthesize(*bh.graph, *bh.sched, cand.options);
-      sim::Simulator simulator(*syn.design, sim::Simulator::Mode::EventDriven);
-      simulator.set_computation_budget(budget);
-      const auto res = simulator.run(prefix_stream[cand.behaviour],
-                                     bh.graph->inputs(), bh.graph->outputs());
-      est[i].power =
-          power::estimate_power(*syn.design, res.activity, tech,
-                                cfg.power_params)
-              .total;
-      est[i].area = power::estimate_area(*syn.design, tech).total;
-      est[i].period = static_cast<double>(syn.design->stats.period);
+    //
+    // Consecutive active candidates of one behaviour whose options share an
+    // allocation (allocation_hash: they differ only in how the design is
+    // built, e.g. isolation or interconnect) form a run. A run allocates
+    // once and builds each candidate's design from that allocation.
+    std::vector<std::size_t> run_begin;  // into `active`, plus the end
+    std::uint64_t prev_akey = 0;
+    for (std::size_t k = 0; k < active.size(); ++k) {
+      const auto& cand = space.candidates[active[k]];
+      const std::uint64_t akey = allocation_hash(cand.options);
+      if (k == 0 || akey != prev_akey ||
+          cand.behaviour != space.candidates[active[k - 1]].behaviour) {
+        run_begin.push_back(k);
+      }
+      prev_akey = akey;
+    }
+    run_begin.push_back(active.size());
+    const std::size_t runs = run_begin.size() - 1;
+    auto eval_run = [&](std::size_t run) {
+      std::unique_ptr<Synthesized> base;
+      for (std::size_t k = run_begin[run]; k < run_begin[run + 1]; ++k) {
+        obs::Span pspan("search.prefix");
+        const std::size_t i = active[k];
+        const auto& cand = space.candidates[i];
+        const auto& bh = space.behaviours[cand.behaviour];
+        auto syn = base ? synthesize(*base, cand.options)
+                        : synthesize(*bh.graph, *bh.sched, cand.options);
+        sim::Simulator simulator(*syn.design, sim::Simulator::Mode::BitSliced);
+        simulator.set_computation_budget(budget);
+        // No output order: the prefix only ranks, so it samples no outputs.
+        const auto res = simulator.run_time_sliced(
+            prefix_stream[cand.behaviour], bh.graph->inputs(), {});
+        est[i].power =
+            power::estimate_power(*syn.design, res.activity, tech,
+                                  cfg.power_params)
+                .total;
+        est[i].area = power::estimate_area(*syn.design, tech).total;
+        est[i].period = static_cast<double>(syn.design->stats.period);
+        if (!base) base = std::make_unique<Synthesized>(std::move(syn));
+      }
     };
-    if (jobs <= 1 || active.size() == 1) {
-      for (const std::size_t i : active) eval_prefix(i);
+    if (jobs <= 1 || runs == 1) {
+      for (std::size_t run = 0; run < runs; ++run) eval_run(run);
     } else {
-      // Like explore(): collect per-candidate failures and rethrow the
-      // earliest in enumeration order, so a failing grid reports the same
-      // error for every jobs value.
-      std::vector<std::exception_ptr> errors(nc);
+      // Like explore(): collect failures and rethrow the earliest in
+      // enumeration order, so a failing grid reports the same error for
+      // every jobs value. Runs partition `active` in order and a run stops
+      // at its first failure, so the first failed run holds it.
+      std::vector<std::exception_ptr> errors(runs);
       ThreadPool pool(jobs);
-      pool.parallel_for_index(active.size(), [&](std::size_t k) {
+      pool.parallel_for_index(runs, [&](std::size_t run) {
         try {
-          eval_prefix(active[k]);
+          eval_run(run);
         } catch (...) {
-          errors[active[k]] = std::current_exception();
+          errors[run] = std::current_exception();
         }
       });
       for (const auto& e : errors) {

@@ -11,16 +11,18 @@
 //
 //  1. **Successive halving.** Every candidate is first simulated for a
 //     short prefix of the stimulus (Simulator::set_computation_budget —
-//     the same cooperative-stop plumbing as the per-point deadline). Power
-//     estimates are per-cycle normalized, so a prefix estimate is directly
-//     comparable to a full-depth one. Rung budgets grow geometrically
-//     (`budget_rungs` rungs, the last at half depth), but only *contested*
-//     candidates climb them: the promoted top `promote_fraction` and any
-//     candidate nothing dominates even without the slack are settled at
-//     the first rung that decides them and go straight to full depth —
-//     re-measuring a settled candidate at a deeper prefix cannot change
-//     its verdict. A contested candidate (protected only by the slack)
-//     gets a sharper estimate at the next rung, which may abort it.
+//     the same cooperative-stop plumbing as the per-point deadline — on
+//     the time-sliced bit-sliced kernel, bit-identical to a budgeted
+//     scalar run). Power estimates are per-cycle normalized, so a prefix
+//     estimate is directly comparable to a full-depth one. Rung budgets
+//     grow geometrically (`budget_rungs` rungs, the last at half depth),
+//     but only *contested* candidates climb them: the promoted top
+//     `promote_fraction` and any candidate nothing dominates even without
+//     the slack are settled at the first rung that decides them and go
+//     straight to full depth — re-measuring a settled candidate at a
+//     deeper prefix cannot change its verdict. A contested candidate
+//     (protected only by the slack) gets a sharper estimate at the next
+//     rung, which may abort it.
 //  2. **Dominance early-abort.** A candidate below the promotion cut is
 //     aborted only if its *optimistic* objective vector — prefix power
 //     scaled down by `optimism`, exact area, exact period — is Pareto-
@@ -106,6 +108,11 @@ void cross_variants(
     SearchSpace& space,
     const std::vector<std::pair<SynthesisOptions, std::string>>& variants);
 
+/// Upper bound on SearchConfig::budget_rungs (search() rejects more): past
+/// 16 halvings every rung of a realistic depth is at the 8-computation
+/// floor.
+constexpr int kMaxBudgetRungs = 16;
+
 struct SearchConfig {
   std::size_t computations = 1500;
   std::uint64_t seed = 1;
@@ -115,10 +122,10 @@ struct SearchConfig {
   std::size_t streams = 1;
   power::PowerParams power_params;
   int jobs = 1;
-  /// Number of prefix rungs before full depth. Rung r simulates
-  /// max(8, computations >> (budget_rungs - r)) computations, so the last
-  /// rung runs at half depth. 0 = no prefix stage: every candidate is
-  /// evaluated at full depth (the search degenerates to a cached
+  /// Number of prefix rungs before full depth, 0..kMaxBudgetRungs. Rung r
+  /// simulates max(8, computations >> (budget_rungs - r)) computations, so
+  /// the last rung runs at half depth. 0 = no prefix stage: every candidate
+  /// is evaluated at full depth (the search degenerates to a cached
   /// exhaustive sweep).
   int budget_rungs = 3;
   /// Fraction of a dominance group's active candidates promoted

@@ -43,6 +43,44 @@ std::uint64_t config_hash(const SynthesisOptions& opts) {
   return h;
 }
 
+std::uint64_t allocation_hash(const SynthesisOptions& opts) {
+  // The fields only build_options() reads, at fixed values.
+  SynthesisOptions a = opts;
+  if (a.style == DesignStyle::ConventionalGated) {
+    a.style = DesignStyle::ConventionalNonGated;
+  }
+  a.latched_control = true;
+  a.operand_isolation = false;
+  a.interconnect = rtl::BuildOptions::Interconnect::Mux;
+  return config_hash(a);
+}
+
+namespace {
+/// The build half of synthesize(): everything rtl::build_design() needs
+/// from the options.
+rtl::BuildOptions build_options(const SynthesisOptions& opts) {
+  rtl::BuildOptions build;
+  if (opts.style == DesignStyle::MultiClock) {
+    // The paper's scheme always gates the memory-element clocking: an
+    // element only receives an edge in its own partition's duty cycle
+    // when it actually loads.
+    build.gated_clocks = true;
+    build.latched_control = opts.latched_control && opts.num_clocks > 1;
+  } else {
+    build.gated_clocks = opts.style == DesignStyle::ConventionalGated;
+    build.latched_control = false;
+  }
+  build.style_name = style_label(opts.style, opts.num_clocks);
+  build.operand_isolation = opts.operand_isolation;
+  if (opts.operand_isolation) build.style_name += " + Isolation";
+  build.interconnect = opts.interconnect;
+  if (opts.interconnect == rtl::BuildOptions::Interconnect::TristateBus) {
+    build.style_name += " (Bus)";
+  }
+  return build;
+}
+}  // namespace
+
 Synthesized synthesize(const dfg::Graph& graph, const dfg::Schedule& sched,
                        const SynthesisOptions& opts) {
   obs::Span span("core.synthesize");
@@ -50,8 +88,6 @@ Synthesized synthesize(const dfg::Graph& graph, const dfg::Schedule& sched,
   sched.validate();
 
   Synthesized out;
-  rtl::BuildOptions build;
-
   switch (opts.style) {
     case DesignStyle::ConventionalNonGated:
     case DesignStyle::ConventionalGated: {
@@ -69,8 +105,6 @@ Synthesized synthesize(const dfg::Graph& graph, const dfg::Schedule& sched,
       out.alloc = std::move(r);
       out.alloc.binding = std::make_unique<alloc::Binding>(alloc::allocate_conventional(
           *out.alloc.schedule, *out.alloc.lifetimes, conv));
-      build.gated_clocks = opts.style == DesignStyle::ConventionalGated;
-      build.latched_control = false;
       break;
     }
     case DesignStyle::MultiClock: {
@@ -103,24 +137,23 @@ Synthesized synthesize(const dfg::Graph& graph, const dfg::Schedule& sched,
         out.alloc = std::move(sr.synthesis);
         out.cleanup = sr.cleanup;
       }
-      // The paper's scheme always gates the memory-element clocking: an
-      // element only receives an edge in its own partition's duty cycle
-      // when it actually loads.
-      build.gated_clocks = true;
-      build.latched_control = opts.latched_control && opts.num_clocks > 1;
       break;
     }
   }
 
-  build.style_name = style_label(opts.style, opts.num_clocks);
-  build.operand_isolation = opts.operand_isolation;
-  if (opts.operand_isolation) build.style_name += " + Isolation";
-  build.interconnect = opts.interconnect;
-  if (opts.interconnect == rtl::BuildOptions::Interconnect::TristateBus) {
-    build.style_name += " (Bus)";
-  }
   out.design = std::make_unique<rtl::Design>(
-      rtl::build_design(*out.alloc.binding, build));
+      rtl::build_design(*out.alloc.binding, build_options(opts)));
+  return out;
+}
+
+Synthesized synthesize(const Synthesized& base, const SynthesisOptions& opts) {
+  obs::Span span("core.synthesize");
+  MCRTL_CHECK_MSG(base.alloc.binding != nullptr,
+                  "synthesize() reuse needs a base that owns its allocation");
+  Synthesized out;
+  out.cleanup = base.cleanup;
+  out.design = std::make_unique<rtl::Design>(
+      rtl::build_design(*base.alloc.binding, build_options(opts)));
   return out;
 }
 

@@ -62,8 +62,20 @@ std::string style_label(DesignStyle style, int num_clocks);
 /// result cache both key on it.
 std::uint64_t config_hash(const SynthesisOptions& opts);
 
+/// Hash of the SynthesisOptions fields the allocation half of synthesize()
+/// reads. Options with equal hashes differ only in how the design is built
+/// (control latching, operand isolation, interconnect, conventional clock
+/// gating) and share one allocation of a given graph and schedule.
+std::uint64_t allocation_hash(const SynthesisOptions& opts);
+
 /// Synthesize `graph` (scheduled by `sched`) in the requested style.
 Synthesized synthesize(const dfg::Graph& graph, const dfg::Schedule& sched,
                        const SynthesisOptions& opts);
+
+/// synthesize() reusing the allocation of `base`, an earlier result for the
+/// same graph and schedule with the same allocation_hash() as `opts`: only
+/// the design is built, identical to a fresh synthesize(). The result owns
+/// no allocation (its `alloc` is empty).
+Synthesized synthesize(const Synthesized& base, const SynthesisOptions& opts);
 
 }  // namespace mcrtl::core

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstring>
 
 #include "util/strings.hpp"
 #include "util/table.hpp"
@@ -42,7 +43,11 @@ std::string lane_name(int lane) {
 
 int HistogramStats::bucket_of(double value) {
   if (!(value >= 1.0)) return 0;  // < 1 and NaN both land in bucket 0
-  const int b = std::ilogb(value) + 1;
+  // A value >= 1 is normal or +inf, so ilogb(value) is its biased exponent
+  // minus 1023: read the exponent bits instead of calling into libm.
+  std::uint64_t bits = 0;
+  std::memcpy(&bits, &value, sizeof bits);
+  const int b = static_cast<int>(bits >> 52) - 1022;
   return b > 63 ? 63 : b;
 }
 
@@ -79,10 +84,23 @@ std::uint64_t Registry::now_ns() const {
           .count());
 }
 
-void Registry::count(const std::string& name, std::uint64_t n) {
+namespace {
+/// The entry for `name` in a transparent-comparator map, created on first
+/// use; a hit allocates nothing.
+template <typename Map>
+typename Map::mapped_type& entry(Map& map, std::string_view name) {
+  auto it = map.find(name);
+  if (it == map.end()) {
+    it = map.emplace(std::string(name), typename Map::mapped_type{}).first;
+  }
+  return it->second;
+}
+}  // namespace
+
+void Registry::count(std::string_view name, std::uint64_t n) {
   if (!enabled()) return;
   std::lock_guard<std::mutex> lk(m_);
-  counters_[name] += n;
+  entry(counters_, name) += n;
 }
 
 void Registry::set_gauge(const std::string& name, double value) {
@@ -92,34 +110,46 @@ void Registry::set_gauge(const std::string& name, double value) {
 }
 
 namespace {
-void fold_sample(HistogramStats& h, double value) {
+/// Fold `n` samples in order. The running min/max/sum live in registers
+/// for the whole batch; the result is the same as folding one at a time.
+void fold_samples(HistogramStats& h, const double* values, std::size_t n) {
+  if (n == 0) return;
   if (h.count == 0) {
-    h.min = value;
-    h.max = value;
+    h.min = values[0];
+    h.max = values[0];
   }
-  h.min = std::min(h.min, value);
-  h.max = std::max(h.max, value);
-  ++h.count;
-  h.sum += value;
-  ++h.buckets[static_cast<std::size_t>(HistogramStats::bucket_of(value))];
+  double lo = h.min;
+  double hi = h.max;
+  double sum = h.sum;
+  for (std::size_t i = 0; i < n; ++i) {
+    const double value = values[i];
+    lo = std::min(lo, value);
+    hi = std::max(hi, value);
+    sum += value;
+    ++h.buckets[static_cast<std::size_t>(HistogramStats::bucket_of(value))];
+  }
+  h.min = lo;
+  h.max = hi;
+  h.sum = sum;
+  h.count += n;
 }
 }  // namespace
 
-void Registry::observe(const std::string& name, double value) {
+void Registry::observe(std::string_view name, double value) {
   if (!enabled()) return;
   std::lock_guard<std::mutex> lk(m_);
-  auto& h = histograms_[name];
+  auto& h = entry(histograms_, name);
   if (h.name.empty()) h.name = name;
-  fold_sample(h, value);
+  fold_samples(h, &value, 1);
 }
 
-void Registry::observe_many(const std::string& name,
+void Registry::observe_many(std::string_view name,
                             const std::vector<double>& values) {
   if (!enabled()) return;
   std::lock_guard<std::mutex> lk(m_);
-  auto& h = histograms_[name];
+  auto& h = entry(histograms_, name);
   if (h.name.empty()) h.name = name;
-  for (double v : values) fold_sample(h, v);
+  fold_samples(h, values.data(), values.size());
 }
 
 void Registry::counter_track(const std::string& name,

@@ -43,6 +43,7 @@
 #include <memory>
 #include <mutex>
 #include <string>
+#include <string_view>
 #include <utility>
 #include <vector>
 
@@ -123,16 +124,16 @@ class Registry {
 
   /// Add `n` to the named monotonic counter. No-op while disabled (and no
   /// counter is created, so a disabled run leaves the registry empty).
-  void count(const std::string& name, std::uint64_t n = 1);
+  void count(std::string_view name, std::uint64_t n = 1);
 
   /// Set a point-in-time value. No-op while disabled.
   void set_gauge(const std::string& name, double value);
 
   /// Fold one sample into the named histogram. No-op while disabled (no
   /// histogram is created, so a disabled run leaves the registry empty).
-  void observe(const std::string& name, double value);
+  void observe(std::string_view name, double value);
   /// Batch form of observe(): one lock, many samples.
-  void observe_many(const std::string& name, const std::vector<double>& values);
+  void observe_many(std::string_view name, const std::vector<double>& values);
 
   /// Append samples to the named counter track. No-op while disabled.
   void counter_track(const std::string& name, std::vector<TrackSample> samples);
@@ -172,16 +173,17 @@ class Registry {
   Registry();
 
   mutable std::mutex m_;
-  std::map<std::string, std::uint64_t> counters_;
+  // Transparent comparators: a lookup by string_view allocates nothing.
+  std::map<std::string, std::uint64_t, std::less<>> counters_;
   std::map<std::string, double> gauges_;
-  std::map<std::string, HistogramStats> histograms_;
+  std::map<std::string, HistogramStats, std::less<>> histograms_;
   std::map<std::string, std::vector<TrackSample>> tracks_;
   std::vector<SpanRecord> spans_;
   std::chrono::steady_clock::time_point epoch_;
 };
 
 /// Free-function shorthands for the instrumentation call sites.
-inline void count(const std::string& name, std::uint64_t n = 1) {
+inline void count(std::string_view name, std::uint64_t n = 1) {
   if (!enabled()) return;
   Registry::instance().count(name, n);
 }
@@ -189,11 +191,11 @@ inline void set_gauge(const std::string& name, double value) {
   if (!enabled()) return;
   Registry::instance().set_gauge(name, value);
 }
-inline void observe(const std::string& name, double value) {
+inline void observe(std::string_view name, double value) {
   if (!enabled()) return;
   Registry::instance().observe(name, value);
 }
-inline void observe_many(const std::string& name,
+inline void observe_many(std::string_view name,
                          const std::vector<double>& values) {
   if (!enabled()) return;
   Registry::instance().observe_many(name, values);

@@ -154,7 +154,7 @@ void create_fus_and_port_muxes(Lowering& L) {
     auto isolate = [&](NetId data, unsigned port) -> NetId {
       if (!L.opts.operand_isolation) return data;
       const CompId gate = L.nl.add_component(
-          CompKind::IsoGate, str_format("%s_p%u_iso", fu.name.c_str(), port),
+          CompKind::IsoGate, fu.name + "_p" + std::to_string(port) + "_iso",
           L.width());
       L.nl.comp_mut(gate).partition = fu.partition;
       L.nl.connect_input(gate, data);
@@ -179,11 +179,11 @@ void create_fus_and_port_muxes(Lowering& L) {
           L.opts.interconnect == BuildOptions::Interconnect::TristateBus
               ? CompKind::Bus
               : CompKind::Mux,
-          str_format("%s_p%u_mux", fu.name.c_str(), port), L.width());
+          fu.name + "_p" + std::to_string(port) + "_mux", L.width());
       L.nl.comp_mut(mux).partition = fu.partition;
       for (const auto& s : srcs) L.nl.connect_input(mux, L.source_net(s));
       const unsigned sig =
-          L.make_signal(str_format("%s_p%u_sel", fu.name.c_str(), port),
+          L.make_signal(fu.name + "_p" + std::to_string(port) + "_sel",
                         SignalRole::MuxSelect, select_width(srcs.size()),
                         fu.partition);
       L.nl.set_select(mux, L.signal_net(sig));

@@ -193,10 +193,13 @@ std::vector<int> Netlist::comb_levels() const {
   return level;
 }
 
-std::vector<std::vector<CompId>> Netlist::comb_fanout() const {
-  std::vector<std::vector<CompId>> fanout(nets_.size());
+Netlist::Fanout Netlist::comb_fanout() const {
+  Fanout fanout;
+  fanout.offset.reserve(nets_.size() + 1);
+  fanout.offset.push_back(0);
+  std::vector<CompId> out;
   for (std::size_t i = 0; i < nets_.size(); ++i) {
-    auto& out = fanout[i];
+    out.clear();
     for (CompId reader : nets_[i].readers) {
       const Component& r = comps_[reader.index()];
       if (!is_combinational(r.kind)) continue;
@@ -214,6 +217,8 @@ std::vector<std::vector<CompId>> Netlist::comb_fanout() const {
     }
     std::sort(out.begin(), out.end(),
               [](CompId a, CompId b) { return a.index() < b.index(); });
+    fanout.readers.insert(fanout.readers.end(), out.begin(), out.end());
+    fanout.offset.push_back(static_cast<std::uint32_t>(fanout.readers.size()));
   }
   return fanout;
 }

@@ -139,8 +139,14 @@ class Netlist {
   /// For each net (indexed by NetId), the combinational components that
   /// read it through a data input or the select pin, deduplicated, in
   /// ascending CompId order. This is the "which evaluations may change
-  /// when this net toggles" index the event-driven simulator dirties from.
-  std::vector<std::vector<CompId>> comb_fanout() const;
+  /// when this net toggles" index the event-driven simulator dirties from,
+  /// flattened CSR-style: readers of net i are
+  /// `readers[offset[i] .. offset[i+1])`.
+  struct Fanout {
+    std::vector<std::uint32_t> offset;
+    std::vector<CompId> readers;
+  };
+  Fanout comb_fanout() const;
 
   /// Design-rule checks: every input connected, single driver per net,
   /// width agreement, select present where needed, storage has a clock

@@ -20,9 +20,12 @@
 // scale-invariant shapes like the crest factor need no unpacking. Exact
 // per-stream attribution is always available post-run from the per-stream
 // Activity records (power::Attribution::attribute). run_time_sliced()
-// instead keeps one row per lane, adds in the scalar kernel's event order,
+// instead keeps one row per group of lanes at the same global step (one
+// lane per group for a single stream, S lanes for an S-stream bundle),
+// adds in the event order of the scalar kernel resp. the lockstep bundle,
 // and hands the closed rows of counted steps over with assign_steps() in
-// time order — the scalar run's waveform, bit for bit.
+// time order — the scalar run's waveform resp. run_sliced()'s aggregate,
+// bit for bit.
 //
 // Attachment follows the PhaseHeatmap pattern: explicit opt-in, nullptr to
 // detach, no collection cost when detached (one pointer test on the

@@ -34,13 +34,9 @@ Simulator::Simulator(const rtl::Design& design, Mode mode)
     for (int l : level_) max_level = std::max(max_level, l);
     buckets_.resize(static_cast<std::size_t>(max_level + 1));
     in_queue_.assign(nl.num_components(), 0);
-    const auto per_net = nl.comb_fanout();
-    fanout_offset_.reserve(per_net.size() + 1);
-    fanout_offset_.push_back(0);
-    for (const auto& readers : per_net) {
-      fanout_.insert(fanout_.end(), readers.begin(), readers.end());
-      fanout_offset_.push_back(static_cast<std::uint32_t>(fanout_.size()));
-    }
+    auto fanout = nl.comb_fanout();
+    fanout_offset_ = std::move(fanout.offset);
+    fanout_ = std::move(fanout.readers);
   }
   const rtl::ControlPlan& plan = design.control;
   const int P = design.clocks.period();

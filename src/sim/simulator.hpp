@@ -47,11 +47,13 @@
 //    not controller-driven (never produced by synthesize()) are rejected
 //    at construction. Per stream, its results are bit-identical to an
 //    independent EventDriven run of that stream's stimulus.
-//    run_time_sliced() feeds the same kernel a single long stream instead:
-//    the stream is cut into up to 64 consecutive chunks, one per lane, each
-//    preceded by one uncounted warm-up computation, and the lanes' counted
-//    records are stitched back together in time order — bit-identical to
-//    the scalar run(), probe waveform included (DESIGN.md §7).
+//    run_time_sliced() fills the lanes in time instead: one long stream is
+//    cut into up to 64 consecutive chunks, one per lane, each preceded by
+//    one uncounted warm-up computation, and the lanes' counted records are
+//    stitched back together in time order — bit-identical to the scalar
+//    run(), probe waveform included. Its bundle form cuts each of S streams
+//    into ⌊64/S⌋ chunks and is bit-identical to run_sliced() of the bundle,
+//    aggregate probe waveform included (DESIGN.md §7).
 //
 // Because every combinational component is a pure function of its input
 // nets and write_net() only counts transitions on real value changes, the
@@ -123,13 +125,29 @@ class Simulator {
   /// count mask keeps warm-ups and trailing computations out of every
   /// count. The result — outputs, the full Activity, the waveform of an
   /// attached PowerProbe and an attached PhaseHeatmap — is bit-identical to
-  /// run() of `stream` on a fresh EventDriven simulator. Every call starts
-  /// from the reset state. Designs without the one-period warm-up property
-  /// (time_sliceable()), a computation budget or an attached StepObserver
-  /// run that scalar simulation instead.
+  /// run() of `stream` on a fresh EventDriven simulator, under the same
+  /// computation budget. Every call starts from the reset state. Designs
+  /// without the one-period warm-up property (time_sliceable()) or an
+  /// attached StepObserver run that scalar simulation instead.
   SimResult run_time_sliced(const InputStream& stream,
                             const std::vector<dfg::ValueId>& input_order,
                             const std::vector<dfg::ValueId>& output_order);
+
+  /// BitSliced mode only: the Monte-Carlo bundle version. S =
+  /// `streams.size()` (1..64) streams of equal length fill S × ⌊64/S⌋
+  /// lanes; lane k·S + s runs chunk k of stream s, with the single-stream
+  /// chunk layout shared by every stream. Element s of the result (outputs
+  /// and the full Activity) and the per-stream heatmaps of
+  /// set_stream_heatmaps() are bit-identical to run_sliced() of the same
+  /// bundle on a fresh simulator, and an attached PowerProbe receives
+  /// exactly run_sliced()'s aggregate waveform. Every call starts from the
+  /// reset state. When ⌊64/S⌋ == 1 or the design is not time_sliceable()
+  /// the pass uses the lockstep layout (one lane per stream). A computation
+  /// budget n gives every stream the result of a budgeted run().
+  std::vector<SimResult> run_time_sliced(
+      const std::vector<InputStream>& streams,
+      const std::vector<dfg::ValueId>& input_order,
+      const std::vector<dfg::ValueId>& output_order);
 
   /// BitSliced mode only: whether run_time_sliced() may slice this design.
   /// A static check over the schedule, no simulation: starting from an
@@ -167,7 +185,8 @@ class Simulator {
   /// detach; no collection cost when detached.
   void set_heatmap(PhaseHeatmap* hm) { heatmap_ = hm; }
 
-  /// Per-stream heatmap telemetry for run_sliced(): the vector is resized
+  /// Per-stream heatmap telemetry for run_sliced() and the bundle
+  /// run_time_sliced(): the vector is resized
   /// to the stream count and element s receives the heatmap an EventDriven
   /// run of stream s would have produced. Pass nullptr to detach.
   void set_stream_heatmaps(std::vector<PhaseHeatmap>* hms) {
@@ -178,7 +197,8 @@ class Simulator {
   /// every counted transition is folded into `probe` with the weights of
   /// its EnergyModel — per step and per clock domain. run_sliced() gives
   /// the probe the aggregate across all lanes; run_time_sliced() gives it
-  /// exactly the scalar run's waveform. Pass nullptr to detach;
+  /// exactly the scalar run's waveform (one stream) or run_sliced()'s
+  /// aggregate (a bundle). Pass nullptr to detach;
   /// no collection cost when detached, and attaching never changes results.
   void set_power_probe(PowerProbe* probe) { probe_ = probe; }
 
@@ -201,8 +221,9 @@ class Simulator {
   /// failure: it is the search layer's prefix-run primitive (evaluate a
   /// short, deterministic prefix of the shared stimulus to bound a
   /// configuration's power before committing to a full-depth run). The
-  /// budget applies per run() call and the simulated prefix is
-  /// bit-identical to the first `n` computations of an unbudgeted run.
+  /// budget applies per run() / run_time_sliced() call (run_sliced()
+  /// ignores it) and the simulated prefix is bit-identical to the first `n`
+  /// computations of an unbudgeted run.
   void set_computation_budget(std::size_t n) { computation_budget_ = n; }
 
  private:
@@ -213,6 +234,22 @@ class Simulator {
   SimResult run_scalar(const InputStream& stream,
                        const std::vector<dfg::ValueId>& input_order,
                        const std::vector<dfg::ValueId>& output_order);
+  /// The checks run_sliced() and the bundle run_time_sliced() share
+  /// (BitSliced mode, 1..kMaxStreams streams of equal length); returns the
+  /// streams' addresses. `fn` names the caller in the error.
+  std::vector<const InputStream*> checked_bundle(
+      const std::vector<InputStream>& streams, const char* fn) const;
+  /// The bit-sliced pass behind run_sliced() and both run_time_sliced()
+  /// overloads: `chunks` chunks per stream (1 = lockstep), per-stream
+  /// heatmaps into `heatmaps` (nullptr = none). A `time_sliced` pass starts
+  /// from reset, honours the computation budget and gives the probe
+  /// per-group rows; otherwise it is run_sliced(): it continues from the
+  /// persistent plane state and ignores the budget.
+  std::vector<SimResult> run_chunked(
+      const std::vector<const InputStream*>& streams, std::size_t chunks,
+      const std::vector<dfg::ValueId>& input_order,
+      const std::vector<dfg::ValueId>& output_order,
+      std::vector<PhaseHeatmap>* heatmaps, bool time_sliced);
   void settle(Activity& act, bool count);
   void settle_oblivious(Activity& act, bool count);
   void settle_event(Activity& act, bool count);

@@ -11,13 +11,15 @@
 //
 // The lanes come from one of two layouts:
 //
-//  * run_sliced() — a Monte-Carlo bundle: lane s runs stream s from its
-//    first computation and counts everything; one SimResult per lane.
-//  * run_time_sliced() — one long stream cut into up to 64 consecutive
-//    chunks. Lane k runs chunk k preceded by one uncounted warm-up
-//    computation (exact by the static one-period warm-up check), and a
-//    per-lane count mask keeps warm-ups and the trailing computation out of
-//    every count; the lanes' records are stitched back into one SimResult.
+//  * run_sliced() — a Monte-Carlo bundle in lockstep: lane s runs stream s
+//    from its first computation and counts everything; one SimResult per
+//    lane.
+//  * run_time_sliced() — S streams, each cut into up to ⌊64/S⌋ consecutive
+//    chunks. Lane k·S + s runs chunk k of stream s preceded by one uncounted
+//    warm-up computation (exact by the static one-period warm-up check), and
+//    a per-lane count mask keeps warm-ups and the trailing computation out
+//    of every count; each stream's lanes are stitched back into one
+//    SimResult. With one chunk per stream this is the lockstep layout.
 //
 // Per-lane toggle exactness is the contract: lane s of the result must be
 // bit-identical to an independent EventDriven run. Toggle counts therefore
@@ -36,6 +38,7 @@
 // computations.
 #include <algorithm>
 #include <cstring>
+#include <initializer_list>
 
 #include "obs/obs.hpp"
 #include "sim/simulator.hpp"
@@ -50,9 +53,23 @@ using rtl::CompKind;
 using rtl::NetId;
 
 namespace {
-// Vertical-counter depth: per-net per-lane toggle totals up to 2^48.
-// A run would need ~2^42 master cycles to overflow a 64-bit-wide net.
+// Vertical-counter depth: per-lane toggle totals up to 2^48. A run would
+// need ~2^42 master cycles to overflow a 64-bit-wide net.
 constexpr unsigned kCounterPlanes = 48;
+
+/// Counter depth that holds any per-lane toggle total of a pass of `steps`
+/// steps over `comps` components: a net is written at most twice per step
+/// (once per settle, or once by its controller, port or capture) and a
+/// heatmap cell takes at most one capture per storage element per step,
+/// each flipping at most 64 bits. Short passes — the search's prefix runs —
+/// then zero and unpack a fraction of the planes; an overflow would still
+/// be caught.
+unsigned counter_depth(std::uint64_t steps, std::uint64_t comps) {
+  const std::uint64_t most = steps * 64 * (comps + 2);
+  unsigned depth = 1;
+  while (depth < kCounterPlanes && most >> depth != 0) ++depth;
+  return depth;
+}
 
 // Total count across all lanes of a bit-sliced per-lane value: plane j holds
 // bit j of every lane's count, so the sum is sum_j popcount(planes[j]) << j.
@@ -86,6 +103,31 @@ struct SliceLane {
   std::size_t count_begin = 0;
   std::size_t count_end = 0;
 };
+
+/// The time-sliced lane layout (DESIGN.md §7) of `streams` over their first
+/// `n` computations, `chunks` chunks per stream: lane k·S + s runs chunk k
+/// of stream s. Chunk k counts computations [k·per, min((k+1)·per, n)) and
+/// simulates `local` computations starting one earlier — an uncounted
+/// warm-up — or at 0 for chunk 0, whose last simulated computation is an
+/// uncounted trailer instead. The next chunk's first inputs are presented
+/// at the counted chunk's last step, as the scalar run() does. A chunk that
+/// would run past n is right-aligned to end at n-1; its extra leading
+/// computations only lengthen the warm-up. One chunk is the lockstep
+/// layout.
+std::vector<SliceLane> chunk_lanes(
+    const std::vector<const InputStream*>& streams, std::size_t n,
+    std::size_t chunks, std::size_t& local) {
+  const std::size_t per = n == 0 ? 0 : (n + chunks - 1) / chunks;
+  local = std::min(per + 1, n);
+  std::vector<SliceLane> lanes;
+  for (std::size_t begin = 0; lanes.empty() || begin < n; begin += per) {
+    const std::size_t first = begin == 0 ? 0 : std::min(begin - 1, n - local);
+    for (const InputStream* s : streams) {
+      lanes.push_back(SliceLane{s, first, begin, std::min(begin + per, n)});
+    }
+  }
+  return lanes;
+}
 }  // namespace
 
 /// The per-run engine. Constructed by Simulator::run_sliced() and
@@ -94,11 +136,15 @@ struct SliceLane {
 /// run_sliced() calls behave like repeated scalar run() calls.
 class SlicedKernel {
  public:
-  /// `local_comps` computations per lane. `time_sliced` gives an attached
-  /// PowerProbe exact per-lane rows (stitched by stitched_result()) instead
-  /// of the aggregate across lanes.
+  /// `local_comps` computations per lane; lane l belongs to stream
+  /// l % `streams`, and the `streams` lanes of one chunk form a group.
+  /// `time_sliced` gives an attached PowerProbe exact per-group rows
+  /// (stitched by results()) instead of one aggregate row across lanes —
+  /// the same thing when there is one group. Per-stream heatmaps go to
+  /// `heatmaps` (nullptr = not collected).
   SlicedKernel(Simulator& sim, std::vector<SliceLane> lanes,
-               std::size_t local_comps, bool time_sliced)
+               std::size_t local_comps, std::size_t streams, bool time_sliced,
+               std::vector<PhaseHeatmap>* heatmaps)
       : sim_(sim),
         design_(*sim.design_),
         nl_(design_.netlist),
@@ -108,10 +154,20 @@ class SlicedKernel {
         lane_mask_(n_ == 64 ? ~std::uint64_t{0}
                             : (std::uint64_t{1} << n_) - 1),
         local_comps_(local_comps),
+        computations_(lanes_.back().count_end),
+        streams_(streams),
+        groups_(n_ / streams),
+        totals_(time_sliced && streams == 1),
+        depth_(totals_ ? 1
+                       : counter_depth(static_cast<std::uint64_t>(local_comps) *
+                                           static_cast<std::uint64_t>(
+                                               design_.clocks.period()),
+                                       nl_.num_components())),
         time_sliced_(time_sliced),
-        per_lane_probe_(time_sliced && sim.probe_ != nullptr),
-        net_counters_(nl_.num_nets() * kCounterPlanes, 0),
-        storage_counters_(nl_.num_components() * kCounterPlanes, 0),
+        per_group_probe_(time_sliced && groups_ > 1 && sim.probe_ != nullptr),
+        heatmaps_(heatmaps),
+        net_counters_(nl_.num_nets() * depth_, 0),
+        storage_counters_(nl_.num_components() * depth_, 0),
         uniform_(nl_.num_nets(), 0),
         uniform_scalar_(nl_.num_nets(), 0),
         buckets_(sim.buckets_.size()),
@@ -136,18 +192,21 @@ class SlicedKernel {
         count_mask_[g - lane.first] |= std::uint64_t{1} << l;
       }
     }
-    if (per_lane_probe_) {
+    if (per_group_probe_) {
+      // Field masks of the groups (lanes k·S .. k·S+S-1): each field's top
+      // lane, and its other lanes.
+      for (std::size_t g = 0; g < groups_; ++g) {
+        const std::size_t lo = g * streams_;
+        group_top_ |= std::uint64_t{1} << (lo + streams_ - 1);
+        group_rest_ |= ((std::uint64_t{1} << (streams_ - 1)) - 1) << lo;
+      }
       const EnergyModel& m = sim.probe_->model();
       domains_ = static_cast<std::size_t>(m.num_domains) + 1;
-      lane_row_.assign(domains_ * 64, 0.0);
+      group_row_.assign(domains_ * 64, 0.0);
       eval_gen_.assign(nl_.num_components(), 0);
       comp_changed_.assign(nl_.num_components(), 0);
       comp_sums_.resize(nl_.num_components());
-      std::size_t computations = 0;
-      for (const SliceLane& lane : lanes_) {
-        computations = std::max(computations, lane.count_end);
-      }
-      waveform_.resize(computations *
+      waveform_.resize(computations_ *
                        static_cast<std::size_t>(design_.clocks.period()) *
                        domains_);
     }
@@ -156,11 +215,10 @@ class SlicedKernel {
   /// Simulate every lane for `local_comps` computations.
   void simulate(const std::vector<dfg::ValueId>& input_order,
                 const std::vector<dfg::ValueId>& output_order);
-  /// One SimResult per lane (run_sliced), plus per-lane heatmaps.
-  std::vector<SimResult> lane_results();
-  /// The lanes' counted records concatenated in lane (= time) order
-  /// (run_time_sliced), plus the probe waveform and heatmap.
-  SimResult stitched_result();
+  /// One SimResult per stream: its lanes' counted records concatenated in
+  /// lane (= time) order, plus the per-stream heatmaps and, for a
+  /// time-sliced pass, the stitched probe waveform.
+  std::vector<SimResult> results();
 
  private:
   std::uint64_t* planes(NetId net) {
@@ -177,20 +235,33 @@ class SlicedKernel {
     return uniform_scalar_[net.index()];
   }
 
-  // The worklist holds (component, lanes) entries. A component is queued
-  // for a lane at the first write that changes one of its inputs in that
-  // lane, so the entries carrying lane l are in exactly the order the
-  // scalar kernel's worklist would pop them in lane l's own run. It is
-  // evaluated once, at its first entry; each entry then publishes the
-  // write for its own lanes — which puts every lane's probe additions in
-  // the scalar event order. Without a per-lane probe the order is
-  // irrelevant and every component gets a single all-lanes entry.
+  // The worklist holds (component, lanes) entries, whole groups at a time.
+  // A component is queued for a group at the first write that changes one
+  // of its inputs in any lane of that group, so the entries carrying group
+  // k are in exactly the order a lockstep run of the group's S streams
+  // (for S = 1, the scalar kernel) would pop them. It is evaluated once, at
+  // its first entry; each entry then publishes the write for its own
+  // groups — which puts every group's probe additions in the lockstep event
+  // order. Without a per-group probe the order is irrelevant and every
+  // component gets a single all-lanes entry.
   struct Entry {
     CompId cid;
     std::uint64_t lanes;
   };
+  /// `lanes` widened to every group it touches: a carry out of each
+  /// field's lower lanes, ORed with its top lane, marks the nonzero fields
+  /// on their top lane; subtracting the field's bottom lane fills it.
+  std::uint64_t whole_groups(std::uint64_t lanes) const {
+    const std::uint64_t top =
+        (((lanes & group_rest_) + group_rest_) | lanes) & group_top_;
+    return top | (top - (top >> (streams_ - 1)));
+  }
   void mark_fanout_dirty(NetId net, std::uint64_t lanes) {
-    if (!per_lane_probe_) lanes = lane_mask_;
+    if (!per_group_probe_) {
+      lanes = lane_mask_;
+    } else if (streams_ > 1) {
+      lanes = whole_groups(lanes);
+    }
     const std::uint32_t begin = sim_.fanout_offset_[net.index()];
     const std::uint32_t end = sim_.fanout_offset_[net.index() + 1];
     for (std::uint32_t k = begin; k < end; ++k) {
@@ -213,9 +284,26 @@ class SlicedKernel {
     }
   }
 
-  void bump(std::uint64_t* counter, const LaneSums& s) {
-    MCRTL_CHECK_MSG(slice_counter_add(counter, kCounterPlanes, s.p, s.k),
-                    "bit-sliced toggle counter overflow");
+  /// Count one write's toggles — `diff`, `w` planes masked to the counted
+  /// lanes, not all zero — into `counters` and leave the per-lane sums the
+  /// probe reads in `sums` (k == 0 when no probe needs them). Plain totals
+  /// take w popcounts; vertical counters add the bit-sliced per-lane sums.
+  void count_toggles(const std::uint64_t* diff, unsigned w,
+                     std::initializer_list<std::uint64_t*> counters,
+                     LaneSums& sums) {
+    if (totals_) {
+      std::uint64_t total = 0;
+      for (unsigned b = 0; b < w; ++b) total += popcount64(diff[b]);
+      for (std::uint64_t* c : counters) *c += total;
+      sums.k = sim_.probe_ != nullptr ? slice_popcount_planes(diff, w, sums.p)
+                                      : 0;
+      return;
+    }
+    sums.k = slice_popcount_planes(diff, w, sums.p);
+    for (std::uint64_t* c : counters) {
+      MCRTL_CHECK_MSG(slice_counter_add(c, depth_, sums.p, sums.k),
+                      "bit-sliced toggle counter overflow");
+    }
   }
 
   /// Commit `val` planes (masked to the active lanes) into `net`, counting
@@ -235,26 +323,29 @@ class SlicedKernel {
       any |= d;
       old[b] ^= d;
     }
-    sums.k = (any & count) != 0 ? slice_popcount_planes(diff, w, sums.p) : 0;
-    if (sums.k != 0) {
-      bump(net_counters_.data() + net.index() * kCounterPlanes, sums);
+    sums.k = 0;
+    if ((any & count) != 0) {
+      count_toggles(diff, w, {net_counters_.data() + net.index() * depth_},
+                    sums);
     }
     return any;
   }
 
-  /// Fold a write's counted toggles of `lanes` into the attached probe.
+  /// Fold a write's counted toggles of `lanes` into the attached probe:
+  /// one add of fj × (the group's toggle count) per group, as a lockstep
+  /// run of the group's streams adds fj × (its total across lanes).
   void probe_net(NetId net, const LaneSums& s, std::uint64_t lanes) {
     if (s.k == 0 || sim_.probe_ == nullptr) return;
-    if (!per_lane_probe_) {
+    if (!per_group_probe_) {
       sim_.probe_->add_net(net.index(), lanes_total(s.p, s.k));
       return;
     }
     const EnergyModel& m = sim_.probe_->model();
     const double fj = m.net_fj[net.index()];
-    double* row = lane_row_.data() + m.net_domain[net.index()] * 64;
+    double* row = group_row_.data() + m.net_domain[net.index()] * 64;
     // Spread the bit-sliced sums into one count byte per lane, eight lanes
-    // per word, then add fj x count to every lane's row in a loop the
-    // compiler vectorizes; fj x 0 adds nothing.
+    // per word, then add fj x count to every group's row; fj x 0 adds
+    // nothing. With one lane per group the loop vectorizes.
     std::uint64_t words[8] = {};
     for (unsigned j = 0; j < s.k; ++j) {
       const std::uint64_t p = s.p[j] & lanes;
@@ -268,14 +359,27 @@ class SlicedKernel {
         cnt[8 * g + i] = static_cast<std::uint8_t>(words[g] >> (8 * i));
       }
     }
-    for (unsigned l = 0; l < 64; ++l) {
-      row[l] += fj * static_cast<double>(cnt[l]);
+    if (streams_ == 1) {
+      for (unsigned l = 0; l < 64; ++l) {
+        row[l] += fj * static_cast<double>(cnt[l]);
+      }
+      return;
+    }
+    for (std::size_t g = 0; g < groups_; ++g) {
+      unsigned total = 0;
+      for (std::size_t l = g * streams_; l < (g + 1) * streams_; ++l) {
+        total += cnt[l];
+      }
+      row[g] += fj * static_cast<double>(total);
     }
   }
-  /// Add one controller-driven event of `fj` in `domain` to every lane.
-  void probe_every_lane(std::uint32_t domain, double fj) {
-    double* row = lane_row_.data() + static_cast<std::size_t>(domain) * 64;
-    for (unsigned l = 0; l < 64; ++l) row[l] += fj;
+  /// Add `events` controller-driven events of `fj` each in `domain` to
+  /// every group — fj × events, the lockstep kernel's product.
+  void probe_every_group(std::uint32_t domain, double fj,
+                         std::uint64_t events) {
+    const double e = fj * static_cast<double>(events);
+    double* row = group_row_.data() + static_cast<std::size_t>(domain) * 64;
+    for (unsigned g = 0; g < 64; ++g) row[g] += e;
   }
 
   /// The generic write of every control/input/preamble write: commit,
@@ -297,13 +401,13 @@ class SlicedKernel {
     LaneSums sums;
     const std::uint64_t changed = commit(net, buf, count, sums);
     if (changed == 0) return;
-    if (per_lane_probe_ && sums.k != 0) {
-      // Every lane flips the same bits: one constant add per lane.
+    if (per_group_probe_ && sums.k != 0) {
+      // Every lane flips the same bits: one constant add per group of its
+      // lanes' total, flips × S.
       const EnergyModel& m = sim_.probe_->model();
-      probe_every_lane(m.net_domain[net.index()],
-                       m.net_fj[net.index()] *
-                           static_cast<double>(
-                               popcount64(old ^ uniform_scalar_[net.index()])));
+      probe_every_group(
+          m.net_domain[net.index()], m.net_fj[net.index()],
+          popcount64(old ^ uniform_scalar_[net.index()]) * streams_);
     } else {
       probe_net(net, sums, lane_mask_);
     }
@@ -319,16 +423,18 @@ class SlicedKernel {
   void settle(std::uint64_t count);
   /// Present local computation `comp`'s inputs in every lane.
   void apply_inputs(std::size_t comp, std::uint64_t count);
-  /// Move the open rows of the counted lanes to their place in the
+  /// Move the open rows of the counted groups to their place in the
   /// stitched waveform and start the next step's rows at zero.
-  void close_lane_rows(std::uint64_t count) {
-    for (std::size_t l = 0; l < n_; ++l) {
-      if (((count >> l) & 1) == 0) continue;
-      double* dst = lane_dst_[l];
-      for (std::size_t d = 0; d < domains_; ++d) dst[d] = lane_row_[d * 64 + l];
-      lane_dst_[l] = dst + domains_;
+  void close_group_rows(std::uint64_t count) {
+    for (std::size_t g = 0; g < groups_; ++g) {
+      if (((count >> (g * streams_)) & 1) == 0) continue;
+      double* dst = group_dst_[g];
+      for (std::size_t d = 0; d < domains_; ++d) {
+        dst[d] = group_row_[d * 64 + g];
+      }
+      group_dst_[g] = dst + domains_;
     }
-    std::fill(lane_row_.begin(), lane_row_.end(), 0.0);
+    std::fill(group_row_.begin(), group_row_.end(), 0.0);
   }
   /// `computations` counted master periods' controller-driven records —
   /// clock events, phase pulses, steps — with zeroed toggle counts.
@@ -343,12 +449,25 @@ class SlicedKernel {
   const std::size_t n_;
   const std::uint64_t lane_mask_;
   const std::size_t local_comps_;
+  // Counted computations of every stream: its lanes' counted ranges tile
+  // [0, computations_), the last lane's range ending it.
+  const std::size_t computations_;
+  const std::size_t streams_;  // S: lanes per group
+  const std::size_t groups_;   // chunks per stream
+  // One stream needs only its toggle totals across lanes: then every
+  // counter is a plain total (depth 1), else a bit-sliced per-lane
+  // vertical counter of depth_ planes.
+  const bool totals_;
+  const unsigned depth_;
   const bool time_sliced_;
-  const bool per_lane_probe_;
+  const bool per_group_probe_;
+  std::vector<PhaseHeatmap>* const heatmaps_;
   std::vector<std::uint64_t> count_mask_;  // by local computation
+  std::uint64_t group_top_ = 0;   // top lane of every group
+  std::uint64_t group_rest_ = 0;  // the other lanes of every group
 
-  std::vector<std::uint64_t> net_counters_;      // num_nets x kCounterPlanes
-  std::vector<std::uint64_t> storage_counters_;  // num_comps x kCounterPlanes
+  std::vector<std::uint64_t> net_counters_;      // num_nets x depth_
+  std::vector<std::uint64_t> storage_counters_;  // num_comps x depth_
   std::vector<std::uint64_t> heat_counters_;     // (phase x step) vertical
   std::vector<std::uint8_t> uniform_;            // by NetId
   std::vector<std::uint64_t> uniform_scalar_;    // by NetId, uniform nets only
@@ -358,21 +477,23 @@ class SlicedKernel {
   std::size_t pending_ = 0;
   std::vector<std::uint64_t> queued_;           // by CompId: lanes queued
   std::uint32_t gen_ = 0;                       // settle generation
-  // Per-lane probe only: the write of a component evaluated at its first
+  // Per-group probe only: the write of a component evaluated at its first
   // entry, published by its later entries.
   std::vector<std::uint32_t> eval_gen_;         // by CompId: last evaluated
   std::vector<std::uint64_t> comp_changed_;     // by CompId: changed lanes
   std::vector<LaneSums> comp_sums_;             // by CompId: counted toggles
 
-  // Per-lane sampled outputs. Per-lane probe state: the open rows of the
-  // current step (domain-major, 64 lanes per domain), the stitched
-  // waveform (rows of counted steps in stream order) and each lane's next
-  // row in it.
-  std::vector<std::vector<OutputSample>> samples_;
+  // Sampled outputs, by stream: `outs_` words per computation, row g for
+  // computation g, written by whichever lane counts it. Per-group probe
+  // state: the open rows of the current step (domain-major, 64 group slots
+  // per domain), the stitched waveform (rows of counted steps in stream
+  // order) and each group's next row in it.
+  std::size_t outs_ = 0;
+  std::vector<std::vector<std::uint64_t>> samples_;
   std::size_t domains_ = 0;
-  std::vector<double> lane_row_;
+  std::vector<double> group_row_;
   std::vector<double> waveform_;
-  double* lane_dst_[64] = {};
+  double* group_dst_[64] = {};
 
   std::vector<std::pair<NetId, unsigned>> sliced_in_ports_;  // (net, width)
   /// A run of consecutive input ports whose widths sum to <= 64, packed by
@@ -552,7 +673,7 @@ void SlicedKernel::settle(std::uint64_t count) {
       const rtl::Component& c = comps_[ci];
       // Every enqueue of this level happened before the level started.
       queued_[ci] = 0;
-      if (!per_lane_probe_) {  // one all-lanes entry per component
+      if (!per_group_probe_) {  // one all-lanes entry per component
         ++sim_.kernel_stats_.evals;
         plane_evals_ += c.width;
         LaneSums sums;
@@ -686,11 +807,9 @@ void SlicedKernel::simulate(const std::vector<dfg::ValueId>& input_order,
     out_chunks.push_back(ch);
   }
 
-  const bool heat = time_sliced_ ? sim_.heatmap_ != nullptr
-                                 : sim_.stream_heatmaps_ != nullptr;
+  const bool heat = heatmaps_ != nullptr;
   if (heat) {
-    heat_counters_.assign(
-        static_cast<std::size_t>(nphases) * P * kCounterPlanes, 0);
+    heat_counters_.assign(static_cast<std::size_t>(nphases) * P * depth_, 0);
   }
 
   // An edge only needs the read-all-D-before-any-Q staging buffer when a
@@ -742,7 +861,8 @@ void SlicedKernel::simulate(const std::vector<dfg::ValueId>& input_order,
   }
 
   // ---- main loop ----------------------------------------------------------
-  samples_.assign(n_, {});
+  outs_ = out_storage.size();
+  samples_.assign(streams_, std::vector<std::uint64_t>(computations_ * outs_));
   for (std::size_t comp = 0; comp < local_comps_; ++comp) {
     if (sim_.has_deadline_ &&
         std::chrono::steady_clock::now() > sim_.deadline_) {
@@ -751,11 +871,11 @@ void SlicedKernel::simulate(const std::vector<dfg::ValueId>& input_order,
                          std::to_string(local_comps_) + " computations");
     }
     const std::uint64_t count = count_mask_[comp];
-    if (per_lane_probe_) {
-      for (std::size_t l = 0; l < n_; ++l) {
-        lane_dst_[l] = waveform_.data() + (lanes_[l].first + comp) *
-                                              static_cast<std::size_t>(P) *
-                                              domains_;
+    if (per_group_probe_) {
+      for (std::size_t g = 0; g < groups_; ++g) {
+        group_dst_[g] = waveform_.data() +
+                        (lanes_[g * streams_].first + comp) *
+                            static_cast<std::size_t>(P) * domains_;
       }
     }
     for (int t = 1; t <= P; ++t) {
@@ -774,13 +894,14 @@ void SlicedKernel::simulate(const std::vector<dfg::ValueId>& input_order,
       // Phase pulses and clock delivery are controller-driven and identical
       // in every lane; their counts come from the per-period schedule at
       // the end, so only the probe sees them here.
-      if (per_lane_probe_) {
+      if (per_group_probe_) {
         const EnergyModel& m = probe->model();
-        probe_every_lane(static_cast<std::uint32_t>(phase),
-                         m.phase_pulse_fj[static_cast<std::size_t>(phase)]);
+        probe_every_group(static_cast<std::uint32_t>(phase),
+                          m.phase_pulse_fj[static_cast<std::size_t>(phase)],
+                          streams_);
         for (CompId cid : clocked) {
-          probe_every_lane(m.storage_domain[cid.index()],
-                           m.storage_clock_fj[cid.index()]);
+          probe_every_group(m.storage_domain[cid.index()],
+                            m.storage_clock_fj[cid.index()], streams_);
         }
       } else if (probe) {
         probe->add_phase_pulse(phase, n_);
@@ -816,37 +937,47 @@ void SlicedKernel::simulate(const std::vector<dfg::ValueId>& input_order,
         }
         if (any == 0) continue;
         LaneSums sums;
-        sums.k = (any & count) != 0
-                     ? slice_popcount_planes(counted, c.width, sums.p)
-                     : 0;
-        if (sums.k != 0) {
-          bump(storage_counters_.data() + cid.index() * kCounterPlanes, sums);
-          bump(net_counters_.data() + c.output.index() * kCounterPlanes,
-               sums);
-          if (heat) bump(heat_counters_.data() + cell * kCounterPlanes, sums);
+        if ((any & count) != 0) {
+          std::uint64_t* const storage =
+              storage_counters_.data() + cid.index() * depth_;
+          std::uint64_t* const net =
+              net_counters_.data() + c.output.index() * depth_;
+          if (heat) {
+            count_toggles(counted, c.width,
+                          {storage, net, heat_counters_.data() + cell * depth_},
+                          sums);
+          } else {
+            count_toggles(counted, c.width, {storage, net}, sums);
+          }
         }
         for (unsigned b = 0; b < c.width; ++b) q[b] ^= diff[b];
         probe_net(c.output, sums, lane_mask_);
         mark_fanout_dirty(c.output, any);
       }
       settle(count);
-      if (per_lane_probe_) {
-        close_lane_rows(count);
+      if (per_group_probe_) {
+        close_group_rows(count);
       } else if (probe) {
         probe->end_step(t);
       }
       if (t == T) {
-        std::uint64_t lanes[64];
+        // Each counted lane writes its sample straight to its computation's
+        // row of its stream's flat sample array.
+        std::uint64_t* row[64];
         for (std::size_t s = 0; s < n_; ++s) {
-          if ((count >> s) & 1) samples_[s].emplace_back(out_storage.size());
+          row[s] = (count >> s) & 1
+                       ? samples_[s % streams_].data() +
+                             (lanes_[s].first + comp) * outs_
+                       : nullptr;
         }
+        std::uint64_t lanes[64];
         for (const auto& ch : out_chunks) {
           if (!ch.transpose) {
             for (std::size_t o = ch.first; o < ch.first + ch.count; ++o) {
               const rtl::Component& c = comps_[out_storage[o].index()];
               slice_unpack(planes(c.output), c.width, n_, lanes);
               for (std::size_t s = 0; s < n_; ++s) {
-                if ((count >> s) & 1) samples_[s].back()[o] = lanes[s];
+                if (row[s] != nullptr) row[s][o] = lanes[s];
               }
             }
             continue;
@@ -864,8 +995,8 @@ void SlicedKernel::simulate(const std::vector<dfg::ValueId>& input_order,
             const unsigned w = comps_[out_storage[o].index()].width;
             const unsigned shift = out_bit_offset[o];
             for (std::size_t s = 0; s < n_; ++s) {
-              if ((count >> s) & 1) {
-                samples_[s].back()[o] = (lanes[s] >> shift) & bit_mask(w);
+              if (row[s] != nullptr) {
+                row[s][o] = (lanes[s] >> shift) & bit_mask(w);
               }
             }
           }
@@ -879,6 +1010,13 @@ void SlicedKernel::simulate(const std::vector<dfg::ValueId>& input_order,
     obs::count(p + (time_sliced_ ? ".lanes" : ".streams"), n_);
     obs::count(p + ".steps", local_comps_ * static_cast<std::size_t>(P) * n_);
     obs::count(p + ".plane_evals", plane_evals_);
+    if (time_sliced_ && streams_ > 1) {
+      obs::count("sim.time_sliced.bundle_runs");
+      obs::count("sim.time_sliced.bundle_streams", streams_);
+    }
+    if (time_sliced_ && sim_.computation_budget_ > 0) {
+      obs::count("sim.time_sliced.budgeted_runs");
+    }
   }
 }
 
@@ -915,80 +1053,86 @@ PhaseHeatmap SlicedKernel::periods_heatmap(std::uint64_t computations) const {
   return hm;
 }
 
-std::vector<SimResult> SlicedKernel::lane_results() {
-  std::vector<SimResult> results(n_);
-  for (std::size_t s = 0; s < n_; ++s) {
-    results[s].activity =
-        periods_activity(lanes_[s].count_end - lanes_[s].count_begin);
-    results[s].outputs = std::move(samples_[s]);
+std::vector<SimResult> SlicedKernel::results() {
+  std::vector<SimResult> results(streams_);
+  for (std::size_t s = 0; s < streams_; ++s) {
+    results[s].activity = periods_activity(computations_);
+    auto& outputs = results[s].outputs;
+    outputs.reserve(computations_);
+    for (std::size_t g = 0; g < computations_; ++g) {
+      const auto row =
+          samples_[s].begin() + static_cast<std::ptrdiff_t>(g * outs_);
+      outputs.emplace_back(row, row + static_cast<std::ptrdiff_t>(outs_));
+    }
+    // Free the flat copy before the next stream's samples are unpacked, so
+    // a wide bundle never holds both forms of all its samples at once.
+    std::vector<std::uint64_t>().swap(samples_[s]);
   }
+  // Per-stream totals of a counter: a plain total as is, one stream's
+  // vertical counter by popcounts, otherwise one transpose64 unpacks every
+  // lane's total.
   std::uint64_t lanes[64];
-  auto unpack = [&](const std::uint64_t* counter, auto&& sink) {
+  auto unpack = [&](const std::uint64_t* counter, auto&& add) {
+    if (totals_) {
+      add(0, *counter);
+      return;
+    }
+    if (streams_ == 1) {
+      add(0, lanes_total(counter, depth_));
+      return;
+    }
     std::fill(lanes, lanes + 64, 0);
-    std::copy(counter, counter + kCounterPlanes, lanes);
+    std::copy(counter, counter + depth_, lanes);
     transpose64(lanes);  // counter planes -> per-lane totals
-    for (std::size_t s = 0; s < n_; ++s) sink(s, lanes[s]);
+    for (std::size_t l = 0; l < n_; ++l) add(l % streams_, lanes[l]);
   };
   for (std::size_t i = 0; i < nl_.num_nets(); ++i) {
-    unpack(net_counters_.data() + i * kCounterPlanes,
+    unpack(net_counters_.data() + i * depth_,
            [&](std::size_t s, std::uint64_t v) {
-             results[s].activity.net_toggles[i] = v;
+             results[s].activity.net_toggles[i] += v;
            });
   }
-  for (std::size_t i = 0; i < nl_.num_components(); ++i) {
-    unpack(storage_counters_.data() + i * kCounterPlanes,
-           [&](std::size_t s, std::uint64_t v) {
-             results[s].activity.storage_write_toggles[i] = v;
-           });
-  }
-  if (sim_.stream_heatmaps_) {
-    auto& hms = *sim_.stream_heatmaps_;
-    hms.clear();
-    for (std::size_t s = 0; s < n_; ++s) {
-      hms.push_back(
-          periods_heatmap(lanes_[s].count_end - lanes_[s].count_begin));
-    }
-    for (std::size_t cell = 0; cell < hms.front().write_toggles.size();
-         ++cell) {
-      unpack(heat_counters_.data() + cell * kCounterPlanes,
+  for (const auto& by_phase : sim_.storage_by_phase_) {
+    for (CompId cid : by_phase) {
+      const std::size_t i = cid.index();
+      unpack(storage_counters_.data() + i * depth_,
              [&](std::size_t s, std::uint64_t v) {
-               hms[s].write_toggles[cell] = v;
+               results[s].activity.storage_write_toggles[i] += v;
              });
     }
   }
+  if (heatmaps_) {
+    auto& hms = *heatmaps_;
+    hms.clear();
+    for (std::size_t s = 0; s < streams_; ++s) {
+      hms.push_back(periods_heatmap(computations_));
+    }
+    for (std::size_t cell = 0; cell < hms.front().write_toggles.size();
+         ++cell) {
+      unpack(heat_counters_.data() + cell * depth_,
+             [&](std::size_t s, std::uint64_t v) {
+               hms[s].write_toggles[cell] += v;
+             });
+    }
+  }
+  if (per_group_probe_) sim_.probe_->assign_steps(std::move(waveform_));
   return results;
 }
 
-SimResult SlicedKernel::stitched_result() {
-  std::uint64_t total = 0;
-  for (const SliceLane& lane : lanes_) {
-    total += lane.count_end - lane.count_begin;
+std::vector<const InputStream*> Simulator::checked_bundle(
+    const std::vector<InputStream>& streams, const char* fn) const {
+  MCRTL_CHECK_MSG(mode_ == Mode::BitSliced,
+                  fn << " requires a Mode::BitSliced simulator");
+  MCRTL_CHECK_MSG(!streams.empty() && streams.size() <= kMaxStreams,
+                  fn << " batches 1.." << kMaxStreams << " streams, got "
+                     << streams.size());
+  std::vector<const InputStream*> ptrs;
+  for (const auto& s : streams) {
+    MCRTL_CHECK_MSG(s.size() == streams[0].size(),
+                    "all sliced streams must have equal length");
+    ptrs.push_back(&s);
   }
-  SimResult r;
-  r.activity = periods_activity(total);
-  for (auto& lane_samples : samples_) {
-    r.outputs.insert(r.outputs.end(),
-                     std::make_move_iterator(lane_samples.begin()),
-                     std::make_move_iterator(lane_samples.end()));
-  }
-  for (std::size_t i = 0; i < nl_.num_nets(); ++i) {
-    r.activity.net_toggles[i] =
-        lanes_total(net_counters_.data() + i * kCounterPlanes, kCounterPlanes);
-  }
-  for (std::size_t i = 0; i < nl_.num_components(); ++i) {
-    r.activity.storage_write_toggles[i] = lanes_total(
-        storage_counters_.data() + i * kCounterPlanes, kCounterPlanes);
-  }
-  if (sim_.heatmap_) {
-    PhaseHeatmap& hm = *sim_.heatmap_;
-    hm = periods_heatmap(total);
-    for (std::size_t cell = 0; cell < hm.write_toggles.size(); ++cell) {
-      hm.write_toggles[cell] = lanes_total(
-          heat_counters_.data() + cell * kCounterPlanes, kCounterPlanes);
-    }
-  }
-  if (per_lane_probe_) sim_.probe_->assign_steps(std::move(waveform_));
-  return r;
+  return ptrs;
 }
 
 std::vector<SimResult> Simulator::run_sliced(
@@ -997,23 +1141,8 @@ std::vector<SimResult> Simulator::run_sliced(
     const std::vector<dfg::ValueId>& output_order) {
   obs::Span span("sim.run");
   fault::inject("sim.run");
-  MCRTL_CHECK_MSG(mode_ == Mode::BitSliced,
-                  "run_sliced() requires a Mode::BitSliced simulator");
-  MCRTL_CHECK_MSG(!streams.empty() && streams.size() <= kMaxStreams,
-                  "run_sliced() batches 1.." << kMaxStreams << " streams, got "
-                                             << streams.size());
-  for (const auto& s : streams) {
-    MCRTL_CHECK_MSG(s.size() == streams[0].size(),
-                    "all sliced streams must have equal length");
-  }
-  const std::size_t C = streams[0].size();
-  std::vector<SliceLane> lanes(streams.size());
-  for (std::size_t s = 0; s < streams.size(); ++s) {
-    lanes[s] = SliceLane{&streams[s], 0, 0, C};
-  }
-  SlicedKernel kernel(*this, std::move(lanes), C, false);
-  kernel.simulate(input_order, output_order);
-  return kernel.lane_results();
+  return run_chunked(checked_bundle(streams, "run_sliced()"), 1, input_order,
+                     output_order, stream_heatmaps_, false);
 }
 
 SimResult Simulator::run_time_sliced(
@@ -1024,33 +1153,53 @@ SimResult Simulator::run_time_sliced(
   MCRTL_CHECK_MSG(mode_ == Mode::BitSliced,
                   "run_time_sliced() requires a Mode::BitSliced simulator");
   // Both paths start from the reset state, as a fresh simulator would.
-  if (computation_budget_ > 0 || observer_ || stream.empty() ||
-      !time_sliceable()) {
+  if (observer_ || stream.empty() || !time_sliceable()) {
     obs::count("sim.time_sliced.fallbacks");
     std::fill(net_value_.begin(), net_value_.end(), 0);
     std::fill(storage_q_.begin(), storage_q_.end(), 0);
     return run_scalar(stream, input_order, output_order);
   }
-  std::fill(net_planes_.begin(), net_planes_.end(), 0);
-  // Lane layout (DESIGN.md §7): lane k counts computations
-  // [k*per, min((k+1)*per, N)) and simulates `local` computations starting
-  // one earlier — an uncounted warm-up — or at 0 for lane 0, whose last
-  // simulated computation is an uncounted trailer instead. The next
-  // lane's first inputs are presented at the counted chunk's last step, as
-  // the scalar run() does. A lane that would run past N is right-aligned
-  // to end at N-1; its extra leading computations only lengthen the
-  // warm-up.
-  const std::size_t N = stream.size();
-  const std::size_t per = (N + kMaxStreams - 1) / kMaxStreams;
-  const std::size_t local = std::min(per + 1, N);
-  std::vector<SliceLane> lanes;
-  for (std::size_t begin = 0; begin < N; begin += per) {
-    const std::size_t first = begin == 0 ? 0 : std::min(begin - 1, N - local);
-    lanes.push_back(SliceLane{&stream, first, begin, std::min(begin + per, N)});
+  std::vector<PhaseHeatmap> hms;
+  auto results = run_chunked({&stream}, kMaxStreams, input_order, output_order,
+                             heatmap_ != nullptr ? &hms : nullptr, true);
+  if (heatmap_ != nullptr) *heatmap_ = std::move(hms.front());
+  return std::move(results.front());
+}
+
+std::vector<SimResult> Simulator::run_time_sliced(
+    const std::vector<InputStream>& streams,
+    const std::vector<dfg::ValueId>& input_order,
+    const std::vector<dfg::ValueId>& output_order) {
+  obs::Span span("sim.run");
+  fault::inject("sim.run");
+  const auto ptrs = checked_bundle(streams, "run_time_sliced()");
+  std::size_t chunks = kMaxStreams / streams.size();
+  if (chunks > 1 && !time_sliceable()) {
+    obs::count("sim.time_sliced.fallbacks");
+    chunks = 1;  // the lockstep layout, exact for any design
   }
-  SlicedKernel kernel(*this, std::move(lanes), local, true);
+  return run_chunked(ptrs, chunks, input_order, output_order,
+                     stream_heatmaps_, true);
+}
+
+std::vector<SimResult> Simulator::run_chunked(
+    const std::vector<const InputStream*>& streams, std::size_t chunks,
+    const std::vector<dfg::ValueId>& input_order,
+    const std::vector<dfg::ValueId>& output_order,
+    std::vector<PhaseHeatmap>* heatmaps, bool time_sliced) {
+  std::size_t n = streams.front()->size();
+  if (time_sliced) {
+    std::fill(net_planes_.begin(), net_planes_.end(), 0);
+    // A budget truncates the layout, not the streams: the last boundary
+    // still presents computation n's inputs, as a budgeted run() does.
+    if (computation_budget_ > 0) n = std::min(computation_budget_, n);
+  }
+  std::size_t local = 0;
+  auto lanes = chunk_lanes(streams, n, chunks, local);
+  SlicedKernel kernel(*this, std::move(lanes), local, streams.size(),
+                      time_sliced, heatmaps);
   kernel.simulate(input_order, output_order);
-  return kernel.stitched_result();
+  return kernel.results();
 }
 
 // ---- the static warm-up check ---------------------------------------------
@@ -1077,44 +1226,44 @@ bool Simulator::time_sliceable() const {
   const rtl::Netlist& nl = d.netlist;
   const auto& comps = nl.components();
   const int P = d.clocks.period();
-  std::vector<int> sig_of_net(nl.num_nets(), -1);
-  for (const auto& sig : d.control.signals()) {
-    sig_of_net[nl.comp(sig.source).output.index()] =
-        static_cast<int>(sig.index);
-  }
   std::vector<std::uint8_t> known(nl.num_nets(), 0);
+  // The value every controller line and constant carries in the step being
+  // settled: the boundary state (step P), then the tabulated per-step
+  // controller deltas.
+  std::vector<std::uint8_t> is_static(nl.num_nets(), 0);
+  std::vector<std::uint64_t> static_val(nl.num_nets(), 0);
   for (const auto& c : comps) {
     if (c.kind == CompKind::InputPort || c.kind == CompKind::ControlSource ||
         c.kind == CompKind::Constant) {
       known[c.output.index()] = 1;
     }
-  }
-  // The value a controller line or constant carries during step t.
-  auto static_value = [&](NetId net, int t, std::uint64_t& v) {
-    const rtl::Component& drv = comps[nl.net(net).driver.index()];
-    if (drv.kind == CompKind::Constant) {
-      v = from_signed(drv.const_value, drv.width);
-      return true;
+    if (c.kind == CompKind::Constant) {
+      is_static[c.output.index()] = 1;
+      static_val[c.output.index()] = from_signed(c.const_value, c.width);
     }
-    const int sig = sig_of_net[net.index()];
-    if (sig < 0) return false;
-    v = d.control.line_value(static_cast<unsigned>(sig), t);
-    return true;
+  }
+  for (const auto& [net, value] : control_reset_writes_) {
+    is_static[net.index()] = 1;
+    static_val[net.index()] = value;
+  }
+  auto static_value = [&](NetId net, std::uint64_t& v) {
+    v = static_val[net.index()];
+    return is_static[net.index()] != 0;
   };
-  auto settle = [&](int t) {
+  auto settle = [&] {
     for (CompId cid : comb_order_) {
       const rtl::Component& c = comps[cid.index()];
       const auto k = [&](NetId net) { return known[net.index()] != 0; };
       std::uint64_t v = 0;
       bool out = false;
       if (c.kind == CompKind::Mux || c.kind == CompKind::Bus) {
-        if (static_value(c.select, t, v)) {
+        if (static_value(c.select, v)) {
           out = v < c.inputs.size() && k(c.inputs[v]);
         } else {
           out = k(c.select) && std::all_of(c.inputs.begin(), c.inputs.end(), k);
         }
       } else if (c.kind == CompKind::IsoGate) {
-        if (static_value(c.select, t, v)) {
+        if (static_value(c.select, v)) {
           out = v != 0 ? k(c.inputs[0]) : k(c.output);
         } else {
           out = k(c.select) && k(c.inputs[0]) && k(c.output);
@@ -1124,7 +1273,7 @@ bool Simulator::time_sliceable() const {
         if (!c.select.valid()) {
           unary = dfg::op_arity(c.funcs[0]) == 1;
           out = true;
-        } else if (static_value(c.select, t, v)) {
+        } else if (static_value(c.select, v)) {
           out = v < c.funcs.size();
           unary = out && dfg::op_arity(c.funcs[v]) == 1;
         } else {
@@ -1148,13 +1297,17 @@ bool Simulator::time_sliceable() const {
   };
   // The boundary edge before the period: the scalar run's step P and a
   // lane's preamble both capture from the same inputs and controller state.
-  settle(P);
+  settle();
   edge(P);
-  settle(P);
+  settle();
   for (int t = 1; t <= P; ++t) {
-    settle(t);
+    for (const auto& [net, value] :
+         control_step_writes_[static_cast<std::size_t>(t)]) {
+      static_val[net.index()] = value;
+    }
+    settle();
     edge(t);
-    settle(t);
+    settle();
   }
   return std::all_of(known.begin(), known.end(),
                      [](std::uint8_t x) { return x != 0; });

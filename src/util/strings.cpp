@@ -7,14 +7,19 @@
 namespace mcrtl {
 
 std::string str_format(const char* fmt, ...) {
+  // One formatting pass into a stack buffer covers almost every call (names,
+  // labels, numbers); only longer results format a second time.
+  char buf[256];
   va_list args;
   va_start(args, fmt);
   va_list args2;
   va_copy(args2, args);
-  const int n = std::vsnprintf(nullptr, 0, fmt, args);
+  const int n = std::vsnprintf(buf, sizeof buf, fmt, args);
   va_end(args);
   std::string out;
-  if (n > 0) {
+  if (n > 0 && static_cast<std::size_t>(n) < sizeof buf) {
+    out.assign(buf, static_cast<std::size_t>(n));
+  } else if (n > 0) {
     out.resize(static_cast<std::size_t>(n));
     std::vsnprintf(out.data(), out.size() + 1, fmt, args2);
   }

@@ -3,12 +3,17 @@
 // split allocator (clean-up phase).
 #include <gtest/gtest.h>
 
+#include <map>
 #include <set>
+#include <string>
+#include <vector>
 
 #include "core/partition.hpp"
+#include "core/search.hpp"
 #include "core/synthesizer.hpp"
 #include "suite/benchmarks.hpp"
 #include "util/error.hpp"
+#include "vhdl/verilog.hpp"
 
 namespace mcrtl::core {
 namespace {
@@ -290,6 +295,80 @@ TEST(SynthesizeTest, StatsMatchBinding) {
   EXPECT_EQ(syn.design->stats.num_alus,
             static_cast<int>(syn.alloc.binding->func_units().size()));
   EXPECT_EQ(syn.design->stats.num_clocks, 2);
+}
+
+TEST(SynthesizeTest, AllocationHashIgnoresOnlyBuildOptions) {
+  SynthesisOptions a;
+  a.style = DesignStyle::MultiClock;
+  a.num_clocks = 3;
+  SynthesisOptions b = a;
+  b.operand_isolation = true;
+  b.interconnect = rtl::BuildOptions::Interconnect::TristateBus;
+  b.latched_control = false;
+  EXPECT_EQ(allocation_hash(a), allocation_hash(b));
+  EXPECT_NE(config_hash(a), config_hash(b));
+  SynthesisOptions conv;
+  conv.style = DesignStyle::ConventionalNonGated;
+  SynthesisOptions gated = conv;
+  gated.style = DesignStyle::ConventionalGated;
+  EXPECT_EQ(allocation_hash(conv), allocation_hash(gated));
+  for (auto change : std::vector<void (*)(SynthesisOptions&)>{
+           [](SynthesisOptions& o) { o.num_clocks = 2; },
+           [](SynthesisOptions& o) { o.method = AllocMethod::Split; },
+           [](SynthesisOptions& o) { o.use_latches = false; },
+           [](SynthesisOptions& o) { o.insert_transfers = false; },
+           [](SynthesisOptions& o) {
+             o.storage_binding = StorageBinding::ActivityAware;
+           },
+           [](SynthesisOptions& o) { o.fu.max_functions = 1; },
+           [](SynthesisOptions& o) {
+             o.style = DesignStyle::ConventionalNonGated;
+           }}) {
+    SynthesisOptions c = a;
+    change(c);
+    EXPECT_NE(allocation_hash(a), allocation_hash(c));
+  }
+}
+
+TEST(SynthesizeTest, ReusedAllocationBuildsTheSameDesign) {
+  // Every search variant built from the allocation of the first variant
+  // sharing its allocation_hash must equal a fresh synthesis: same
+  // netlist text, style, stats and attribution labels.
+  auto variants = search_variants(4);
+  SynthesisOptions no_latch;
+  no_latch.num_clocks = 3;
+  no_latch.latched_control = false;
+  variants.emplace_back(no_latch, "3clk-unlatched");
+  std::size_t reused = 0;
+  for (const char* name : {"facet", "hal", "motivating", "biquad"}) {
+    const auto b = suite::by_name(name, 4);
+    std::map<std::uint64_t, Synthesized> bases;
+    for (const auto& [opts, label] : variants) {
+      const auto fresh = synthesize(*b.graph, *b.schedule, opts);
+      const auto it = bases.find(allocation_hash(opts));
+      if (it == bases.end()) {
+        bases.emplace(allocation_hash(opts),
+                      synthesize(*b.graph, *b.schedule, opts));
+        continue;
+      }
+      const auto built = synthesize(it->second, opts);
+      ++reused;
+      SCOPED_TRACE(std::string(name) + "/" + label);
+      EXPECT_EQ(built.alloc.binding, nullptr);
+      EXPECT_EQ(vhdl::emit_verilog(*built.design),
+                vhdl::emit_verilog(*fresh.design));
+      EXPECT_EQ(built.design->style_name, fresh.design->style_name);
+      EXPECT_EQ(built.design->comp_op, fresh.design->comp_op);
+      EXPECT_EQ(built.design->stats.alu_summary,
+                fresh.design->stats.alu_summary);
+      EXPECT_EQ(built.design->stats.num_mux_inputs,
+                fresh.design->stats.num_mux_inputs);
+      EXPECT_EQ(built.design->stats.period, fresh.design->stats.period);
+      EXPECT_EQ(built.cleanup.shared_inputs_merged,
+                fresh.cleanup.shared_inputs_merged);
+    }
+  }
+  EXPECT_GT(reused, 100u);
 }
 
 }  // namespace

@@ -176,6 +176,102 @@ TEST(ExplorerTest, TablesSweepIsTimeSlicedAndMatchesScalarReplay) {
   EXPECT_EQ(counters["sim.time_sliced.fallbacks"], 0u);
 }
 
+/// One bundle point evaluated the way the explorer did before bundles were
+/// time-sliced: a lockstep run_sliced() with the power probe attached and
+/// the explorer's per-stream means and aggregate attribution.
+ExplorationPoint lockstep_replay(const dfg::Graph& graph,
+                                 const dfg::Schedule& sched,
+                                 const ExplorationPoint& like,
+                                 const std::vector<sim::InputStream>& bundle) {
+  const auto tech = power::TechLibrary::cmos08();
+  const power::PowerParams params;
+  const auto syn = synthesize(graph, sched, like.options);
+  sim::Simulator simulator(*syn.design, sim::Simulator::Mode::BitSliced);
+  const power::Attribution attribution(*syn.design, tech, params.vdd);
+  sim::PowerProbe probe(attribution.energy_model());
+  simulator.set_power_probe(&probe);
+  const auto results =
+      simulator.run_sliced(bundle, graph.inputs(), graph.outputs());
+  std::vector<power::PowerBreakdown> brs;
+  std::vector<sim::Activity> acts;
+  for (std::size_t s = 0; s < results.size(); ++s) {
+    EXPECT_TRUE(sim::check_outputs(graph, bundle[s], results[s].outputs,
+                                   "replay")
+                    .equivalent);
+    brs.push_back(power::estimate_power(*syn.design, results[s].activity,
+                                        tech, params));
+    acts.push_back(results[s].activity);
+  }
+  auto mean_of = [&](double power::PowerBreakdown::*field) {
+    std::vector<double> v;
+    for (const auto& br : brs) v.push_back(br.*field);
+    return sim::sample_stats(std::move(v)).mean;
+  };
+  ExplorationPoint p;
+  p.options = like.options;
+  p.label = like.label;
+  p.power.combinational = mean_of(&power::PowerBreakdown::combinational);
+  p.power.storage = mean_of(&power::PowerBreakdown::storage);
+  p.power.clock_tree = mean_of(&power::PowerBreakdown::clock_tree);
+  p.power.control = mean_of(&power::PowerBreakdown::control);
+  p.power.io = mean_of(&power::PowerBreakdown::io);
+  p.power.leakage = mean_of(&power::PowerBreakdown::leakage);
+  const auto st = sim::sample_stats(
+      [&] {
+        std::vector<double> v;
+        for (const auto& br : brs) v.push_back(br.total);
+        return v;
+      }());
+  p.power.total = st.mean;
+  p.power_stddev = st.stddev;
+  p.power_ci95 = st.ci95;
+  const auto arep = attribution.attribute(sim::sum_activities(acts));
+  p.hotspot = arep.rows.front().component;
+  p.hotspot_share = arep.rows.front().energy_fj / arep.total_fj;
+  p.crest = probe.crest();
+  p.area = power::estimate_area(*syn.design, tech);
+  p.stats = syn.design->stats;
+  return p;
+}
+
+TEST(ExplorerTest, BundleSweepsAreTimeSlicedAndMatchLockstepReplay) {
+  // Monte-Carlo sweeps of 2 and 8 streams fill 64 lanes with 32 resp. 8
+  // time chunks per stream; every point, crest included, must still be
+  // bit-identical to a lockstep run_sliced() of the bundle.
+  for (std::size_t streams : {2u, 8u}) {
+    const auto b = suite::by_name("hal", 4);
+    ExplorerConfig cfg;
+    cfg.max_clocks = 3;
+    cfg.computations = 600;
+    cfg.seed = 1996;
+    cfg.streams = streams;
+    obs::Registry::instance().reset();
+    obs::set_enabled(true);
+    const auto r = explore(*b.graph, *b.schedule, cfg);
+    obs::set_enabled(false);
+    std::map<std::string, std::uint64_t> counters;
+    for (const auto& [k, v] : obs::Registry::instance().counters()) {
+      counters[k] = v;
+    }
+    obs::Registry::instance().reset();
+    const auto bundle = sim::uniform_streams(
+        cfg.seed, streams, b.graph->inputs().size(), cfg.computations, 4);
+    ASSERT_FALSE(r.points.empty());
+    for (const auto& p : r.points) {
+      EXPECT_EQ(record::encode_point_fields(p),
+                record::encode_point_fields(
+                    lockstep_replay(*b.graph, *b.schedule, p, bundle)))
+          << "streams=" << streams << " / " << p.label;
+    }
+    EXPECT_EQ(counters["sim.time_sliced.bundle_runs"], r.points.size());
+    EXPECT_EQ(counters["sim.time_sliced.bundle_streams"],
+              r.points.size() * streams);
+    EXPECT_EQ(counters["sim.time_sliced.lanes"], r.points.size() * 64);
+    EXPECT_EQ(counters["sim.time_sliced.fallbacks"], 0u);
+    EXPECT_EQ(counters["sim.sliced.runs"], 0u);
+  }
+}
+
 TEST(ExplorerTest, RejectsZeroComputationsUpFront) {
   const auto b = suite::by_name("facet", 4);
   ExplorerConfig cfg;

@@ -5,6 +5,8 @@
 #include <gtest/gtest.h>
 
 #include <chrono>
+#include <cmath>
+#include <limits>
 #include <set>
 #include <string>
 
@@ -298,6 +300,14 @@ TEST_F(ObsTest, HistogramBucketsAndPercentiles) {
   EXPECT_EQ(obs::HistogramStats::bucket_of(2.0), 2);
   EXPECT_EQ(obs::HistogramStats::bucket_of(1024.0), 11);
   EXPECT_EQ(obs::HistogramStats::bucket_of(1e300), 63);  // clamped
+  EXPECT_EQ(obs::HistogramStats::bucket_of(std::ldexp(1.0, 62) * 1.5), 63);
+  EXPECT_EQ(obs::HistogramStats::bucket_of(std::ldexp(1.0, 61)), 62);
+  EXPECT_EQ(obs::HistogramStats::bucket_of(
+                std::numeric_limits<double>::infinity()),
+            63);
+  EXPECT_EQ(obs::HistogramStats::bucket_of(
+                std::numeric_limits<double>::quiet_NaN()),
+            0);
 
   obs::set_enabled(true);
   // 90 small values and 10 large ones: pct50 lands in the small bucket,
@@ -329,15 +339,19 @@ TEST_F(ObsTest, HistogramBucketsAndPercentiles) {
 
 TEST_F(ObsTest, ObserveManyMatchesRepeatedObserve) {
   obs::set_enabled(true);
-  obs::observe_many("a", {1.0, 5.0, 9.0, 700.0});
-  obs::observe("b", 1.0);
-  obs::observe("b", 5.0);
-  obs::observe("b", 9.0);
-  obs::observe("b", 700.0);
+  // Two batches, so the second starts from the first one's min/max/sum.
+  obs::observe_many("a", {5.0, 1.0, 9.0});
+  obs::observe_many("a", {700.0, 3.0});
+  for (const double v : {5.0, 1.0, 9.0, 700.0, 3.0}) obs::observe("b", v);
   const auto hists = obs::Registry::instance().histograms();
   ASSERT_EQ(hists.size(), 2u);
+  EXPECT_EQ(hists[0].count, 5u);
   EXPECT_EQ(hists[0].count, hists[1].count);
-  EXPECT_DOUBLE_EQ(hists[0].sum, hists[1].sum);
+  EXPECT_EQ(hists[0].sum, hists[1].sum);
+  EXPECT_EQ(hists[0].min, 1.0);
+  EXPECT_EQ(hists[0].max, 700.0);
+  EXPECT_EQ(hists[0].min, hists[1].min);
+  EXPECT_EQ(hists[0].max, hists[1].max);
   EXPECT_EQ(hists[0].buckets, hists[1].buckets);
 }
 

@@ -25,6 +25,7 @@
 #include "sim/simulator.hpp"
 #include "sim/stimulus.hpp"
 #include "suite/benchmarks.hpp"
+#include "util/error.hpp"
 #include "util/rng.hpp"
 
 using namespace mcrtl;
@@ -213,6 +214,70 @@ TEST(Search, RowsAreBitIdenticalToExhaustiveAndFrontIsExact) {
     EXPECT_EQ(exhaustive_front.count(p.label), 0u)
         << "pruned a front point: " << p.label;
   }
+}
+
+TEST(Search, PrefixRunsAreTimeSlicedAndRowsStayExact) {
+  // Every prefix rung runs on the time-sliced kernel under its budget (no
+  // scalar run, no fallback), every full-depth evaluation of a 2-stream
+  // search takes the bundle path, and the guided rows still equal the
+  // exhaustive rows.
+  const Grid g = small_grid();
+  auto cfg = small_cfg();
+  cfg.streams = 2;
+  obs::Registry::instance().reset();
+  obs::set_enabled(true);
+  const auto guided = core::search(g.space, cfg);
+  obs::set_enabled(false);
+  std::map<std::string, std::uint64_t> counters;
+  for (const auto& [k, v] : obs::Registry::instance().counters()) {
+    counters[k] = v;
+  }
+  std::uint64_t prefix_runs = 0;
+  for (const auto& st : obs::Registry::instance().span_stats()) {
+    if (st.name == "search.prefix") prefix_runs = st.count;
+  }
+  obs::Registry::instance().reset();
+  EXPECT_GT(prefix_runs, 0u);
+  EXPECT_EQ(counters["sim.time_sliced.budgeted_runs"], prefix_runs);
+  EXPECT_EQ(counters["sim.time_sliced.bundle_runs"], guided.full_evaluations);
+  EXPECT_EQ(counters["sim.time_sliced.fallbacks"], 0u);
+  EXPECT_EQ(counters["sim.runs"], 0u) << "a scalar run() took place";
+  EXPECT_EQ(counters["sim.sliced.runs"], 0u) << "a lockstep pass took place";
+
+  auto exhaustive_cfg = cfg;
+  exhaustive_cfg.budget_rungs = 0;
+  const auto exhaustive = core::search(g.space, exhaustive_cfg);
+  std::map<std::string, std::string> exhaustive_fields;
+  for (const auto& row : exhaustive.rows) {
+    exhaustive_fields[row.point.label] =
+        core::record::encode_point_fields(row.point);
+  }
+  ASSERT_FALSE(guided.rows.empty());
+  for (const auto& row : guided.rows) {
+    EXPECT_EQ(core::record::encode_point_fields(row.point),
+              exhaustive_fields[row.point.label])
+        << row.point.label;
+  }
+}
+
+TEST(Search, BudgetRungsOutsideTheDocumentedRangeAreRejected) {
+  // A shift by >= 64 would be undefined behaviour; the bound is the CLI's.
+  const Grid g = small_grid();
+  for (const int rungs : {-1, core::kMaxBudgetRungs + 1, 64, 1000}) {
+    auto cfg = small_cfg();
+    cfg.budget_rungs = rungs;
+    try {
+      core::search(g.space, cfg);
+      ADD_FAILURE() << "budget_rungs " << rungs << " was accepted";
+    } catch (const Error& e) {
+      EXPECT_NE(std::string(e.what()).find("budget_rungs"), std::string::npos)
+          << e.what();
+    }
+  }
+  auto cfg = small_cfg();
+  cfg.computations = 64;
+  cfg.budget_rungs = core::kMaxBudgetRungs;
+  EXPECT_FALSE(core::search(g.space, cfg).rows.empty());
 }
 
 // ---- the cache --------------------------------------------------------------

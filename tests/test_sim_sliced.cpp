@@ -12,12 +12,16 @@
 // PhaseHeatmap and the power probe's waveform and crest, bit for bit, over
 // every suite behaviour x width x design style x stream length, plus fuzz
 // graphs, a design the static warm-up check must reject, and deadlines.
+// Its bundle form (S streams x floor(64/S) chunks) is held the same way to
+// a lockstep run_sliced() of the bundle — per-stream records and the
+// aggregate waveform — and, under a computation budget, to budgeted run()s.
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <chrono>
 #include <cmath>
 #include <cstring>
+#include <map>
 #include <memory>
 #include <sstream>
 #include <vector>
@@ -25,6 +29,7 @@
 #include "core/record.hpp"
 #include "core/synthesizer.hpp"
 #include "dfg/random_graph.hpp"
+#include "obs/obs.hpp"
 #include "power/attribution.hpp"
 #include "sim/equivalence.hpp"
 #include "sim/simulator.hpp"
@@ -381,6 +386,41 @@ std::vector<StyleCase> time_sliced_styles() {
   return out;
 }
 
+/// Every per-domain waveform entry, the folded profile, step_energies()
+/// and crest() of `got` and `ref` agree bit for bit.
+void expect_identical_waveforms(const PowerProbe& got, const PowerProbe& ref,
+                                const std::string& what) {
+  EXPECT_EQ(got.steps(), ref.steps()) << what;
+  if (got.steps() == ref.steps()) {
+    bool same = true;
+    for (std::size_t st = 0; st < ref.steps() && same; ++st) {
+      for (int d = 0; d <= ref.num_domains(); ++d) {
+        if (bits_of(got.step_fj(st, d)) != bits_of(ref.step_fj(st, d))) {
+          ADD_FAILURE() << what << ": waveform differs at step " << st
+                        << " domain " << d;
+          same = false;
+          break;
+        }
+      }
+    }
+    for (int d = 0; d <= ref.num_domains(); ++d) {
+      for (int t = 1; t <= ref.period(); ++t) {
+        EXPECT_EQ(bits_of(got.profile_fj(d, t)), bits_of(ref.profile_fj(d, t)))
+            << what << " profile d=" << d << " t=" << t;
+      }
+    }
+  }
+  const auto got_e = got.step_energies();
+  const auto ref_e = ref.step_energies();
+  EXPECT_TRUE(std::equal(got_e.begin(), got_e.end(), ref_e.begin(),
+                         ref_e.end(),
+                         [](double a, double b) {
+                           return bits_of(a) == bits_of(b);
+                         }))
+      << what << ": step_energies differ";
+  EXPECT_EQ(bits_of(got.crest()), bits_of(ref.crest())) << what;
+}
+
 /// run_time_sliced() on a BitSliced simulator against run() on a fresh
 /// EventDriven one, both with a power probe and a heatmap attached:
 /// outputs, Activity, heatmap, every per-domain waveform entry,
@@ -412,36 +452,7 @@ bool differential_check_time_sliced(const rtl::Design& design,
   expect_identical_activity(got.activity, ref.activity, what);
   EXPECT_EQ(ts_hm.write_toggles, ev_hm.write_toggles) << what;
   EXPECT_EQ(ts_hm.clock_events, ev_hm.clock_events) << what;
-  EXPECT_EQ(ts_probe.steps(), ev_probe.steps()) << what;
-  if (ts_probe.steps() == ev_probe.steps()) {
-    bool same = true;
-    for (std::size_t st = 0; st < ev_probe.steps() && same; ++st) {
-      for (int d = 0; d <= ev_probe.num_domains(); ++d) {
-        if (bits_of(ts_probe.step_fj(st, d)) !=
-            bits_of(ev_probe.step_fj(st, d))) {
-          ADD_FAILURE() << what << ": waveform differs at step " << st
-                        << " domain " << d;
-          same = false;
-          break;
-        }
-      }
-    }
-    for (int d = 0; d <= ev_probe.num_domains(); ++d) {
-      for (int t = 1; t <= ev_probe.period(); ++t) {
-        EXPECT_EQ(bits_of(ts_probe.profile_fj(d, t)),
-                  bits_of(ev_probe.profile_fj(d, t)))
-            << what << " profile d=" << d << " t=" << t;
-      }
-    }
-  }
-  const auto ts_e = ts_probe.step_energies();
-  const auto ev_e = ev_probe.step_energies();
-  EXPECT_TRUE(std::equal(ts_e.begin(), ts_e.end(), ev_e.begin(), ev_e.end(),
-                         [](double a, double b) {
-                           return bits_of(a) == bits_of(b);
-                         }))
-      << what << ": step_energies differ";
-  EXPECT_EQ(bits_of(ts_probe.crest()), bits_of(ev_probe.crest())) << what;
+  expect_identical_waveforms(ts_probe, ev_probe, what);
   return ts.time_sliceable();
 }
 
@@ -613,6 +624,242 @@ TEST(TimeSlicedTest, ExpiredDeadlineTimesOutOnBothPaths) {
   EXPECT_THROW(fb.run_time_sliced(uniform_stream(rng, 1, 10, 4),
                                   {chain.in_value}, {chain.out_value}),
                TimeoutError);
+}
+
+// ---- time-sliced bundles: S streams x floor(64/S) chunks -----------------
+
+/// Obs counters of `fn`'s run (the registry is reset around it).
+template <typename Fn>
+std::map<std::string, std::uint64_t> counters_of(Fn&& fn) {
+  obs::Registry::instance().reset();
+  obs::set_enabled(true);
+  fn();
+  obs::set_enabled(false);
+  std::map<std::string, std::uint64_t> counters;
+  for (const auto& [k, v] : obs::Registry::instance().counters()) {
+    counters[k] = v;
+  }
+  obs::Registry::instance().reset();
+  return counters;
+}
+
+/// The bundle run_time_sliced() against a lockstep run_sliced() of the same
+/// streams on a fresh simulator, both with a power probe and per-stream
+/// heatmaps attached: per-stream outputs, Activity and heatmaps, and the
+/// aggregate waveform, bit for bit.
+void differential_check_bundle(const rtl::Design& design,
+                               const dfg::Graph& graph,
+                               const std::vector<InputStream>& streams,
+                               const std::string& what) {
+  const auto in = graph.inputs();
+  const auto out = graph.outputs();
+  const power::Attribution attr(design, power::TechLibrary::cmos08());
+
+  Simulator ls(design, Simulator::Mode::BitSliced);
+  PowerProbe ls_probe(attr.energy_model());
+  std::vector<PhaseHeatmap> ls_hms;
+  ls.set_power_probe(&ls_probe);
+  ls.set_stream_heatmaps(&ls_hms);
+  const auto ref = ls.run_sliced(streams, in, out);
+
+  Simulator ts(design, Simulator::Mode::BitSliced);
+  PowerProbe ts_probe(attr.energy_model());
+  std::vector<PhaseHeatmap> ts_hms;
+  ts.set_power_probe(&ts_probe);
+  ts.set_stream_heatmaps(&ts_hms);
+  const auto got = ts.run_time_sliced(streams, in, out);
+
+  ASSERT_EQ(got.size(), streams.size()) << what;
+  ASSERT_EQ(ts_hms.size(), streams.size()) << what;
+  for (std::size_t s = 0; s < streams.size(); ++s) {
+    const std::string tag = what + " stream=" + std::to_string(s);
+    EXPECT_EQ(got[s].outputs, ref[s].outputs) << tag;
+    expect_identical_activity(got[s].activity, ref[s].activity, tag);
+    EXPECT_EQ(ts_hms[s].write_toggles, ls_hms[s].write_toggles) << tag;
+    EXPECT_EQ(ts_hms[s].clock_events, ls_hms[s].clock_events) << tag;
+  }
+  expect_identical_waveforms(ts_probe, ls_probe, what);
+}
+
+const std::size_t kBundleSizes[] = {2, 3, 5, 8, 16, 32, 33, 64};
+
+TEST(TimeSlicedBundleTest, MatchesLockstepOnEverySuiteConfiguration) {
+  // Every suite behaviour x width x bundle size x length; the design
+  // styles rotate across the grid so each (behaviour, width, S) cell sees
+  // three of them and every style is covered many times over.
+  const auto styles = time_sliced_styles();
+  std::size_t cell = 0;
+  for (const std::string& name : suite::all_names()) {
+    for (unsigned width : {4u, 8u}) {
+      const auto b = suite::by_name(name, width);
+      for (std::size_t S : kBundleSizes) {
+        const auto streams =
+            uniform_streams(core::record::fnv1a64(name) + width * 64 + S, S,
+                            b.graph->inputs().size(), 127, width);
+        for (std::size_t k = cell++ % 11; k < styles.size(); k += 11) {
+          const auto syn =
+              core::synthesize(*b.graph, *b.schedule, styles[k].opts);
+          const std::string tag = name + "/w" + std::to_string(width) + "/" +
+                                  styles[k].label + " S=" + std::to_string(S);
+          for (std::size_t n : kSliceLengths) {
+            std::vector<InputStream> prefix;
+            for (const auto& st : streams) {
+              prefix.emplace_back(st.begin(), st.begin() + n);
+            }
+            differential_check_bundle(*syn.design, *b.graph, prefix,
+                                      tag + " N=" + std::to_string(n));
+          }
+        }
+      }
+    }
+  }
+}
+
+TEST(TimeSlicedBundleTest, MatchesLockstepOnFuzzGraphs) {
+  for (std::uint64_t seed : {5201, 5202, 5203}) {
+    Rng grng(seed);
+    dfg::RandomGraphConfig gcfg;
+    gcfg.num_inputs = 2 + static_cast<unsigned>(grng.next_below(4));
+    gcfg.num_nodes = 8 + static_cast<unsigned>(grng.next_below(16));
+    gcfg.width =
+        seed == 5203 ? 64 : 4 + static_cast<unsigned>(grng.next_below(13));
+    const dfg::Graph g = dfg::random_graph(grng, gcfg);
+    const dfg::Schedule s = dfg::schedule_asap(g);
+    for (std::size_t S : {2u, 5u, 16u}) {
+      const auto streams = uniform_streams(seed * 7 + S, S, g.inputs().size(),
+                                           130, gcfg.width);
+      for (const auto& style : kernel_styles()) {
+        const auto syn = core::synthesize(g, s, style.opts);
+        std::ostringstream what;
+        what << "graph_seed=" << seed << " " << style.label << " S=" << S;
+        differential_check_bundle(*syn.design, g, streams, what.str());
+      }
+    }
+  }
+}
+
+TEST(TimeSlicedBundleTest, TakesTheBundlePathOnSuiteDesigns) {
+  const auto b = suite::by_name("biquad", 4);
+  core::SynthesisOptions opts;
+  opts.style = DesignStyle::MultiClock;
+  opts.num_clocks = 3;
+  const auto syn = core::synthesize(*b.graph, *b.schedule, opts);
+  const auto streams =
+      uniform_streams(8, 2, b.graph->inputs().size(), 256, 4);
+  const auto counters = counters_of([&] {
+    Simulator ts(*syn.design, Simulator::Mode::BitSliced);
+    ts.run_time_sliced(streams, b.graph->inputs(), b.graph->outputs());
+  });
+  EXPECT_EQ(counters.at("sim.time_sliced.bundle_runs"), 1u);
+  EXPECT_EQ(counters.at("sim.time_sliced.bundle_streams"), 2u);
+  EXPECT_EQ(counters.at("sim.time_sliced.lanes"), 64u);
+  EXPECT_EQ(counters.count("sim.time_sliced.fallbacks"), 0u);
+  EXPECT_EQ(counters.count("sim.sliced.runs"), 0u);
+}
+
+TEST(TimeSlicedBundleTest, BudgetMatchesBudgetedScalarRun) {
+  // A budget truncates the lane layout, not the stream: the last boundary
+  // still presents computation n's inputs, so the result equals a budgeted
+  // run() — for one stream (waveform included) and for a bundle.
+  const auto b = suite::by_name("hal", 4);
+  core::SynthesisOptions opts;
+  opts.style = DesignStyle::MultiClock;
+  opts.num_clocks = 2;
+  const auto syn = core::synthesize(*b.graph, *b.schedule, opts);
+  const auto in = b.graph->inputs();
+  const auto out = b.graph->outputs();
+  const power::Attribution attr(*syn.design, power::TechLibrary::cmos08());
+  const auto streams = uniform_streams(21, 3, in.size(), 150, 4);
+  for (std::size_t n : {1, 8, 63, 64, 65, 150, 400}) {
+    const std::string tag = "budget=" + std::to_string(n);
+    Simulator ev(*syn.design);
+    PowerProbe ev_probe(attr.energy_model());
+    ev.set_power_probe(&ev_probe);
+    ev.set_computation_budget(n);
+    const SimResult ref = ev.run(streams[0], in, out);
+
+    Simulator ts(*syn.design, Simulator::Mode::BitSliced);
+    PowerProbe ts_probe(attr.energy_model());
+    ts.set_power_probe(&ts_probe);
+    ts.set_computation_budget(n);
+    SimResult got;
+    const auto counters =
+        counters_of([&] { got = ts.run_time_sliced(streams[0], in, out); });
+    EXPECT_EQ(got.outputs, ref.outputs) << tag;
+    expect_identical_activity(got.activity, ref.activity, tag);
+    expect_identical_waveforms(ts_probe, ev_probe, tag);
+    EXPECT_EQ(counters.count("sim.time_sliced.fallbacks"), 0u) << tag;
+    EXPECT_EQ(counters.at("sim.time_sliced.budgeted_runs"), 1u) << tag;
+
+    Simulator tb(*syn.design, Simulator::Mode::BitSliced);
+    tb.set_computation_budget(n);
+    const auto bundle = tb.run_time_sliced(streams, in, out);
+    ASSERT_EQ(bundle.size(), streams.size());
+    for (std::size_t s = 0; s < streams.size(); ++s) {
+      Simulator one(*syn.design);
+      one.set_computation_budget(n);
+      const SimResult r = one.run(streams[s], in, out);
+      EXPECT_EQ(bundle[s].outputs, r.outputs) << tag << " stream " << s;
+      expect_identical_activity(bundle[s].activity, r.activity,
+                                tag + " stream " + std::to_string(s));
+    }
+  }
+}
+
+TEST(TimeSlicedBundleTest, NonSliceableDesignRunsLockstep) {
+  TwoPeriodChain chain;
+  const rtl::Design& d = *chain.design;
+  const std::vector<dfg::ValueId> in{chain.in_value};
+  const std::vector<dfg::ValueId> out{chain.out_value};
+  for (std::size_t S : {2u, 8u}) {
+    const auto streams = uniform_streams(40 + S, S, 1, 200, 4);
+    Simulator ls(d, Simulator::Mode::BitSliced);
+    const auto ref = ls.run_sliced(streams, in, out);
+    Simulator ts(d, Simulator::Mode::BitSliced);
+    std::vector<SimResult> got;
+    const auto counters =
+        counters_of([&] { got = ts.run_time_sliced(streams, in, out); });
+    EXPECT_EQ(counters.at("sim.time_sliced.fallbacks"), 1u);
+    EXPECT_EQ(counters.at("sim.time_sliced.lanes"), S);
+    ASSERT_EQ(got.size(), S);
+    for (std::size_t s = 0; s < S; ++s) {
+      const std::string tag =
+          "S=" + std::to_string(S) + " stream=" + std::to_string(s);
+      EXPECT_EQ(got[s].outputs, ref[s].outputs) << tag;
+      expect_identical_activity(got[s].activity, ref[s].activity, tag);
+    }
+  }
+}
+
+TEST(TimeSlicedBundleTest, ExpiredDeadlineTimesOut) {
+  const auto b = suite::by_name("facet", 4);
+  core::SynthesisOptions opts;
+  opts.style = DesignStyle::MultiClock;
+  opts.num_clocks = 2;
+  const auto syn = core::synthesize(*b.graph, *b.schedule, opts);
+  const auto streams = uniform_streams(5, 4, b.graph->inputs().size(), 100, 4);
+  Simulator ts(*syn.design, Simulator::Mode::BitSliced);
+  ASSERT_TRUE(ts.time_sliceable());
+  ts.set_deadline(std::chrono::steady_clock::now() - std::chrono::seconds(1));
+  EXPECT_THROW(
+      ts.run_time_sliced(streams, b.graph->inputs(), b.graph->outputs()),
+      TimeoutError);
+}
+
+TEST(TimeSlicedBundleTest, RejectsBadBundles) {
+  const auto b = suite::by_name("facet", 4);
+  const auto syn = core::synthesize(*b.graph, *b.schedule, {});
+  const auto in = b.graph->inputs();
+  const auto out = b.graph->outputs();
+  Simulator ts(*syn.design, Simulator::Mode::BitSliced);
+  EXPECT_THROW(ts.run_time_sliced(std::vector<InputStream>{}, in, out), Error);
+  auto ragged = uniform_streams(1, 2, in.size(), 10, 4);
+  ragged[1].pop_back();
+  EXPECT_THROW(ts.run_time_sliced(ragged, in, out), Error);
+  Simulator ev(*syn.design);
+  EXPECT_THROW(ev.run_time_sliced(uniform_streams(1, 2, in.size(), 10, 4), in,
+                                  out),
+               Error);
 }
 
 }  // namespace

@@ -303,7 +303,7 @@ CliOptions parse_args(int argc, char** argv) {
     } else if (a == "--limits") {
       o.limits = parse_int_list(a, value(), 0, 1024);
     } else if (a == "--budget-rungs") {
-      o.budget_rungs = number(0, 16);
+      o.budget_rungs = number(0, core::kMaxBudgetRungs);
     } else if (a == "--promote-frac") {
       o.promote_frac = number(0.001, 1.0);
     } else if (a == "--optimism") {
