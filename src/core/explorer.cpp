@@ -4,6 +4,7 @@
 #include <chrono>
 #include <exception>
 #include <memory>
+#include <optional>
 #include <thread>
 #include <unordered_map>
 
@@ -129,22 +130,6 @@ ExplorationResult explore(const dfg::Graph& graph, const dfg::Schedule& sched,
   graph.validate();
   sched.validate();
 
-  // The stimulus is derived from the seed once, up front, and then shared
-  // read-only by every evaluation — this is what makes the result
-  // independent of how the points are scheduled across workers. streams == 1
-  // keeps the historical scalar stream derivation byte-for-byte; a
-  // Monte-Carlo bundle gets per-stream splitmix-derived seeds instead.
-  sim::InputStream stream;
-  std::vector<sim::InputStream> bundle;
-  if (cfg.streams == 1) {
-    Rng rng(cfg.seed);
-    stream = sim::uniform_stream(rng, graph.inputs().size(), cfg.computations,
-                                 graph.width());
-  } else {
-    bundle = sim::uniform_streams(cfg.seed, cfg.streams,
-                                  graph.inputs().size(), cfg.computations,
-                                  graph.width());
-  }
   const auto tech = power::TechLibrary::cmos08();
 
   // Enumerate every configuration first; evaluation writes into the slot
@@ -192,20 +177,59 @@ ExplorationResult explore(const dfg::Graph& graph, const dfg::Schedule& sched,
     }
   }
 
-  // The golden model's outputs depend on the stimulus alone: the
-  // interpreter runs once per stream, before scheduling, rather than once
-  // per point — and not at all when the journal replays every point.
-  std::vector<sim::GoldenOutputs> golden;
   bool evaluates = false;
   for (std::size_t i = 0; i < configs.size(); ++i) {
     evaluates = evaluates || (canonical[i] == i && !replayed[i]);
   }
-  if (evaluates && cfg.streams == 1) {
-    golden.push_back(sim::golden_outputs(graph, stream));
-  } else if (evaluates) {
-    for (const auto& s : bundle) {
-      golden.push_back(sim::golden_outputs(graph, s));
+
+  // One pool serves the per-stream preamble below and then the points.
+  const unsigned jobs = ThreadPool::resolve_jobs(cfg.jobs);
+  std::optional<ThreadPool> pool;
+  if (jobs > 1) pool.emplace(jobs);
+
+  // The stimulus is derived from the seed up front and then shared
+  // read-only by every evaluation — this is what makes the result
+  // independent of how the points are scheduled across workers. streams ==
+  // 1 keeps the historical scalar stream derivation (an Rng seeded with
+  // cfg.seed); stream s of a Monte-Carlo bundle is seeded with
+  // stream_seeds()[s], exactly as uniform_streams() builds it. The golden
+  // model's outputs depend on the stimulus alone, so the interpreter runs
+  // once per stream rather than once per point. Neither is built when the
+  // journal replays every point.
+  //
+  // On a pool each stream is one task: generate it, then run the golden
+  // model over it. Every buffer is allocated here on the calling thread and
+  // the tasks only fill them; allocating inside the workers spreads the
+  // buffers over per-thread malloc arenas and raises peak RSS.
+  const std::size_t num_streams = evaluates ? cfg.streams : 0;
+  const std::vector<std::uint64_t> seeds =
+      cfg.streams == 1 ? std::vector<std::uint64_t>{cfg.seed}
+                       : sim::stream_seeds(cfg.seed, num_streams);
+  std::vector<sim::InputStream> bundle(
+      num_streams, sim::InputStream(cfg.computations,
+                                    dfg::InputVector(graph.inputs().size())));
+  const dfg::Interpreter interp(graph);
+  std::vector<sim::GoldenOutputs> golden(
+      num_streams,
+      sim::GoldenOutputs(cfg.computations, interp.num_outputs()));
+  std::vector<char> prepared(num_streams, 0);
+  auto prepare_stream = [&](std::size_t s) {
+    Rng rng(seeds[s]);
+    sim::fill_uniform(rng, bundle[s], graph.width());
+    sim::fill_golden_outputs(interp, bundle[s], golden[s]);
+    prepared[s] = 1;
+  };
+  if (pool) {
+    try {
+      pool->parallel_for_index(num_streams, prepare_stream);
+    } catch (...) {
+      // As for the points below: with quarantine on, a stream whose task
+      // the pool never ran (a `pool.task` fault) is prepared inline.
+      if (!cfg.quarantine) throw;
     }
+  }
+  for (std::size_t s = 0; s < num_streams; ++s) {
+    if (!prepared[s]) prepare_stream(s);
   }
 
   ExplorationResult result;
@@ -263,8 +287,8 @@ ExplorationResult explore(const dfg::Graph& graph, const dfg::Schedule& sched,
       }
     };
     if (cfg.streams == 1) {
-      const auto res =
-          simulator.run_time_sliced(stream, graph.inputs(), graph.outputs());
+      const auto res = simulator.run_time_sliced(bundle[0], graph.inputs(),
+                                                 graph.outputs());
       const auto rep = sim::check_outputs(graph, golden[0], res.outputs,
                                           syn.design->style_name);
       MCRTL_CHECK_MSG(rep.equivalent,
@@ -311,11 +335,7 @@ ExplorationResult explore(const dfg::Graph& graph, const dfg::Schedule& sched,
       p.power_ci95 = st.ci95;
       // Aggregate attribution across streams: integer Activity records add
       // exactly, and the probe already accumulated the all-lane waveform.
-      std::vector<sim::Activity> acts(results.size());
-      for (std::size_t s = 0; s < results.size(); ++s) {
-        acts[s] = results[s].activity;
-      }
-      finish_attribution(sim::sum_activities(acts));
+      finish_attribution(sim::sum_activities(results));
     }
     p.area = power::estimate_area(*syn.design, tech);
     p.stats = syn.design->stats;
@@ -407,19 +427,23 @@ ExplorationResult explore(const dfg::Graph& graph, const dfg::Schedule& sched,
     if (cfg.on_point) cfg.on_point(result.points[i]);
   };
 
-  const unsigned jobs = ThreadPool::resolve_jobs(cfg.jobs);
-  if (jobs <= 1) {
+  if (!pool) {
     for (std::size_t i = 0; i < configs.size(); ++i) {
       if (canonical[i] == i) run_point(i);
     }
   } else {
-    // Longest-first scheduling: simulation cost is dominated by the clock
-    // count (the period is the smallest multiple of n >= T+1, so higher n
-    // means more master cycles per computation), with the split allocator
-    // adding transfer machinery on top. Submitting the expensive points
-    // first keeps the work-stealing pool from being tail-blocked by one
-    // large biquad/bandpass configuration that a naive enumeration-order
-    // submission would start last.
+    // Submission order: descending cost rank. Simulation cost is dominated
+    // by the clock count (the period is the smallest multiple of n >= T+1,
+    // so higher n means more master cycles per computation), with the split
+    // allocator adding transfer machinery on top. This is not longest-first
+    // execution: submissions from this (off-pool) thread go round-robin to
+    // the workers' queues and each worker pops its own queue LIFO, so
+    // within a queue the cheapest points run first, while an idle worker
+    // steals the oldest, most expensive point from the head of a sibling's
+    // queue. The descending order spreads the expensive points evenly over
+    // the queues; a model of this pool on measured point costs gave an
+    // 85 ms makespan for it against 91 ms for running the points strictly
+    // in rank order (ideal 76 ms), so it stays.
     std::vector<std::size_t> order;
     order.reserve(configs.size());
     for (std::size_t i = 0; i < configs.size(); ++i) {
@@ -440,9 +464,8 @@ ExplorationResult explore(const dfg::Graph& graph, const dfg::Schedule& sched,
     // so errors are collected per configuration here and the earliest
     // enumerated failure is rethrown — exactly what a serial run reports.
     std::vector<std::exception_ptr> errors(configs.size());
-    ThreadPool pool(jobs);
     try {
-      pool.parallel_for_index(order.size(), [&](std::size_t k) {
+      pool->parallel_for_index(order.size(), [&](std::size_t k) {
         const std::size_t i = order[k];
         try {
           run_point(i);

@@ -183,13 +183,14 @@ std::size_t num_configurations(const ExplorerConfig& cfg);
 /// a broken configuration must never be reported as a design point). Each
 /// point runs the RTL simulation exactly once: the sampled outputs feed the
 /// equivalence check and the same run's Activity feeds the power estimate.
-/// With jobs > 1, points are submitted to the pool longest-first (cost
-/// ranked by clock count and allocation method) so the pool is not
-/// tail-blocked by one expensive configuration; the result is unaffected.
+/// With jobs > 1, points are submitted to the pool in descending cost rank
+/// (clock count, then allocation method), which spreads the expensive
+/// configurations over the worker queues; the streams' stimulus and golden
+/// outputs are prepared on the same pool first, one task per stream. The
+/// result is unaffected.
 ///
 /// Determinism contract: the stimulus stream is derived from `cfg.seed`
-/// once, before any point is evaluated, and shared read-only by all
-/// workers; each configuration writes its measurement into a slot indexed
+/// before any point is evaluated, and shared read-only by all workers; each configuration writes its measurement into a slot indexed
 /// by its position in the (fixed) enumeration order, and the final
 /// stable sort + Pareto marking run after the join. The returned
 /// ExplorationResult is therefore bit-identical for every `jobs` value.

@@ -5,7 +5,23 @@
 
 namespace mcrtl::dfg {
 
-Interpreter::Interpreter(const Graph& g) : graph_(&g), order_(g.topo_order()) {}
+Interpreter::Interpreter(const Graph& g)
+    : graph_(&g), order_(g.topo_order()), init_(g.num_values(), 0) {
+  auto slot = [](ValueId v) { return static_cast<std::uint32_t>(v.index()); };
+  program_.reserve(order_.size());
+  for (NodeId nid : order_) {
+    const Node& n = g.node(nid);
+    const ValueId b = n.inputs.size() > 1 ? n.inputs[1] : n.inputs[0];
+    program_.push_back({n.op, slot(n.inputs[0]), slot(b), slot(n.output)});
+  }
+  for (ValueId v : g.inputs()) input_slots_.push_back(slot(v));
+  for (ValueId v : g.outputs()) output_slots_.push_back(slot(v));
+  for (const auto& v : g.values()) {
+    if (v.kind == ValueKind::Constant) {
+      init_[v.id.index()] = from_signed(v.const_value, g.width());
+    }
+  }
+}
 
 EvalResult Interpreter::run(const InputVector& inputs) const {
   const Graph& g = *graph_;
@@ -39,6 +55,24 @@ std::vector<EvalResult> Interpreter::run_stream(
   out.reserve(stream.size());
   for (const auto& in : stream) out.push_back(run(in));
   return out;
+}
+
+void Interpreter::eval(const InputVector& inputs,
+                       std::span<std::uint64_t> scratch,
+                       std::span<std::uint64_t> out) const {
+  MCRTL_CHECK_MSG(inputs.size() == input_slots_.size(),
+                  "expected " << input_slots_.size() << " inputs, got "
+                              << inputs.size());
+  MCRTL_CHECK(scratch.size() == init_.size() &&
+              out.size() == output_slots_.size());
+  const unsigned width = graph_->width();
+  for (std::size_t i = 0; i < inputs.size(); ++i) {
+    scratch[input_slots_[i]] = truncate(inputs[i], width);
+  }
+  for (const Step& s : program_) {
+    scratch[s.out] = eval_op(s.op, scratch[s.a], scratch[s.b], width);
+  }
+  for (std::size_t o = 0; o < out.size(); ++o) out[o] = scratch[output_slots_[o]];
 }
 
 }  // namespace mcrtl::dfg

@@ -31,6 +31,13 @@ constexpr std::array<OpInfo, kNumOps> kOpTable = {{
     {"max", "max", 2, true},
     {"pass", "pass", 1, false},
 }};
+
+// Shift amounts use the low bits of b, bounded by width, so behaviour is
+// defined for any operand (hardware barrel shifters saturate the same way).
+// Only the shifts pay for this division.
+unsigned shift_amount(std::uint64_t b, unsigned width) {
+  return static_cast<unsigned>(b % (width < 64 ? width + 1 : 64));
+}
 }  // namespace
 
 const OpInfo& op_info(Op op) {
@@ -44,9 +51,6 @@ std::uint64_t eval_op(Op op, std::uint64_t a, std::uint64_t b, unsigned width) {
   b = truncate(b, width);
   const std::int64_t sa = to_signed(a, width);
   const std::int64_t sb = to_signed(b, width);
-  // Shift amounts use the low bits of b, bounded by width, so behaviour is
-  // defined for any operand (hardware barrel shifters saturate the same way).
-  const unsigned sh = static_cast<unsigned>(b % (width < 64 ? width + 1 : 64));
   switch (op) {
     case Op::Add: return truncate(a + b, width);
     case Op::Sub: return truncate(a - b, width);
@@ -58,8 +62,8 @@ std::uint64_t eval_op(Op op, std::uint64_t a, std::uint64_t b, unsigned width) {
     case Op::Xor: return a ^ b;
     case Op::Not: return truncate(~a, width);
     case Op::Neg: return truncate(0 - a, width);
-    case Op::Shl: return truncate(a << sh, width);
-    case Op::Shr: return a >> sh;
+    case Op::Shl: return truncate(a << shift_amount(b, width), width);
+    case Op::Shr: return a >> shift_amount(b, width);
     case Op::Lt: return sa < sb ? 1 : 0;
     case Op::Gt: return sa > sb ? 1 : 0;
     case Op::Le: return sa <= sb ? 1 : 0;

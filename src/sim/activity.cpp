@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cmath>
 
+#include "sim/simulator.hpp"
 #include "util/error.hpp"
 #include "util/strings.hpp"
 #include "util/table.hpp"
@@ -27,11 +28,14 @@ SampleStats sample_stats(std::vector<double> values) {
   return st;
 }
 
-Activity sum_activities(const std::vector<Activity>& parts) {
+namespace {
+// Element-wise sum of get(parts[0]) .. get(parts[n-1]).
+template <typename Parts, typename Get>
+Activity sum_parts(const Parts& parts, Get get) {
   MCRTL_CHECK(!parts.empty());
-  Activity total = parts[0];
+  Activity total = get(parts[0]);
   for (std::size_t p = 1; p < parts.size(); ++p) {
-    const Activity& a = parts[p];
+    const Activity& a = get(parts[p]);
     MCRTL_CHECK(a.net_toggles.size() == total.net_toggles.size());
     MCRTL_CHECK(a.storage_clock_events.size() ==
                 total.storage_clock_events.size());
@@ -52,6 +56,19 @@ Activity sum_activities(const std::vector<Activity>& parts) {
     total.computations += a.computations;
   }
   return total;
+}
+}  // namespace
+
+Activity sum_activities(const std::vector<Activity>& parts) {
+  return sum_parts(parts, [](const Activity& a) -> const Activity& {
+    return a;
+  });
+}
+
+Activity sum_activities(const std::vector<SimResult>& results) {
+  return sum_parts(results, [](const SimResult& r) -> const Activity& {
+    return r.activity;
+  });
 }
 
 std::uint64_t PhaseHeatmap::phase_total(int phase) const {

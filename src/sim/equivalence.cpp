@@ -16,17 +16,24 @@ EquivalenceReport check_outputs(const dfg::Graph& graph,
 
 GoldenOutputs golden_outputs(const dfg::Graph& graph,
                              const InputStream& stream) {
-  obs::Span span("sim.golden");
-  dfg::Interpreter interp(graph);
-  GoldenOutputs golden;
-  golden.computations = stream.size();
-  golden.outputs = graph.outputs().size();
-  golden.values.reserve(stream.size() * golden.outputs);
-  for (const auto& inputs : stream) {
-    const auto out = interp.run(inputs).outputs;
-    golden.values.insert(golden.values.end(), out.begin(), out.end());
-  }
+  const dfg::Interpreter interp(graph);
+  GoldenOutputs golden(stream.size(), interp.num_outputs());
+  fill_golden_outputs(interp, stream, golden);
   return golden;
+}
+
+void fill_golden_outputs(const dfg::Interpreter& interp,
+                         const InputStream& stream, GoldenOutputs& golden) {
+  obs::Span span("sim.golden");
+  MCRTL_CHECK(golden.computations == stream.size() &&
+              golden.outputs == interp.num_outputs() &&
+              golden.values.size() == stream.size() * golden.outputs);
+  auto scratch = interp.scratch();
+  for (std::size_t c = 0; c < stream.size(); ++c) {
+    interp.eval(stream[c], scratch,
+                std::span(golden.values).subspan(c * golden.outputs,
+                                                 golden.outputs));
+  }
 }
 
 EquivalenceReport check_outputs(const dfg::Graph& graph,

@@ -42,12 +42,25 @@ EquivalenceReport check_outputs(const dfg::Graph& graph,
 /// The interpreter's outputs of a graph for every computation of one
 /// stream — what check_outputs() compares against — stored flat.
 struct GoldenOutputs {
+  GoldenOutputs() = default;
+  /// Zeroed storage for `computations` × `outputs` values.
+  GoldenOutputs(std::size_t computations, std::size_t outputs)
+      : computations(computations),
+        outputs(outputs),
+        values(computations * outputs) {}
+
   std::size_t computations = 0;
   std::size_t outputs = 0;            ///< values per computation
   std::vector<std::uint64_t> values;  ///< computation-major
 };
 GoldenOutputs golden_outputs(const dfg::Graph& graph,
                              const InputStream& stream);
+
+/// golden_outputs() into storage the caller already sized
+/// (GoldenOutputs(stream.size(), interp.num_outputs())); allocates only
+/// the interpreter's scratch. `interp` may be shared between threads.
+void fill_golden_outputs(const dfg::Interpreter& interp,
+                         const InputStream& stream, GoldenOutputs& golden);
 
 /// check_outputs() against precomputed golden outputs; same report, same
 /// mismatch text.

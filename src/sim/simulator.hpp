@@ -86,6 +86,10 @@ struct SimResult {
   Activity activity;
 };
 
+/// sum_activities() over the Activity of each result, without copying them
+/// out first (defined in activity.cpp).
+Activity sum_activities(const std::vector<SimResult>& results);
+
 class Simulator {
  public:
   /// Settle-kernel selection. EventDriven is the production single-stream

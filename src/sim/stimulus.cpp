@@ -42,10 +42,14 @@ std::vector<InputStream> uniform_streams(std::uint64_t seed,
 InputStream uniform_stream(Rng& rng, std::size_t num_inputs,
                            std::size_t computations, unsigned width) {
   InputStream s(computations, std::vector<std::uint64_t>(num_inputs));
-  for (auto& vec : s) {
+  fill_uniform(rng, s, width);
+  return s;
+}
+
+void fill_uniform(Rng& rng, InputStream& stream, unsigned width) {
+  for (auto& vec : stream) {
     for (auto& w : vec) w = rng.next_bits(width);
   }
-  return s;
 }
 
 InputStream correlated_stream(Rng& rng, std::size_t num_inputs,

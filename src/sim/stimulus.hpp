@@ -16,6 +16,12 @@ namespace mcrtl::sim {
 InputStream uniform_stream(Rng& rng, std::size_t num_inputs,
                            std::size_t computations, unsigned width);
 
+/// Overwrite every word of an already shaped stream with uniform random
+/// words, drawn in uniform_stream()'s order: uniform_stream() is this on a
+/// fresh computations × num_inputs stream. Lets a caller allocate a stream
+/// on one thread and fill it on another.
+void fill_uniform(Rng& rng, InputStream& stream, unsigned width);
+
 /// Independent per-stream seeds for a Monte-Carlo bundle, derived from one
 /// base seed with splitmix64 (the same scheme Rng uses to expand its own
 /// state, so nearby base seeds still give uncorrelated streams). Element s

@@ -27,6 +27,7 @@
 
 #include "core/checkpoint.hpp"
 #include "core/explorer.hpp"
+#include "obs/obs.hpp"
 #include "power/report.hpp"
 #include "suite/benchmarks.hpp"
 #include "util/error.hpp"
@@ -113,6 +114,36 @@ TEST(CheckpointTest, UninterruptedRunReplaysFully) {
   const auto first = core::explore(*b.graph, *b.schedule, cfg);
   EXPECT_EQ(first.replayed_points, 0u);
   const auto second = core::explore(*b.graph, *b.schedule, cfg);
+  EXPECT_EQ(second.replayed_points, first.points.size());
+  EXPECT_EQ(report_bytes(first), report_bytes(second));
+}
+
+TEST(CheckpointTest, FullReplayPreparesNoStreams) {
+  // The stimulus and its golden outputs are built only for points that are
+  // evaluated: a journal that replays every point prepares no stream, on
+  // the pool or inline.
+  const auto b = suite::by_name("facet", 4);
+  TempPath journal("ck_noprep.journal");
+  auto cfg = small_config();
+  cfg.checkpoint_file = journal.path;
+  cfg.streams = 8;
+  cfg.jobs = 4;
+  auto golden_spans = [] {
+    std::size_t n = 0;
+    for (const auto& s : obs::Registry::instance().spans()) {
+      n += std::string(s.name) == "sim.golden" ? 1 : 0;
+    }
+    return n;
+  };
+  obs::Registry::instance().reset();
+  obs::set_enabled(true);
+  const auto first = core::explore(*b.graph, *b.schedule, cfg);
+  EXPECT_EQ(golden_spans(), 8u);
+  obs::Registry::instance().reset();
+  const auto second = core::explore(*b.graph, *b.schedule, cfg);
+  EXPECT_EQ(golden_spans(), 0u);
+  obs::set_enabled(false);
+  obs::Registry::instance().reset();
   EXPECT_EQ(second.replayed_points, first.points.size());
   EXPECT_EQ(report_bytes(first), report_bytes(second));
 }

@@ -4,6 +4,7 @@
 
 #include "dfg/interpreter.hpp"
 #include "dfg/random_graph.hpp"
+#include "suite/benchmarks.hpp"
 #include "util/bits.hpp"
 #include "util/error.hpp"
 
@@ -128,6 +129,100 @@ TEST(InterpreterTest, RejectsWrongInputCount) {
   g.mark_output(g.add_unary(Op::Pass, a));
   Interpreter interp(g);
   EXPECT_THROW(interp.run({1, 2}), Error);
+}
+
+// Interpreter::eval() against run() on every vector of `stream`, through one
+// reused scratch: same outputs, computation by computation.
+void expect_eval_matches_run(const Graph& g,
+                             const std::vector<InputVector>& stream,
+                             const std::string& what) {
+  const Interpreter interp(g);
+  auto scratch = interp.scratch();
+  std::vector<std::uint64_t> out(interp.num_outputs());
+  ASSERT_EQ(out.size(), g.outputs().size()) << what;
+  for (std::size_t c = 0; c < stream.size(); ++c) {
+    interp.eval(stream[c], scratch, out);
+    ASSERT_EQ(out, interp.run(stream[c]).outputs)
+        << what << ", computation " << c;
+  }
+}
+
+TEST(InterpreterTest, EvalMatchesRunOnEverySuiteBehaviour) {
+  Rng rng(15);
+  for (const auto& name : suite::all_names()) {
+    for (const unsigned width : {4u, 8u}) {
+      const auto b = suite::by_name(name, width);
+      std::vector<InputVector> stream(300);
+      for (auto& v : stream) {
+        // Full 64-bit words: eval() must truncate inputs as run() does.
+        for (std::size_t k = 0; k < b.graph->inputs().size(); ++k) {
+          v.push_back(rng.next());
+        }
+      }
+      expect_eval_matches_run(*b.graph, stream,
+                              name + " width " + std::to_string(width));
+    }
+  }
+}
+
+TEST(InterpreterTest, EvalMatchesRunOnRandomGraphsAtEdgeWidths) {
+  // Every op, with operands drawn so that shifts by amounts >= width and
+  // division/modulo by zero happen often; the counts below prove they did.
+  Rng rng(1996);
+  RandomGraphConfig cfg;
+  cfg.num_inputs = 3;
+  cfg.num_nodes = 24;
+  cfg.const_prob = 0.25;
+  for (unsigned i = 0; i < kNumOps; ++i) cfg.op_pool.push_back(static_cast<Op>(i));
+  for (const unsigned width : {1u, 7u, 32u, 63u, 64u}) {
+    cfg.width = width;
+    std::size_t wide_shifts = 0, zero_divisors = 0;
+    for (int trial = 0; trial < 25; ++trial) {
+      const Graph g = random_graph(rng, cfg);
+      std::vector<InputVector> stream(40);
+      for (auto& v : stream) {
+        for (std::size_t k = 0; k < g.inputs().size(); ++k) {
+          switch (rng.next_below(3)) {
+            case 0: v.push_back(rng.next()); break;
+            case 1: v.push_back(0); break;
+            default: v.push_back(width + rng.next_below(3)); break;
+          }
+        }
+      }
+      const std::string what =
+          "width " + std::to_string(width) + " trial " + std::to_string(trial);
+      expect_eval_matches_run(g, stream, what);
+      const Interpreter interp(g);
+      for (const auto& in : stream) {
+        const auto values = interp.run(in).values;
+        for (const Node& n : g.nodes()) {
+          if (n.inputs.size() < 2) continue;
+          const std::uint64_t b = values[n.inputs[1].index()];
+          if ((n.op == Op::Shl || n.op == Op::Shr) && b >= width) ++wide_shifts;
+          if ((n.op == Op::Div || n.op == Op::Mod) && b == 0) ++zero_divisors;
+        }
+      }
+    }
+    EXPECT_GT(wide_shifts, 0u) << "width " << width;
+    EXPECT_GT(zero_divisors, 0u) << "width " << width;
+  }
+}
+
+TEST(InterpreterTest, EvalRejectsWrongInputCountAndBufferSizes) {
+  Graph g("t", 8);
+  const ValueId a = g.add_input("a");
+  g.mark_output(g.add_unary(Op::Pass, a));
+  const Interpreter interp(g);
+  auto scratch = interp.scratch();
+  std::vector<std::uint64_t> out(1);
+  EXPECT_THROW(interp.eval({1, 2}, scratch, out), Error);
+  EXPECT_THROW(interp.eval({}, scratch, out), Error);
+  std::vector<std::uint64_t> no_out;
+  EXPECT_THROW(interp.eval({1}, scratch, no_out), Error);
+  std::vector<std::uint64_t> short_scratch;
+  EXPECT_THROW(interp.eval({1}, short_scratch, out), Error);
+  interp.eval({0x1F5}, scratch, out);
+  EXPECT_EQ(out[0], 0xF5u);
 }
 
 TEST(InterpreterTest, StreamMatchesIndividualRuns) {

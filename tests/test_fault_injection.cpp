@@ -203,6 +203,31 @@ TEST_F(FaultInjectionTest, PoolTaskFaultDegradesToInlineCompletion) {
   expect_identical(baseline, r);
 }
 
+TEST_F(FaultInjectionTest, PoolTaskFaultInTheStreamPreambleDegradesInline) {
+  // A Monte-Carlo sweep prepares its streams (stimulus, golden outputs) as
+  // pool tasks before the points. A task the pool never ran must be
+  // prepared inline, like a point, and the sweep must match a serial one.
+  const auto b = suite::by_name("facet", 4);
+  auto base = small_config();
+  base.streams = 8;
+  const auto baseline = core::explore(*b.graph, *b.schedule, base);
+
+  fault::set_enabled(true);
+  fault::ArmSpec spec;
+  spec.mode = fault::ArmSpec::Mode::Always;
+  fault::Injector::instance().arm("pool.task", spec);
+  auto cfg = base;
+  cfg.jobs = 4;  // clamped to the core count; serial on a 1-core host
+  cfg.quarantine = true;
+  const auto r = core::explore(*b.graph, *b.schedule, cfg);
+  EXPECT_TRUE(r.failed_points.empty());
+  expect_identical(baseline, r);
+  for (std::size_t i = 0; i < r.points.size(); ++i) {
+    EXPECT_EQ(baseline.points[i].power_stddev, r.points[i].power_stddev);
+    EXPECT_EQ(baseline.points[i].power_ci95, r.points[i].power_ci95);
+  }
+}
+
 TEST_F(FaultInjectionTest, ProbabilityModeIsDeterministic) {
   const auto b = suite::by_name("facet", 4);
   fault::set_enabled(true);

@@ -9,6 +9,7 @@
 #include "sim/stimulus.hpp"
 #include "sim/vcd.hpp"
 #include "suite/benchmarks.hpp"
+#include "util/error.hpp"
 
 namespace mcrtl::sim {
 namespace {
@@ -168,6 +169,37 @@ TEST(SimulatorTest, PrecomputedGoldenOutputsGiveTheSameReport) {
       << via_golden.detail;
 }
 
+TEST(SimulatorTest, GoldenOutputsMatchTheInterpreterRun) {
+  // golden_outputs() evaluates through the interpreter's allocation-free
+  // path; every stored value must equal the graph-walking run().
+  for (const auto& name : suite::all_names()) {
+    const auto b = suite::by_name(name, 4);
+    Rng rng(23);
+    const auto stream = uniform_stream(rng, b.graph->inputs().size(), 50, 4);
+    const GoldenOutputs golden = golden_outputs(*b.graph, stream);
+    ASSERT_EQ(golden.outputs, b.graph->outputs().size()) << name;
+    ASSERT_EQ(golden.values.size(), stream.size() * golden.outputs) << name;
+    const dfg::Interpreter interp(*b.graph);
+    for (std::size_t c = 0; c < stream.size(); ++c) {
+      const std::vector<std::uint64_t> row(
+          golden.values.begin() + c * golden.outputs,
+          golden.values.begin() + (c + 1) * golden.outputs);
+      EXPECT_EQ(row, interp.run(stream[c]).outputs) << name << " " << c;
+    }
+  }
+}
+
+TEST(SimulatorTest, FillGoldenOutputsRejectsMisSizedStorage) {
+  const auto b = suite::hal(4);
+  Rng rng(3);
+  const auto stream = uniform_stream(rng, b.graph->inputs().size(), 10, 4);
+  const dfg::Interpreter interp(*b.graph);
+  GoldenOutputs short_rows(9, interp.num_outputs());
+  EXPECT_THROW(fill_golden_outputs(interp, stream, short_rows), Error);
+  GoldenOutputs wrong_width(10, interp.num_outputs() + 1);
+  EXPECT_THROW(fill_golden_outputs(interp, stream, wrong_width), Error);
+}
+
 TEST(StimulusTest, UniformShapeAndDeterminism) {
   Rng a(9), b(9);
   const auto s1 = uniform_stream(a, 3, 10, 8);
@@ -177,6 +209,20 @@ TEST(StimulusTest, UniformShapeAndDeterminism) {
   EXPECT_EQ(s1[0].size(), 3u);
   for (const auto& vec : s1) {
     for (auto w : vec) EXPECT_LE(w, 0xFFu);
+  }
+}
+
+TEST(StimulusTest, FilledStreamsMatchUniformStreams) {
+  // The explorer allocates each bundle stream up front and fills it from
+  // stream_seeds()[s]; that must reproduce uniform_streams() word for word.
+  const auto bundle = uniform_streams(11, 5, 3, 40, 6);
+  const auto seeds = stream_seeds(11, 5);
+  ASSERT_EQ(seeds.size(), bundle.size());
+  for (std::size_t s = 0; s < seeds.size(); ++s) {
+    InputStream filled(40, std::vector<std::uint64_t>(3, ~0ull));
+    Rng rng(seeds[s]);
+    fill_uniform(rng, filled, 6);
+    EXPECT_EQ(filled, bundle[s]) << "stream " << s;
   }
 }
 
