@@ -17,7 +17,8 @@
 //     CSV export is byte-identical.
 //
 // Writes BENCH_search.json (cwd) — structural keys (grid size, survivor
-// and abort counts, contract booleans) are exact-matched by bench_diff;
+// and abort counts, the guided leg's work counters, contract booleans) are
+// exact-matched by bench_diff;
 // seconds/speedups are noisy keys. Run with jobs = 1 so every count in the
 // JSON is machine-independent (determinism across jobs is test_search's
 // job, not this bench's).
@@ -292,13 +293,18 @@ int main(int argc, char** argv) {
      << ",\n  \"front_identical\": " << (front_identical ? "true" : "false")
      << ",\n  \"fully_cached_replay\": " << (fully_cached ? "true" : "false")
      << ",\n  \"csv_byte_identical\": " << (csv_identical ? "true" : "false");
-  // The search.* observability counters from the traced guided run —
-  // deterministic at jobs = 1, so they are exact-matched by bench_diff.
+  // The search.* observability counters from the traced guided run, plus
+  // the designs it built and the lane-steps it simulated — deterministic at
+  // jobs = 1, so they are exact-matched by bench_diff: a change that makes
+  // the search cheaper must do the same work.
   js << ",\n  \"counters\": {";
   const auto counters = obs::Registry::instance().counters();
   bool first = true;
   for (const auto& [name, value] : counters) {
-    if (name.rfind("search.", 0) != 0) continue;
+    if (name.rfind("search.", 0) != 0 && name != "rtl.designs_built" &&
+        name != "sim.time_sliced.steps") {
+      continue;
+    }
     js << (first ? "" : ",") << "\n    \"" << name << "\": " << value;
     first = false;
   }

@@ -167,7 +167,7 @@ int main() {
       ConfigRow row;
       row.bench = name;
       row.num_clocks = n;
-      row.comb_components = syn.design->netlist.comb_order().size();
+      row.comb_components = syn.design->tables.comb_order.size();
 
       // Fresh simulators per rep (kernel_stats accumulate); every rep's
       // wall time feeds the percentile stats over the identical stream.

@@ -275,16 +275,25 @@ int Binding::num_muxes() const {
 }
 
 std::string Binding::alu_summary() const {
-  // Group identical function sets: "2(+), 1(*&)".
-  std::map<std::string, int> counts;
-  std::vector<std::string> order;
+  // Group identical function sets, in first-seen order: "2(+), 1(*&)".
+  std::vector<std::pair<std::string, int>> counts;
+  counts.reserve(fus_.size());
   for (const auto& fu : fus_) {
-    const std::string fs = fu.func_string();
-    if (counts[fs]++ == 0) order.push_back(fs);
+    std::string fs = fu.func_string();
+    const auto it = std::find_if(counts.begin(), counts.end(),
+                                 [&](const auto& c) { return c.first == fs; });
+    if (it != counts.end()) {
+      ++it->second;
+    } else {
+      counts.emplace_back(std::move(fs), 1);
+    }
   }
-  std::vector<std::string> parts;
-  for (const auto& fs : order) parts.push_back(std::to_string(counts[fs]) + fs);
-  return join(parts, ", ");
+  std::string out;
+  for (const auto& [fs, n] : counts) {
+    if (!out.empty()) out += ", ";
+    out += std::to_string(n) + fs;
+  }
+  return out;
 }
 
 void Binding::validate() const {

@@ -9,6 +9,8 @@
 #include <exception>
 #include <fstream>
 #include <sstream>
+#include <string_view>
+#include <unordered_map>
 #include <unordered_set>
 
 #include "core/checkpoint.hpp"
@@ -123,6 +125,8 @@ std::vector<std::pair<SynthesisOptions, std::string>> search_variants(
 void cross_variants(
     SearchSpace& space,
     const std::vector<std::pair<SynthesisOptions, std::string>>& variants) {
+  space.candidates.reserve(space.candidates.size() +
+                           space.behaviours.size() * variants.size());
   for (std::size_t b = 0; b < space.behaviours.size(); ++b) {
     for (const auto& [opts, label] : variants) {
       space.candidates.push_back(
@@ -144,26 +148,36 @@ const std::string& row_group(const SearchRow& r) {
 }  // namespace
 
 ParetoFront annotate_front(std::vector<SearchRow>& rows) {
-  ParetoFront front;
+  // Rows only compete inside their dominance group: bucket the row indices
+  // by group once (ascending within a bucket) and take every row's metrics
+  // once, so each row scans its own group instead of every row.
+  std::vector<PointMetrics> metrics;
+  metrics.reserve(rows.size());
+  std::unordered_map<std::string_view, std::vector<std::size_t>> groups;
   for (std::size_t i = 0; i < rows.size(); ++i) {
-    const PointMetrics mi = point_metrics(rows[i].point);
-    // The minimal dominator under the explorer's point order is an
-    // order-independent choice, so a cached re-run annotates identically
-    // however its rows happened to be assembled.
-    const SearchRow* best = nullptr;
-    for (std::size_t j = 0; j < rows.size(); ++j) {
-      if (row_group(rows[j]) != row_group(rows[i])) continue;
-      if (!dominates(point_metrics(rows[j].point), mi)) continue;
-      if (best == nullptr || point_order_less(rows[j].point, best->point) ||
-          (!point_order_less(best->point, rows[j].point) &&
-           rows[j].point.label < best->point.label)) {
-        best = &rows[j];
-      }
-    }
-    rows[i].pareto = best == nullptr;
-    rows[i].dominated_by = best ? best->point.label : std::string();
-    rows[i].point.pareto = rows[i].pareto;
+    metrics.push_back(point_metrics(rows[i].point));
+    groups[row_group(rows[i])].push_back(i);
   }
+  for (const auto& [group, members] : groups) {
+    for (std::size_t i : members) {
+      // The minimal dominator under the explorer's point order is an
+      // order-independent choice, so a cached re-run annotates identically
+      // however its rows happened to be assembled.
+      const SearchRow* best = nullptr;
+      for (std::size_t j : members) {
+        if (!dominates(metrics[j], metrics[i])) continue;
+        if (best == nullptr || point_order_less(rows[j].point, best->point) ||
+            (!point_order_less(best->point, rows[j].point) &&
+             rows[j].point.label < best->point.label)) {
+          best = &rows[j];
+        }
+      }
+      rows[i].pareto = best == nullptr;
+      rows[i].dominated_by = best ? best->point.label : std::string();
+      rows[i].point.pareto = rows[i].pareto;
+    }
+  }
+  ParetoFront front;
   for (std::size_t i = 0; i < rows.size(); ++i) {
     if (rows[i].pareto) front.indices.push_back(i);
   }

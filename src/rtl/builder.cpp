@@ -43,13 +43,77 @@ struct Lowering {
   std::vector<std::array<CompId, 2>> fu_port_iso;
   // Mux component (if any) per storage unit input.
   std::vector<CompId> storage_mux;
+  // Cared steps (1..period) of the signal being tabulated; reused.
+  std::vector<bool> care;
 
   Lowering(const Binding& binding, const BuildOptions& o)
       : b(binding),
         opts(o),
         nl(binding.graph().name() + "_" + o.style_name),
         clocks(binding.num_clocks(), binding.schedule().num_steps()),
-        control(clocks) {}
+        control(clocks) {
+    reserve();
+  }
+
+  /// Size the netlist and the control plan from the binding's counts, so
+  /// the lowering below never regrows them.
+  void reserve() {
+    const dfg::Graph& g = b.graph();
+    std::size_t comps =
+        b.storage().size() + b.func_units().size() + g.outputs().size();
+    for (const auto& v : g.values()) {  // inputs and the routed constants
+      comps += v.kind == ValueKind::Input ||
+                       (v.kind == ValueKind::Constant && !v.consumers.empty())
+                   ? 1
+                   : 0;
+    }
+    std::size_t pins = g.outputs().size();
+    std::size_t signals = 0;
+    // A multi-source route is a mux, its select line and source, and one
+    // pin per source plus the select pin.
+    auto route = [&](std::size_t sources) {
+      if (sources < 2) return;
+      comps += 2;
+      ++signals;
+      pins += sources + 1;
+    };
+    for (const auto& fu : b.func_units()) {
+      pins += 2;
+      if (fu.funcs.size() > 1) {
+        comps += 1;
+        ++signals;
+        ++pins;
+      }
+      if (opts.operand_isolation) {
+        comps += 1;
+        ++signals;
+      }
+      for (unsigned port = 0; port < 2; ++port) {
+        const auto& srcs = b.fu_port_sources(fu.index, port);
+        route(srcs.size());
+        if (opts.operand_isolation && !srcs.empty()) {
+          comps += 1;
+          pins += 2;
+        }
+      }
+    }
+    for (const auto& su : b.storage()) {
+      comps += 1;  // load-enable source
+      ++signals;
+      pins += 2;   // D input and load pin
+      route(b.storage_sources(su.index).size());
+    }
+    nl.reserve(comps, pins);
+    control.reserve(signals);
+    storage_comp.reserve(b.storage().size());
+    fu_comp.reserve(b.func_units().size());
+  }
+
+  /// Clear `care` for the next signal.
+  std::vector<bool>& fresh_care() {
+    care.assign(static_cast<std::size_t>(clocks.period()) + 1, false);
+    return care;
+  }
 
   unsigned width() const { return b.graph().width(); }
 
@@ -96,19 +160,19 @@ struct Lowering {
 
 void create_io_and_constants(Lowering& L) {
   const dfg::Graph& g = L.b.graph();
-  for (ValueId v : g.inputs()) {
-    L.input_ports[v] =
-        L.nl.add_component(CompKind::InputPort, "in_" + g.value(v).name, L.width());
+  for (const auto& v : g.values()) {  // Graph::inputs() order, no copy
+    if (v.kind != ValueKind::Input) continue;
+    L.input_ports[v.id] =
+        L.nl.add_component(CompKind::InputPort, "in_" + v.name, L.width());
   }
   // One Constant component per constant value that is actually routed
   // somewhere (operand of a node or forwarded into storage).
-  for (ValueId v : g.constants()) {
-    if (g.value(v).consumers.empty()) continue;
+  for (const auto& v : g.values()) {
+    if (v.kind != ValueKind::Constant || v.consumers.empty()) continue;
     const CompId c = L.nl.add_component(
-        CompKind::Constant, "const_" + sanitize_identifier(g.value(v).name),
-        L.width());
-    L.nl.comp_mut(c).const_value = g.value(v).const_value;
-    L.const_comps[v] = c;
+        CompKind::Constant, "const_" + sanitize_identifier(v.name), L.width());
+    L.nl.comp_mut(c).const_value = v.const_value;
+    L.const_comps[v.id] = c;
   }
 }
 
@@ -116,7 +180,7 @@ void create_storage(Lowering& L) {
   for (const auto& su : L.b.storage()) {
     const CompKind kind =
         su.kind == StorageKind::Latch ? CompKind::Latch : CompKind::Register;
-    const CompId c = L.nl.add_component(kind, su.name, L.width());
+    const CompId c = L.nl.add_component(kind, su.name, L.width(), 1);
     Component& comp = L.nl.comp_mut(c);
     comp.clock_phase = su.partition;
     comp.clock_gated = L.opts.gated_clocks;
@@ -129,7 +193,7 @@ void create_fus_and_port_muxes(Lowering& L) {
   L.fu_port_mux.assign(L.b.func_units().size(), {CompId(), CompId()});
   L.fu_port_iso.assign(L.b.func_units().size(), {CompId(), CompId()});
   for (const auto& fu : L.b.func_units()) {
-    const CompId c = L.nl.add_component(CompKind::Alu, fu.name, L.width());
+    const CompId c = L.nl.add_component(CompKind::Alu, fu.name, L.width(), 2);
     Component& comp = L.nl.comp_mut(c);
     comp.funcs = fu.funcs;
     comp.partition = fu.partition;
@@ -155,7 +219,7 @@ void create_fus_and_port_muxes(Lowering& L) {
       if (!L.opts.operand_isolation) return data;
       const CompId gate = L.nl.add_component(
           CompKind::IsoGate, fu.name + "_p" + std::to_string(port) + "_iso",
-          L.width());
+          L.width(), 1);
       L.nl.comp_mut(gate).partition = fu.partition;
       L.nl.connect_input(gate, data);
       L.nl.set_select(gate, L.signal_net(iso_sig));
@@ -179,7 +243,8 @@ void create_fus_and_port_muxes(Lowering& L) {
           L.opts.interconnect == BuildOptions::Interconnect::TristateBus
               ? CompKind::Bus
               : CompKind::Mux,
-          fu.name + "_p" + std::to_string(port) + "_mux", L.width());
+          fu.name + "_p" + std::to_string(port) + "_mux", L.width(),
+          srcs.size());
       L.nl.comp_mut(mux).partition = fu.partition;
       for (const auto& s : srcs) L.nl.connect_input(mux, L.source_net(s));
       const unsigned sig =
@@ -191,7 +256,7 @@ void create_fus_and_port_muxes(Lowering& L) {
       L.nl.connect_input(alu, isolate(L.nl.comp(mux).output, port));
 
       // Control table: at each op's step, select that op's source index.
-      std::vector<bool> care(static_cast<std::size_t>(L.clocks.period()) + 1, false);
+      auto& care = L.fresh_care();
       for (NodeId op : fu.ops) {
         const Source& s = L.b.operand_source(op, port);
         if (s.kind == Source::Kind::None) continue;  // unary op, port 1
@@ -209,7 +274,7 @@ void create_fus_and_port_muxes(Lowering& L) {
                                          select_width(fu.funcs.size()),
                                          fu.partition);
       L.nl.set_select(L.fu_comp[fu.index], L.signal_net(sig));
-      std::vector<bool> care(static_cast<std::size_t>(L.clocks.period()) + 1, false);
+      auto& care = L.fresh_care();
       for (NodeId op : fu.ops) {
         const int t = L.b.schedule().step(op);
         L.control.set_value(
@@ -240,7 +305,7 @@ void create_storage_inputs(Lowering& L) {
           L.opts.interconnect == BuildOptions::Interconnect::TristateBus
               ? CompKind::Bus
               : CompKind::Mux,
-          su.name + "_mux", L.width());
+          su.name + "_mux", L.width(), srcs.size());
       L.nl.comp_mut(mux).partition = su.partition;
       for (const auto& s : srcs) L.nl.connect_input(mux, L.source_net(s));
       sel_sig = L.make_signal(su.name + "_sel", SignalRole::MuxSelect,
@@ -257,8 +322,7 @@ void create_storage_inputs(Lowering& L) {
     const unsigned load_sig =
         L.make_signal(su.name + "_ld", SignalRole::Load, 1, su.partition);
     L.nl.set_load(sc, L.signal_net(load_sig));
-    std::vector<bool> sel_care(static_cast<std::size_t>(L.clocks.period()) + 1,
-                               false);
+    auto& sel_care = L.fresh_care();
     for (ValueId v : su.values) {
       const int birth = L.b.lifetimes().of(v).birth;
       const int t = L.load_step(birth);
@@ -318,13 +382,11 @@ Design build_design(const alloc::Binding& binding, const BuildOptions& opts) {
     const CompId sc = L.storage_comp[static_cast<unsigned>(su)];
     const CompId port = L.nl.add_component(
         CompKind::OutputPort, "out_" + sanitize_identifier(g.value(v).name),
-        g.width());
+        g.width(), 1);
     L.nl.connect_input(port, L.nl.comp(sc).output);
     output_storage[v] = sc;
     output_ports[v] = port;
   }
-
-  L.nl.validate();
 
   // Attribution map: the DFG-level origin of every component, consumed by
   // the hierarchical power profiler. ALUs (and the muxes/iso gates feeding

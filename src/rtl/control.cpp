@@ -7,6 +7,11 @@ namespace mcrtl::rtl {
 
 ControlPlan::ControlPlan(const ClockScheme& clocks) : clocks_(clocks) {}
 
+void ControlPlan::reserve(std::size_t signals) {
+  signals_.reserve(signals);
+  values_.reserve(signals * static_cast<std::size_t>(period()));
+}
+
 unsigned ControlPlan::add_signal(std::string name, SignalRole role, unsigned width,
                                  bool latched, int partition, CompId source) {
   MCRTL_CHECK(width >= 1 && width <= 64);
@@ -20,39 +25,57 @@ unsigned ControlPlan::add_signal(std::string name, SignalRole role, unsigned wid
   s.partition = partition;
   s.source = source;
   signals_.push_back(std::move(s));
-  values_.emplace_back(static_cast<std::size_t>(clocks_.period()), 0);
+  values_.resize(values_.size() + static_cast<std::size_t>(period()), 0);
   return signals_.back().index;
 }
 
 void ControlPlan::set_value(unsigned sig, int t, std::uint64_t value) {
   MCRTL_CHECK(sig < signals_.size());
   MCRTL_CHECK_MSG(t >= 1 && t <= period(), "step " << t << " out of period");
-  values_[sig][static_cast<std::size_t>(t - 1)] = truncate(value, signals_[sig].width);
+  values_[sig * static_cast<std::size_t>(period()) +
+          static_cast<std::size_t>(t - 1)] = truncate(value, signals_[sig].width);
 }
 
 std::uint64_t ControlPlan::table_value(unsigned sig, int t) const {
   MCRTL_CHECK(sig < signals_.size());
   MCRTL_CHECK(t >= 1 && t <= period());
-  return values_[sig][static_cast<std::size_t>(t - 1)];
+  return values_[sig * static_cast<std::size_t>(period()) +
+                 static_cast<std::size_t>(t - 1)];
 }
 
-std::uint64_t ControlPlan::line_value(unsigned sig, int t) const {
-  const ControlSignal& s = signal(sig);
-  MCRTL_CHECK(t >= 1 && t <= period());
-  if (!s.latched) return table_value(sig, t);
+int ControlPlan::line_step(const ControlSignal& s, int t) const {
+  if (!s.latched) return t;
   // Latest step t' <= t with phase(t') == partition; wrap into the previous
   // period if the partition has not pulsed yet this period.
   const int n = clocks_.num_phases();
-  int tp = t - ((t - s.partition) % n + n) % n;
-  if (tp < 1) tp += period();  // period is a multiple of n, phase preserved
-  return table_value(sig, tp);
+  const int tp = t - ((t - s.partition) % n + n) % n;
+  return tp < 1 ? tp + period() : tp;  // period is a multiple of n
+}
+
+std::uint64_t ControlPlan::line_value(unsigned sig, int t) const {
+  MCRTL_CHECK(t >= 1 && t <= period());
+  return table_value(sig, line_step(signal(sig), t));
+}
+
+std::vector<std::uint64_t> ControlPlan::line_values() const {
+  const std::size_t n = signals_.size();
+  const std::size_t p = static_cast<std::size_t>(period());
+  std::vector<std::uint64_t> lines(p * n);
+  for (std::size_t s = 0; s < n; ++s) {
+    const std::uint64_t* table = values_.data() + s * p;
+    for (int t = 1; t <= period(); ++t) {
+      lines[static_cast<std::size_t>(t - 1) * n + s] =
+          table[line_step(signals_[s], t) - 1];
+    }
+  }
+  return lines;
 }
 
 void ControlPlan::hold_fill(unsigned sig, const std::vector<bool>& care,
                             FillPolicy policy) {
   MCRTL_CHECK(sig < signals_.size());
   MCRTL_CHECK(care.size() == static_cast<std::size_t>(period()) + 1);
-  auto& vals = values_[sig];
+  std::uint64_t* vals = values_.data() + sig * static_cast<std::size_t>(period());
   const bool any_care = [&] {
     for (int t = 1; t <= period(); ++t) {
       if (care[static_cast<std::size_t>(t)]) return true;

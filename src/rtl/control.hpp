@@ -44,6 +44,9 @@ class ControlPlan {
  public:
   explicit ControlPlan(const ClockScheme& clocks);
 
+  /// Reserve room for `signals` signals.
+  void reserve(std::size_t signals);
+
   /// Define a signal; values default to 0 for all steps.
   unsigned add_signal(std::string name, SignalRole role, unsigned width,
                       bool latched, int partition, CompId source);
@@ -58,6 +61,10 @@ class ControlPlan {
   /// signal at a step before its partition's first pulse, the value from
   /// the *previous* period's last pulse is returned.
   std::uint64_t line_value(unsigned sig, int t) const;
+
+  /// line_value() of every signal at every step, step-major: the value of
+  /// signal s during step t (1..period) is element (t-1)·signals + s.
+  std::vector<std::uint64_t> line_values() const;
 
   /// How controller outputs behave in don't-care steps.
   enum class FillPolicy {
@@ -88,10 +95,13 @@ class ControlPlan {
   unsigned total_bits() const;
 
  private:
+  /// The step whose tabulated value signal `sig` carries during step t.
+  int line_step(const ControlSignal& s, int t) const;
+
   ClockScheme clocks_;  // by value: the plan outlives its builder
   std::vector<ControlSignal> signals_;
-  /// values_[sig][t-1] for t in 1..period.
-  std::vector<std::vector<std::uint64_t>> values_;
+  /// Tabulated values, signal-major: values_[sig·period + t-1].
+  std::vector<std::uint64_t> values_;
 };
 
 }  // namespace mcrtl::rtl

@@ -10,6 +10,7 @@
 #include "rtl/clock.hpp"
 #include "rtl/control.hpp"
 #include "rtl/netlist.hpp"
+#include "rtl/tables.hpp"
 
 namespace mcrtl::rtl {
 
@@ -28,11 +29,17 @@ struct DesignStats {
 };
 
 /// The synthesized design. Movable, not copyable (owns the netlist).
+///
+/// The constructor validates the netlist and compiles `tables` from the
+/// netlist, clocks and control plan, so those three are fixed from then on:
+/// mutating them afterwards leaves the tables stale.
 struct Design {
   std::string style_name;           ///< e.g. "Conven. Alloc. (Gated Clock)"
   Netlist netlist;
   ClockScheme clocks;
   ControlPlan control;
+  /// Everything the simulator kernels derive from the three above.
+  DesignTables tables;
   DesignStats stats;
 
   /// Primary input value -> InputPort component.
@@ -63,7 +70,8 @@ struct Design {
       : style_name(std::move(style)),
         netlist(std::move(nl)),
         clocks(cs),
-        control(std::move(cp)) {}
+        control(std::move(cp)),
+        tables(compile_tables(netlist, clocks, control)) {}
 };
 
 /// Style of the memory-element clocking for a build.

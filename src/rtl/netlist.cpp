@@ -32,29 +32,43 @@ bool is_combinational(CompKind k) {
          k == CompKind::IsoGate;
 }
 
-Netlist::Netlist(std::string name) : name_(std::move(name)) {}
+Netlist::Netlist(std::string name)
+    : name_(std::move(name)),
+      pins_(std::make_unique<std::pmr::monotonic_buffer_resource>()) {}
+
+void Netlist::reserve(std::size_t components, std::size_t pins) {
+  comps_.reserve(components);
+  nets_.reserve(components);
+  if (comps_.empty()) {
+    // Inputs are sized exactly by add_component; reader lists grow by
+    // doubling inside the arena, so leave them room for their regrowth.
+    pins_ = std::make_unique<std::pmr::monotonic_buffer_resource>(
+        pins * (sizeof(NetId) + 3 * sizeof(CompId)) + 64);
+  }
+}
 
 NetId Netlist::add_net(std::string name, unsigned width, CompId driver) {
-  Net n;
-  n.id = NetId(static_cast<std::uint32_t>(nets_.size()));
+  Net& n = nets_.emplace_back(pins_.get());
+  n.id = NetId(static_cast<std::uint32_t>(nets_.size() - 1));
   n.name = std::move(name);
   n.width = width;
   n.driver = driver;
-  nets_.push_back(std::move(n));
-  return nets_.back().id;
+  return n.id;
 }
 
-CompId Netlist::add_component(CompKind kind, std::string name, unsigned width) {
-  Component c;
-  c.id = CompId(static_cast<std::uint32_t>(comps_.size()));
+CompId Netlist::add_component(CompKind kind, std::string name, unsigned width,
+                              std::size_t num_inputs) {
+  const CompId id(static_cast<std::uint32_t>(comps_.size()));
+  const NetId output =
+      kind != CompKind::OutputPort ? add_net(name + "_o", width, id) : NetId();
+  Component& c = comps_.emplace_back(pins_.get());
+  c.id = id;
   c.kind = kind;
   c.name = std::move(name);
   c.width = width;
-  if (kind != CompKind::OutputPort) {
-    c.output = add_net(c.name + "_o", width, c.id);
-  }
-  comps_.push_back(std::move(c));
-  return comps_.back().id;
+  c.output = output;
+  c.inputs.reserve(num_inputs);
+  return id;
 }
 
 void Netlist::connect_input(CompId c, NetId n) {
@@ -65,14 +79,16 @@ void Netlist::connect_input(CompId c, NetId n) {
 }
 
 void Netlist::set_select(CompId c, NetId n) {
-  MCRTL_CHECK(c.valid() && n.valid());
+  MCRTL_CHECK(c.valid() && c.index() < comps_.size());
+  MCRTL_CHECK(n.valid() && n.index() < nets_.size());
   MCRTL_CHECK(!comps_[c.index()].select.valid());
   comps_[c.index()].select = n;
   nets_[n.index()].readers.push_back(c);
 }
 
 void Netlist::set_load(CompId c, NetId n) {
-  MCRTL_CHECK(c.valid() && n.valid());
+  MCRTL_CHECK(c.valid() && c.index() < comps_.size());
+  MCRTL_CHECK(n.valid() && n.index() < nets_.size());
   MCRTL_CHECK(is_storage(comps_[c.index()].kind));
   MCRTL_CHECK(!comps_[c.index()].load.valid());
   comps_[c.index()].load = n;
@@ -94,136 +110,63 @@ const Net& Netlist::net(NetId id) const {
   return nets_[id.index()];
 }
 
-std::vector<CompId> Netlist::comb_order() const {
-  // Kahn's algorithm restricted to Mux/Alu components; storage, ports,
-  // constants and control sources are sequential/external boundaries.
+Netlist::Levelization Netlist::levelize() const {
+  // Kahn's algorithm over the combinational components (storage, ports,
+  // constants and control sources are sequential/external boundaries),
+  // counting data-input and select edges, with a LIFO ready list; the
+  // longest-path level of a component is fixed once its last driver pops.
+  Levelization lv;
+  lv.level.assign(comps_.size(), -1);
   std::vector<unsigned> pending(comps_.size(), 0);
-  for (const auto& c : comps_) {
-    if (!is_combinational(c.kind)) continue;
-    for (NetId in : c.inputs) {
-      const CompId d = nets_[in.index()].driver;
-      if (d.valid() && is_combinational(comps_[d.index()].kind)) ++pending[c.id.index()];
-    }
-  }
-  std::vector<CompId> ready;
-  std::size_t total = 0;
-  for (const auto& c : comps_) {
-    if (!is_combinational(c.kind)) continue;
-    ++total;
-    if (pending[c.id.index()] == 0) ready.push_back(c.id);
-  }
-  std::vector<CompId> order;
-  order.reserve(total);
-  while (!ready.empty()) {
-    const CompId cid = ready.back();
-    ready.pop_back();
-    order.push_back(cid);
-    const Component& c = comps_[cid.index()];
-    for (CompId reader : nets_[c.output.index()].readers) {
-      if (!is_combinational(comps_[reader.index()].kind)) continue;
-      // Count only data-input edges (select nets come from ControlSources).
-      const auto& ins = comps_[reader.index()].inputs;
-      const auto n_edges = static_cast<unsigned>(
-          std::count(ins.begin(), ins.end(), c.output));
-      if (n_edges == 0) continue;
-      pending[reader.index()] -= n_edges;
-      if (pending[reader.index()] == 0) ready.push_back(reader);
-    }
-  }
-  if (order.size() != total) {
-    throw ValidationError("netlist '" + name_ + "' has a combinational cycle");
-  }
-  return order;
-}
-
-std::vector<int> Netlist::comb_levels() const {
-  // Kahn over combinational components again, but with select edges
-  // included and longest-path levels recorded. comb_order() only orders
-  // data edges; a levelized kernel must also evaluate a component after a
-  // combinational select driver, so cycles through select pins are
-  // rejected here even though comb_order() would accept them.
-  std::vector<int> level(comps_.size(), -1);
-  std::vector<unsigned> pending(comps_.size(), 0);
-  auto for_each_comb_driver = [&](const Component& c, auto&& fn) {
-    for (NetId in : c.inputs) {
-      const CompId d = nets_[in.index()].driver;
-      if (d.valid() && is_combinational(comps_[d.index()].kind)) fn(d);
-    }
-    if (c.select.valid()) {
-      const CompId d = nets_[c.select.index()].driver;
-      if (d.valid() && is_combinational(comps_[d.index()].kind)) fn(d);
-    }
+  const auto comb_driven = [&](NetId n) {
+    const CompId d = nets_[n.index()].driver;
+    return d.valid() && is_combinational(comps_[d.index()].kind);
   };
   std::vector<CompId> ready;
   std::size_t total = 0;
   for (const auto& c : comps_) {
     if (!is_combinational(c.kind)) continue;
     ++total;
-    for_each_comb_driver(c, [&](CompId) { ++pending[c.id.index()]; });
-    if (pending[c.id.index()] == 0) {
-      level[c.id.index()] = 0;
+    unsigned& p = pending[c.id.index()];
+    for (NetId in : c.inputs) p += comb_driven(in) ? 1 : 0;
+    if (c.select.valid() && comb_driven(c.select)) ++p;
+    if (p == 0) {
+      lv.level[c.id.index()] = 0;
       ready.push_back(c.id);
     }
   }
-  std::size_t done = 0;
+  lv.order.reserve(total);
   while (!ready.empty()) {
     const CompId cid = ready.back();
     ready.pop_back();
-    ++done;
-    const Component& c = comps_[cid.index()];
-    if (!c.output.valid()) continue;
-    for (CompId reader : nets_[c.output.index()].readers) {
-      Component const& r = comps_[reader.index()];
+    lv.order.push_back(cid);
+    const int next = lv.level[cid.index()] + 1;
+    lv.depth = std::max(lv.depth, next);
+    const NetId out = comps_[cid.index()].output;
+    const auto& readers = nets_[out.index()].readers;
+    for (auto it = readers.begin(); it != readers.end(); ++it) {
+      const Component& r = comps_[it->index()];
       if (!is_combinational(r.kind)) continue;
+      // The list has one entry per pin: take all of a reader's edges at its
+      // first entry and skip the rest.
+      if (std::find(readers.begin(), it, *it) != it) continue;
       unsigned n_edges = static_cast<unsigned>(
-          std::count(r.inputs.begin(), r.inputs.end(), c.output));
-      if (r.select == c.output) ++n_edges;
-      if (n_edges == 0) continue;
-      level[reader.index()] =
-          std::max(level[reader.index()], level[cid.index()] + 1);
-      pending[reader.index()] -= n_edges;
-      if (pending[reader.index()] == 0) ready.push_back(reader);
+          std::count(r.inputs.begin(), r.inputs.end(), out));
+      if (r.select == out) ++n_edges;
+      lv.level[it->index()] = std::max(lv.level[it->index()], next);
+      pending[it->index()] -= n_edges;
+      if (pending[it->index()] == 0) ready.push_back(*it);
     }
   }
-  if (done != total) {
+  if (lv.order.size() != total) {
     throw ValidationError("netlist '" + name_ +
                           "' has a combinational cycle (through data or "
                           "select pins)");
   }
-  return level;
+  return lv;
 }
 
-Netlist::Fanout Netlist::comb_fanout() const {
-  Fanout fanout;
-  fanout.offset.reserve(nets_.size() + 1);
-  fanout.offset.push_back(0);
-  std::vector<CompId> out;
-  for (std::size_t i = 0; i < nets_.size(); ++i) {
-    out.clear();
-    for (CompId reader : nets_[i].readers) {
-      const Component& r = comps_[reader.index()];
-      if (!is_combinational(r.kind)) continue;
-      // A reader pin list may name the same component several times (a mux
-      // fed twice by one net, or select + data from the same source);
-      // storage load pins are excluded because settle() never evaluates
-      // storage. Only data-input and select reads make the cut.
-      const bool reads = r.select == nets_[i].id ||
-                         std::find(r.inputs.begin(), r.inputs.end(),
-                                   nets_[i].id) != r.inputs.end();
-      if (!reads) continue;
-      if (std::find(out.begin(), out.end(), reader) == out.end()) {
-        out.push_back(reader);
-      }
-    }
-    std::sort(out.begin(), out.end(),
-              [](CompId a, CompId b) { return a.index() < b.index(); });
-    fanout.readers.insert(fanout.readers.end(), out.begin(), out.end());
-    fanout.offset.push_back(static_cast<std::uint32_t>(fanout.readers.size()));
-  }
-  return fanout;
-}
-
-void Netlist::validate() const {
+Netlist::Levelization Netlist::validate() const {
   for (const auto& c : comps_) {
     const auto need_inputs = [&]() -> std::size_t {
       switch (c.kind) {
@@ -287,7 +230,7 @@ void Netlist::validate() const {
       throw ValidationError("net '" + n.name + "' driver mismatch");
     }
   }
-  (void)comb_order();  // throws on combinational cycles
+  return levelize();  // throws on combinational cycles
 }
 
 }  // namespace mcrtl::rtl

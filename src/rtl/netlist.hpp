@@ -10,6 +10,8 @@
 #pragma once
 
 #include <cstdint>
+#include <memory>
+#include <memory_resource>
 #include <string>
 #include <vector>
 
@@ -48,8 +50,12 @@ const char* comp_kind_name(CompKind k);
 bool is_storage(CompKind k);
 bool is_combinational(CompKind k);
 
-/// One netlist component.
+/// One netlist component. Its pin list lives in its netlist's pin arena
+/// (a default-constructed or copied Component uses the global heap).
 struct Component {
+  Component() = default;
+  explicit Component(std::pmr::memory_resource* pins) : inputs(pins) {}
+
   CompId id;
   CompKind kind = CompKind::Mux;
   std::string name;
@@ -57,7 +63,7 @@ struct Component {
 
   /// Data inputs: Mux = k inputs; Alu = 2 (second ignored for unary ops);
   /// storage = 1 (the D input); OutputPort = 1. Others none.
-  std::vector<NetId> inputs;
+  std::pmr::vector<NetId> inputs;
   /// Data output net; invalid for OutputPort.
   NetId output;
 
@@ -85,26 +91,43 @@ struct Component {
   int partition = 0;
 };
 
-/// One net: a single driver and any number of reader pins.
+/// One net: a single driver and any number of reader pins, listed in the
+/// order they were connected (in the netlist's pin arena, like
+/// Component::inputs).
 struct Net {
+  Net() = default;
+  explicit Net(std::pmr::memory_resource* pins) : readers(pins) {}
+
   NetId id;
   std::string name;
   unsigned width = 1;
   CompId driver;
-  std::vector<CompId> readers;
+  std::pmr::vector<CompId> readers;
 };
 
-/// The netlist: a flat component/net graph with builder helpers.
+/// The netlist: a flat component/net graph with builder helpers. Pin lists
+/// (component inputs and net readers) are carved from one arena owned by
+/// the netlist, so a netlist's hundreds of small pin lists cost a handful
+/// of heap allocations. Movable, not copyable.
 class Netlist {
  public:
   explicit Netlist(std::string name);
+  Netlist(Netlist&&) noexcept = default;
+  /// Not assignable: the pin lists must die before the arena holding them.
+  Netlist& operator=(Netlist&&) = delete;
 
   const std::string& name() const { return name_; }
 
   // ---- builders ------------------------------------------------------------
+  /// Reserve storage for `components` components (and as many nets) and
+  /// `pins` pin connections (data inputs plus select and load pins), so a
+  /// builder that knows its counts up front never regrows a list.
+  void reserve(std::size_t components, std::size_t pins);
   /// Adds a component of `kind`; allocates its output net unless it is an
-  /// OutputPort. Inputs/controls are connected afterwards.
-  CompId add_component(CompKind kind, std::string name, unsigned width);
+  /// OutputPort. Inputs/controls are connected afterwards; `num_inputs`
+  /// sizes the component's pin list when the caller knows it.
+  CompId add_component(CompKind kind, std::string name, unsigned width,
+                       std::size_t num_inputs = 0);
   /// Connect net `n` as the next data input of `c`.
   void connect_input(CompId c, NetId n);
   /// Connect control nets.
@@ -120,43 +143,37 @@ class Netlist {
   const std::vector<Component>& components() const { return comps_; }
   const std::vector<Net>& nets() const { return nets_; }
 
-  /// Combinational components (Mux/Alu) in dependence order: a component
-  /// appears after every combinational component that drives one of its
-  /// data inputs. Throws ValidationError on a combinational cycle.
-  std::vector<CompId> comb_order() const;
-
-  /// Topological level of every combinational component, indexed by CompId
-  /// (-1 for non-combinational components). Level 0 components read only
-  /// sequential/external nets (storage outputs, ports, constants, control
-  /// sources); a component at level L has at least one combinational
-  /// driver — on a data input *or* the select pin — at level L-1 and none
-  /// deeper. Evaluating level 0, 1, 2, ... in order therefore evaluates
-  /// every component after all of its combinational drivers; the
-  /// event-driven simulator kernel buckets its worklist by this level.
-  /// Throws ValidationError on a combinational cycle.
-  std::vector<int> comb_levels() const;
-
-  /// For each net (indexed by NetId), the combinational components that
-  /// read it through a data input or the select pin, deduplicated, in
-  /// ascending CompId order. This is the "which evaluations may change
-  /// when this net toggles" index the event-driven simulator dirties from,
-  /// flattened CSR-style: readers of net i are
-  /// `readers[offset[i] .. offset[i+1])`.
-  struct Fanout {
-    std::vector<std::uint32_t> offset;
-    std::vector<CompId> readers;
+  /// The combinational components (Mux/Bus/Alu/IsoGate) in dependence
+  /// order, with their topological levels. One Kahn pass over every
+  /// combinational-to-combinational edge, data inputs *and* select pins:
+  /// `order` lists a component after every combinational component that
+  /// drives one of its data inputs or its select; `level` (indexed by
+  /// CompId, -1 for non-combinational components) is 0 for components that
+  /// read only sequential/external nets (storage outputs, ports, constants,
+  /// control sources), else one more than the deepest combinational driver.
+  /// Evaluating in `order`, or level by level, therefore evaluates every
+  /// component after all of its combinational drivers. Throws
+  /// ValidationError on a combinational cycle (through data or select
+  /// pins).
+  struct Levelization {
+    std::vector<CompId> order;
+    std::vector<int> level;
+    int depth = 0;  ///< number of levels (max level + 1)
   };
-  Fanout comb_fanout() const;
+  Levelization levelize() const;
 
   /// Design-rule checks: every input connected, single driver per net,
   /// width agreement, select present where needed, storage has a clock
-  /// phase, no combinational cycles.
-  void validate() const;
+  /// phase, no combinational cycles. The cycle check is levelize(), whose
+  /// result is returned so a caller that needs it pays for one pass.
+  Levelization validate() const;
 
  private:
   NetId add_net(std::string name, unsigned width, CompId driver);
 
   std::string name_;
+  // Declared before the lists whose pins it holds, so it outlives them.
+  std::unique_ptr<std::pmr::monotonic_buffer_resource> pins_;
   std::vector<Component> comps_;
   std::vector<Net> nets_;
 };

@@ -16,85 +16,19 @@ using rtl::NetId;
 
 Simulator::Simulator(const rtl::Design& design, Mode mode)
     : design_(&design),
+      tab_(&design.tables),
       mode_(mode),
-      comb_order_(design.netlist.comb_order()),
       net_value_(design.netlist.num_nets(), 0),
-      storage_q_(design.netlist.num_components(), 0) {
+      storage_q_(design.netlist.num_components(), 0),
+      static_edges_(mode != Mode::Oblivious && design.tables.static_edges) {
   const rtl::Netlist& nl = design.netlist;
-  storage_by_phase_.resize(static_cast<std::size_t>(design.clocks.num_phases()) +
-                           1);
-  for (const auto& c : nl.components()) {
-    if (rtl::is_storage(c.kind)) {
-      storage_by_phase_[static_cast<std::size_t>(c.clock_phase)].push_back(c.id);
-    }
-  }
   if (mode_ != Mode::Oblivious) {  // EventDriven and BitSliced both levelize
-    level_ = nl.comb_levels();
-    int max_level = -1;
-    for (int l : level_) max_level = std::max(max_level, l);
-    buckets_.resize(static_cast<std::size_t>(max_level + 1));
+    queue_.resize(tab_->comb_order.size());
+    bucket_end_.resize(tab_->depth());
+    for (std::size_t l = 0; l < bucket_end_.size(); ++l) {
+      bucket_end_[l] = queue_.data() + tab_->level_offset[l];
+    }
     in_queue_.assign(nl.num_components(), 0);
-    auto fanout = nl.comb_fanout();
-    fanout_offset_ = std::move(fanout.offset);
-    fanout_ = std::move(fanout.readers);
-  }
-  const rtl::ControlPlan& plan = design.control;
-  const int P = design.clocks.period();
-  for (const auto& sig : plan.signals()) {
-    const NetId net = nl.comp(sig.source).output;
-    control_lines_.emplace_back(net, sig.index);
-    control_reset_writes_.emplace_back(net, plan.line_value(sig.index, P));
-  }
-  phase_by_step_.resize(static_cast<std::size_t>(P) + 1);
-  for (int t = 1; t <= P; ++t) {
-    phase_by_step_[static_cast<std::size_t>(t)] = design.clocks.phase_of_step(t);
-  }
-  if (mode_ == Mode::Oblivious) return;  // Oblivious re-derives per step.
-  // Tabulate controller delivery once: line values repeat every period, so
-  // the per-step controller loop reduces to replaying the per-step deltas.
-  control_step_writes_.resize(static_cast<std::size_t>(P) + 1);
-  for (const auto& [net, sig_index] : control_lines_) {
-    std::uint64_t prev = plan.line_value(sig_index, P);
-    for (int t = 1; t <= P; ++t) {
-      const std::uint64_t v = plan.line_value(sig_index, t);
-      if (v != prev) {
-        control_step_writes_[static_cast<std::size_t>(t)].emplace_back(net, v);
-        prev = v;
-      }
-    }
-  }
-  // Static phase-edge schedule: valid when every storage load pin is fed by
-  // a controller line (whose per-step value is tabulated and periodic).
-  std::vector<int> sig_of_net(nl.num_nets(), -1);
-  for (const auto& sig : plan.signals()) {
-    sig_of_net[nl.comp(sig.source).output.index()] =
-        static_cast<int>(sig.index);
-  }
-  static_edges_ = true;
-  for (const auto& c : nl.components()) {
-    if (rtl::is_storage(c.kind) && c.load.valid() &&
-        sig_of_net[c.load.index()] < 0) {
-      static_edges_ = false;
-      break;
-    }
-  }
-  if (static_edges_) {
-    edge_clock_events_.resize(static_cast<std::size_t>(P) + 1);
-    edge_captures_.resize(static_cast<std::size_t>(P) + 1);
-    for (int t = 1; t <= P; ++t) {
-      const int phase = phase_by_step_[static_cast<std::size_t>(t)];
-      for (CompId cid : storage_by_phase_[static_cast<std::size_t>(phase)]) {
-        const rtl::Component& c = nl.comp(cid);
-        const bool load =
-            !c.load.valid() ||
-            plan.line_value(
-                static_cast<unsigned>(sig_of_net[c.load.index()]), t) != 0;
-        if (load || !c.clock_gated) {
-          edge_clock_events_[static_cast<std::size_t>(t)].push_back(cid);
-        }
-        if (load) edge_captures_[static_cast<std::size_t>(t)].push_back(cid);
-      }
-    }
   }
   if (mode_ == Mode::BitSliced) {
     // The sliced kernel walks the static phase-edge schedule (per-lane
@@ -115,25 +49,20 @@ Simulator::Simulator(const rtl::Design& design, Mode mode)
 
 // Kept small and in the same TU as write_net so the enqueue folds into the
 // settle loops instead of costing a call per changed net.
+inline void Simulator::enqueue(CompId cid) {
+  if (in_queue_[cid.index()]) return;
+  in_queue_[cid.index()] = 1;
+  const auto l = static_cast<std::size_t>(tab_->level[cid.index()]);
+  *bucket_end_[l]++ = cid;
+  ++pending_;
+}
+
 inline void Simulator::mark_fanout_dirty(NetId net) {
-  const std::uint32_t begin = fanout_offset_[net.index()];
-  const std::uint32_t end = fanout_offset_[net.index() + 1];
-  for (std::uint32_t k = begin; k < end; ++k) {
-    const CompId cid = fanout_[k];
-    if (in_queue_[cid.index()]) continue;
-    in_queue_[cid.index()] = 1;
-    buckets_[static_cast<std::size_t>(level_[cid.index()])].push_back(cid);
-    ++pending_;
-  }
+  for (CompId cid : tab_->fanout[net.index()]) enqueue(cid);
 }
 
 void Simulator::mark_all_dirty() {
-  for (CompId cid : comb_order_) {
-    if (in_queue_[cid.index()]) continue;
-    in_queue_[cid.index()] = 1;
-    buckets_[static_cast<std::size_t>(level_[cid.index()])].push_back(cid);
-    ++pending_;
-  }
+  for (CompId cid : tab_->comb_order) enqueue(cid);
 }
 
 void Simulator::write_net(NetId net, std::uint64_t value, Activity& act,
@@ -178,7 +107,7 @@ std::uint64_t Simulator::eval_comp(const rtl::Component& c) const {
 
 void Simulator::settle(Activity& act, bool count) {
   ++kernel_stats_.settles;
-  kernel_stats_.oblivious_evals += comb_order_.size();
+  kernel_stats_.oblivious_evals += tab_->comb_order.size();
   if (mode_ == Mode::Oblivious) {
     settle_oblivious(act, count);
   } else {
@@ -188,8 +117,8 @@ void Simulator::settle(Activity& act, bool count) {
 
 void Simulator::settle_oblivious(Activity& act, bool count) {
   const auto& comps = design_->netlist.components();
-  kernel_stats_.evals += comb_order_.size();
-  for (CompId cid : comb_order_) {
+  kernel_stats_.evals += tab_->comb_order.size();
+  for (CompId cid : tab_->comb_order) {
     const rtl::Component& c = comps[cid.index()];
     write_net(c.output, eval_comp(c), act, count);
   }
@@ -200,17 +129,20 @@ void Simulator::settle_event(Activity& act, bool count) {
   const auto& comps = design_->netlist.components();
   // Levels are topological over every combinational-to-combinational edge
   // (data and select), so evaluating a level-L component can only enqueue
-  // strictly deeper levels: one ascending sweep drains the whole cone.
-  for (auto& bucket : buckets_) {
-    for (std::size_t i = 0; i < bucket.size(); ++i) {
+  // strictly deeper levels: one ascending sweep drains the whole cone, and
+  // a level's fill is final when the sweep reaches it.
+  for (std::size_t l = 0; l < bucket_end_.size(); ++l) {
+    CompId* const bucket = queue_.data() + tab_->level_offset[l];
+    const auto n = static_cast<std::size_t>(bucket_end_[l] - bucket);
+    for (std::size_t i = 0; i < n; ++i) {
       const CompId cid = bucket[i];
       in_queue_[cid.index()] = 0;
       ++kernel_stats_.evals;
       const rtl::Component& c = comps[cid.index()];
       write_net(c.output, eval_comp(c), act, count);
     }
-    pending_ -= bucket.size();
-    bucket.clear();
+    pending_ -= n;
+    bucket_end_[l] = bucket;
     if (pending_ == 0) break;
   }
 }
@@ -279,8 +211,9 @@ SimResult Simulator::run_scalar(const InputStream& stream,
     // ALU); the event-driven kernel therefore starts from a full worklist,
     // exactly reproducing the oblivious kernel's unconditional first pass.
     if (mode_ != Mode::Oblivious) mark_all_dirty();
-    for (const auto& [net, value] : control_reset_writes_) {
-      write_net(net, value, act, false);
+    const auto lines = tab_->lines_at(P);
+    for (std::size_t s = 0; s < lines.size(); ++s) {
+      write_net(tab_->line_net[s], lines[s], act, false);
     }
     for (const auto& c : comps) {
       if (c.kind == CompKind::Constant) {
@@ -290,7 +223,7 @@ SimResult Simulator::run_scalar(const InputStream& stream,
     if (!stream.empty()) apply_inputs(0, false);
     settle(act, false);
     // Boundary edge (phase n): load the input registers for computation 0.
-    for (CompId cid : storage_by_phase_[static_cast<std::size_t>(n)]) {
+    for (CompId cid : tab_->storage_by_phase[static_cast<std::size_t>(n)]) {
       const rtl::Component& c = comps[cid.index()];
       if (c.load.valid() && net_value_[c.load.index()] == 0) continue;
       storage_q_[cid.index()] = net_value_[c.inputs[0].index()];
@@ -320,16 +253,16 @@ SimResult Simulator::run_scalar(const InputStream& stream,
     }
     for (int t = 1; t <= P; ++t) {
       // 1. controller drives step-t values. EventDriven replays the
-      // tabulated deltas (only the lines that move); Oblivious re-derives
-      // every line from the ControlPlan, as the original inner loop did.
+      // tabulated deltas (only the lines that move); Oblivious writes every
+      // line, as the original inner loop did.
       if (mode_ != Mode::Oblivious) {
-        for (const auto& [net, value] :
-             control_step_writes_[static_cast<std::size_t>(t)]) {
-          write_net(net, value, act, true);
+        for (const auto& w : tab_->step_writes[static_cast<std::size_t>(t)]) {
+          write_net(w.net, w.value, act, true);
         }
       } else {
-        for (const auto& [net, sig_index] : control_lines_) {
-          write_net(net, d.control.line_value(sig_index, t), act, true);
+        const auto lines = tab_->lines_at(t);
+        for (std::size_t s = 0; s < lines.size(); ++s) {
+          write_net(tab_->line_net[s], lines[s], act, true);
         }
       }
       // 2. at the boundary step, the environment presents the next inputs.
@@ -337,13 +270,13 @@ SimResult Simulator::run_scalar(const InputStream& stream,
       // 3. combinational wave from control/input changes.
       settle(act, true);
       // 4. the phase edge ending step t.
-      const int phase = phase_by_step_[static_cast<std::size_t>(t)];
+      const int phase = tab_->phase_by_step[static_cast<std::size_t>(t)];
       ++act.phase_pulses[static_cast<std::size_t>(phase)];
       if (probe_) probe_->add_phase_pulse(phase);
       // Capture simultaneously: read all D inputs before committing.
       captures_.clear();
       if (static_edges_) {
-        const auto& clocked = edge_clock_events_[static_cast<std::size_t>(t)];
+        const auto clocked = tab_->edge_clock_events[static_cast<std::size_t>(t)];
         for (CompId cid : clocked) {
           ++act.storage_clock_events[cid.index()];
           if (probe_) probe_->add_storage_clock(cid.index());
@@ -351,12 +284,13 @@ SimResult Simulator::run_scalar(const InputStream& stream,
         if (heatmap_) {
           heatmap_->clock_events[heatmap_->at(phase, t)] += clocked.size();
         }
-        for (CompId cid : edge_captures_[static_cast<std::size_t>(t)]) {
+        for (CompId cid : tab_->edge_captures[static_cast<std::size_t>(t)]) {
           captures_.emplace_back(
               cid, net_value_[comps[cid.index()].inputs[0].index()]);
         }
       } else {
-        for (CompId cid : storage_by_phase_[static_cast<std::size_t>(phase)]) {
+        for (CompId cid :
+             tab_->storage_by_phase[static_cast<std::size_t>(phase)]) {
           const rtl::Component& c = comps[cid.index()];
           const bool load = !c.load.valid() || net_value_[c.load.index()] != 0;
           if (load || !c.clock_gated) {

@@ -2,7 +2,7 @@
 //
 // One control step = one master clock cycle. Within a step:
 //   1. the controller drives new control-line values (latched lines only
-//      change at their partition boundary — ControlPlan::line_value);
+//      change at their partition boundary — ControlPlan::line_values);
 //   2. at the period boundary, primary inputs take the next computation's
 //      values;
 //   3. combinational logic (muxes, ALUs) settles — every output word change
@@ -18,19 +18,19 @@
 //
 // Three settle kernels implement step 3/5 with bit-identical results:
 //
-//  * EventDriven (default) — a levelized event-driven worklist. The
-//    constructor precomputes a net -> combinational-fanout index and a
-//    topological level per combinational component (rtl::Netlist::
-//    comb_fanout / comb_levels); write_net() enqueues the dirty fanout of
-//    every real value change into a level-bucketed worklist, and settle()
-//    drains only the affected cone in level order. In an n-clock design
+//  * EventDriven (default) — a levelized event-driven worklist over the
+//    design's compiled tables (rtl::DesignTables: the net ->
+//    combinational-fanout index and a topological level per combinational
+//    component); write_net() enqueues the dirty fanout of every real value
+//    change into a level-bucketed worklist, and settle() drains only the
+//    affected cone in level order. In an n-clock design
 //    only ~1/n of the datapath sees new values in any master cycle (the
 //    paper's one-active-DPM property), so most components are never
 //    touched.
 //  * Oblivious — the reference kernel: re-evaluate every combinational
-//    component in topological order on every settle, re-derive every
-//    control-line value from the ControlPlan every step, and re-derive the
-//    phase-edge capture set from the live load nets at every edge — i.e.
+//    component in topological order on every settle, write every
+//    control-line value every step, and re-derive the phase-edge capture
+//    set from the live load nets at every edge — i.e.
 //    the full pre-event-kernel inner loop. Retained as the
 //    differential-testing baseline for the event-driven kernel and its
 //    precomputed control/edge schedules (and as the cost model of the
@@ -41,9 +41,9 @@
 //    bit), components are evaluated with SWAR logic plus ripple-carry
 //    arithmetic on the planes, and per-stream toggle counts accumulate in
 //    carry-save vertical counters — so one settle pass over the levelized
-//    worklist advances all streams at once. It reuses the event-driven
-//    kernel's levelized fanout index, tabulated controller deltas and
-//    static phase-edge schedules; designs whose storage load enables are
+//    worklist advances all streams at once. It reads the same compiled
+//    levelized fanout index, tabulated controller deltas and static
+//    phase-edge schedules; designs whose storage load enables are
 //    not controller-driven (never produced by synthesize()) are rejected
 //    at construction. Per stream, its results are bit-identical to an
 //    independent EventDriven run of that stream's stimulus.
@@ -259,8 +259,10 @@ class Simulator {
   void settle_event(Activity& act, bool count);
   std::uint64_t eval_comp(const rtl::Component& c) const;
   void write_net(rtl::NetId net, std::uint64_t value, Activity& act, bool count);
-  /// Enqueue every combinational reader of `net` that is not already
-  /// pending (event-driven mode only).
+  /// Enqueue `cid` in its level's bucket unless it is already pending
+  /// (event-driven mode only).
+  void enqueue(rtl::CompId cid);
+  /// Enqueue every combinational reader of `net`.
   void mark_fanout_dirty(rtl::NetId net);
   /// Enqueue every combinational component (the full re-evaluation the
   /// preamble of each run() needs: before the first settle no net has ever
@@ -269,58 +271,30 @@ class Simulator {
   void mark_all_dirty();
 
   const rtl::Design* design_;
+  const rtl::DesignTables* tab_;  // design_->tables
   Mode mode_;
-  std::vector<rtl::CompId> comb_order_;
   std::vector<std::uint64_t> net_value_;
   std::vector<std::uint64_t> storage_q_;  // by CompId (storage comps only)
 
-  // Event-driven kernel state (empty in Oblivious mode). The fanout index
-  // is flattened CSR-style: readers of net i live in
-  // fanout_[fanout_offset_[i] .. fanout_offset_[i+1]).
-  std::vector<std::uint32_t> fanout_offset_;
-  std::vector<rtl::CompId> fanout_;
-  std::vector<int> level_;                      // by CompId; -1 = non-comb
-  std::vector<std::vector<rtl::CompId>> buckets_;  // worklist, by level
-  std::vector<std::uint8_t> in_queue_;          // by CompId
+  // Event-driven worklist (empty in Oblivious mode), bucketed by level in
+  // one array: level L's pending components fill
+  // queue_[level_offset[L] .. bucket_end_[L]), in enqueue order. A component
+  // is queued at most once (in_queue_), so a level's slice never overflows.
+  std::vector<rtl::CompId> queue_;
+  std::vector<rtl::CompId*> bucket_end_;  // by level
+  std::vector<std::uint8_t> in_queue_;      // by CompId
   std::size_t pending_ = 0;
 
-  // Storage components grouped by clock phase 1..n (index 0 unused), in
-  // CompId order — replaces the all-components scan at every phase edge.
-  std::vector<std::vector<rtl::CompId>> storage_by_phase_;
   // Capture scratch, hoisted out of the step loop.
   std::vector<std::pair<rtl::CompId, std::uint64_t>> captures_;
 
-  // Controller lines as (output net, ControlPlan signal index), the
-  // Oblivious kernel's per-step delivery list (it re-derives every line
-  // value every step, as the pre-event-kernel simulator did).
-  std::vector<std::pair<rtl::NetId, unsigned>> control_lines_;
-  // EventDriven controller delivery, precomputed from ControlPlan (line
-  // values are periodic in the master period). control_step_writes_[t]
-  // (t in 1..P) holds (net, value) for exactly the signals whose line value
-  // changes between step t-1 and t (wrapping at the period boundary), so
-  // the per-step controller loop touches only moving lines; writing an
-  // unchanged line was always a no-op, so toggle counts are unaffected.
-  // control_reset_writes_ is the full boundary-state list (every signal at
-  // step P) the preamble establishes before the first computation.
-  std::vector<std::vector<std::pair<rtl::NetId, std::uint64_t>>>
-      control_step_writes_;
-  std::vector<std::pair<rtl::NetId, std::uint64_t>> control_reset_writes_;
-  // phase_of_step(t) for t in 1..P.
-  std::vector<int> phase_by_step_;
-
-  // Static phase-edge schedule (EventDriven only). Load enables are
-  // controller lines, so when every storage load net is ControlSource-driven
-  // (true for all built designs) the set of storage elements that receives a
-  // clock event / captures at period step t is a pure function of t:
-  // edge_clock_events_[t] and edge_captures_[t] list them in CompId order,
-  // and the per-step edge handling walks exactly those instead of re-deriving
-  // the sets from load nets. Falls back to the dynamic per-phase scan
-  // (static_edges_ = false) if a hand-built netlist drives a load pin from
-  // the datapath. The Oblivious kernel always uses the dynamic scan — it is
-  // the semantic reference the schedule is differentially tested against.
+  // Whether the step loop walks the design's static phase-edge schedule
+  // (rtl::DesignTables::edge_captures and edge_clock_events) instead of
+  // re-deriving the capture set from the live load nets at every edge. The
+  // Oblivious kernel always re-derives — it is the semantic reference the
+  // schedule is differentially tested against — and so does every kernel
+  // on a hand-built netlist that drives a load pin from the datapath.
   bool static_edges_ = false;
-  std::vector<std::vector<rtl::CompId>> edge_clock_events_;
-  std::vector<std::vector<rtl::CompId>> edge_captures_;
 
   KernelStats kernel_stats_;
   StepObserver observer_;

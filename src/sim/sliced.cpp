@@ -30,9 +30,9 @@
 // lanes (slice_counter_add). At the end of the run one transpose64 per
 // counter unpacks exact per-lane totals (or a popcount per plane sums them).
 //
-// The kernel reuses the event-driven machinery the Simulator constructor
-// precomputes: the levelized fanout index, the tabulated controller deltas
-// and the static phase-edge schedules. Control lines, clock events and phase
+// The kernel reads the design's compiled tables (rtl::DesignTables): the
+// levelized fanout index, the tabulated controller deltas and the static
+// phase-edge schedules. Control lines, clock events and phase
 // pulses are controller-driven and therefore identical across lanes — they
 // are counted once per master period and scaled by each lane's counted
 // computations.
@@ -131,7 +131,7 @@ std::vector<SliceLane> chunk_lanes(
 }  // namespace
 
 /// The per-run engine. Constructed by Simulator::run_sliced() and
-/// run_time_sliced(); reads the Simulator's precomputed schedules and keeps
+/// run_time_sliced(); reads the design's compiled tables and keeps
 /// the persistent plane state in the Simulator (net_planes_), so repeated
 /// run_sliced() calls behave like repeated scalar run() calls.
 class SlicedKernel {
@@ -147,6 +147,7 @@ class SlicedKernel {
                std::vector<PhaseHeatmap>* heatmaps)
       : sim_(sim),
         design_(*sim.design_),
+        tab_(design_.tables),
         nl_(design_.netlist),
         comps_(nl_.components()),
         lanes_(std::move(lanes)),
@@ -170,8 +171,16 @@ class SlicedKernel {
         storage_counters_(nl_.num_components() * depth_, 0),
         uniform_(nl_.num_nets(), 0),
         uniform_scalar_(nl_.num_nets(), 0),
-        buckets_(sim.buckets_.size()),
+        // A component holds at most one entry per group at a time (each
+        // entry claims lanes no earlier one did), one in all without a
+        // per-group probe.
+        slots_(per_group_probe_ ? groups_ : 1),
+        queue_(tab_.comb_order.size() * slots_),
+        bucket_end_(tab_.depth()),
         queued_(nl_.num_components(), 0) {
+    for (std::size_t l = 0; l < bucket_end_.size(); ++l) {
+      bucket_end_[l] = queue_.data() + tab_.level_offset[l] * slots_;
+    }
     for (const auto& net : nl_.nets()) {
       const CompKind k = nl_.comp(net.driver).kind;
       // Controller lines and constants carry the same word in every lane,
@@ -262,26 +271,24 @@ class SlicedKernel {
     } else if (streams_ > 1) {
       lanes = whole_groups(lanes);
     }
-    const std::uint32_t begin = sim_.fanout_offset_[net.index()];
-    const std::uint32_t end = sim_.fanout_offset_[net.index() + 1];
-    for (std::uint32_t k = begin; k < end; ++k) {
-      const CompId cid = sim_.fanout_[k];
+    for (CompId cid : tab_.fanout[net.index()]) {
       const std::uint64_t fresh = lanes & ~queued_[cid.index()];
       if (fresh == 0) continue;
       queued_[cid.index()] |= fresh;
-      buckets_[static_cast<std::size_t>(sim_.level_[cid.index()])].push_back(
-          {cid, fresh});
-      ++pending_;
+      enqueue({cid, fresh});
     }
   }
   void mark_all_dirty() {
-    for (CompId cid : sim_.comb_order_) {
+    for (CompId cid : tab_.comb_order) {
       if (queued_[cid.index()] != 0) continue;
       queued_[cid.index()] = lane_mask_;
-      buckets_[static_cast<std::size_t>(sim_.level_[cid.index()])].push_back(
-          {cid, lane_mask_});
-      ++pending_;
+      enqueue({cid, lane_mask_});
     }
+  }
+  void enqueue(Entry e) {
+    const auto l = static_cast<std::size_t>(tab_.level[e.cid.index()]);
+    *bucket_end_[l]++ = e;
+    ++pending_;
   }
 
   /// Count one write's toggles — `diff`, `w` planes masked to the counted
@@ -443,6 +450,7 @@ class SlicedKernel {
 
   Simulator& sim_;
   const rtl::Design& design_;
+  const rtl::DesignTables& tab_;
   const rtl::Netlist& nl_;
   const std::vector<rtl::Component>& comps_;
   const std::vector<SliceLane> lanes_;
@@ -473,7 +481,11 @@ class SlicedKernel {
   std::vector<std::uint64_t> uniform_scalar_;    // by NetId, uniform nets only
   std::vector<std::uint64_t> capture_buf_;       // D planes, read-before-write
 
-  std::vector<std::vector<Entry>> buckets_;     // worklist, by level
+  // The worklist, bucketed by level in one array: level L's entries fill
+  // queue_[level_offset[L]·slots_ .. bucket_end_[L]) in enqueue order.
+  const std::size_t slots_;                     // entries per component
+  std::vector<Entry> queue_;
+  std::vector<Entry*> bucket_end_;              // by level
   std::size_t pending_ = 0;
   std::vector<std::uint64_t> queued_;           // by CompId: lanes queued
   std::uint32_t gen_ = 0;                       // settle generation
@@ -662,12 +674,16 @@ const std::uint64_t* SlicedKernel::eval_comp(const rtl::Component& c,
 
 void SlicedKernel::settle(std::uint64_t count) {
   ++sim_.kernel_stats_.settles;
-  sim_.kernel_stats_.oblivious_evals += sim_.comb_order_.size();
+  sim_.kernel_stats_.oblivious_evals += tab_.comb_order.size();
   if (pending_ == 0) return;
   ++gen_;
   std::uint64_t out[64];
-  for (auto& bucket : buckets_) {
-    for (std::size_t i = 0; i < bucket.size(); ++i) {
+  // Evaluating level L only enqueues deeper levels, so a level's fill is
+  // final when the sweep reaches it.
+  for (std::size_t l = 0; l < bucket_end_.size(); ++l) {
+    Entry* const bucket = queue_.data() + tab_.level_offset[l] * slots_;
+    const auto n = static_cast<std::size_t>(bucket_end_[l] - bucket);
+    for (std::size_t i = 0; i < n; ++i) {
       const Entry e = bucket[i];
       const std::size_t ci = e.cid.index();
       const rtl::Component& c = comps_[ci];
@@ -696,8 +712,8 @@ void SlicedKernel::settle(std::uint64_t count) {
       probe_net(c.output, comp_sums_[ci], e.lanes);
       mark_fanout_dirty(c.output, changed);
     }
-    pending_ -= bucket.size();
-    bucket.clear();
+    pending_ -= n;
+    bucket_end_[l] = bucket;
     if (pending_ == 0) break;
   }
 }
@@ -812,32 +828,15 @@ void SlicedKernel::simulate(const std::vector<dfg::ValueId>& input_order,
     heat_counters_.assign(static_cast<std::size_t>(nphases) * P * depth_, 0);
   }
 
-  // An edge only needs the read-all-D-before-any-Q staging buffer when a
-  // register captured on it feeds another register captured on the same
-  // edge (a shift chain); everywhere else the captures commit directly.
-  std::vector<std::uint8_t> edge_needs_staging(
-      sim_.edge_captures_.size(), 0);
-  for (std::size_t t = 0; t < sim_.edge_captures_.size(); ++t) {
-    const auto& caps = sim_.edge_captures_[t];
-    for (CompId a : caps) {
-      const NetId d_in = comps_[a.index()].inputs[0];
-      for (CompId b : caps) {
-        if (comps_[b.index()].output == d_in) {
-          edge_needs_staging[t] = 1;
-          break;
-        }
-      }
-      if (edge_needs_staging[t]) break;
-    }
-  }
   PowerProbe* const probe = sim_.probe_;
   if (probe) probe->reset();  // one probe record per pass
 
   // ---- preamble (uncounted), mirroring the scalar run() exactly ----------
   {
     mark_all_dirty();
-    for (const auto& [net, value] : sim_.control_reset_writes_) {
-      write_broadcast(net, value, 0);
+    const auto lines = tab_.lines_at(P);
+    for (std::size_t s = 0; s < lines.size(); ++s) {
+      write_broadcast(tab_.line_net[s], lines[s], 0);
     }
     for (const auto& c : comps_) {
       if (c.kind == CompKind::Constant) {
@@ -848,7 +847,7 @@ void SlicedKernel::simulate(const std::vector<dfg::ValueId>& input_order,
     settle(0);
     std::uint64_t buf[64];
     for (CompId cid :
-         sim_.storage_by_phase_[static_cast<std::size_t>(nphases)]) {
+         tab_.storage_by_phase[static_cast<std::size_t>(nphases)]) {
       const rtl::Component& c = comps_[cid.index()];
       // Load enables are controller-driven (checked at construction), so
       // one lane answers for all of them.
@@ -879,18 +878,16 @@ void SlicedKernel::simulate(const std::vector<dfg::ValueId>& input_order,
       }
     }
     for (int t = 1; t <= P; ++t) {
-      for (const auto& [net, value] :
-           sim_.control_step_writes_[static_cast<std::size_t>(t)]) {
-        write_broadcast(net, value, count);
+      for (const auto& w : tab_.step_writes[static_cast<std::size_t>(t)]) {
+        write_broadcast(w.net, w.value, count);
       }
       if (t == P) apply_inputs(comp + 1, count);
       settle(count);
 
-      const int phase = sim_.phase_by_step_[static_cast<std::size_t>(t)];
+      const int phase = tab_.phase_by_step[static_cast<std::size_t>(t)];
       const std::size_t cell = static_cast<std::size_t>(phase - 1) * P +
                                static_cast<std::size_t>(t - 1);
-      const auto& clocked =
-          sim_.edge_clock_events_[static_cast<std::size_t>(t)];
+      const auto clocked = tab_.edge_clock_events[static_cast<std::size_t>(t)];
       // Phase pulses and clock delivery are controller-driven and identical
       // in every lane; their counts come from the per-period schedule at
       // the end, so only the probe sees them here.
@@ -910,8 +907,8 @@ void SlicedKernel::simulate(const std::vector<dfg::ValueId>& input_order,
 
       // Captures commit simultaneously: when an edge chains registers,
       // stage every D input before any Q output changes.
-      const auto& caps = sim_.edge_captures_[static_cast<std::size_t>(t)];
-      const bool staged = edge_needs_staging[static_cast<std::size_t>(t)];
+      const auto caps = tab_.edge_captures[static_cast<std::size_t>(t)];
+      const bool staged = tab_.edge_chained[static_cast<std::size_t>(t)] != 0;
       if (staged) {
         capture_buf_.clear();
         for (CompId cid : caps) {
@@ -1030,9 +1027,9 @@ Activity SlicedKernel::periods_activity(std::uint64_t computations) const {
       static_cast<std::size_t>(design_.clocks.num_phases()) + 1, 0);
   for (int t = 1; t <= P; ++t) {
     const auto ts = static_cast<std::size_t>(t);
-    act.phase_pulses[static_cast<std::size_t>(sim_.phase_by_step_[ts])] +=
+    act.phase_pulses[static_cast<std::size_t>(tab_.phase_by_step[ts])] +=
         computations;
-    for (CompId cid : sim_.edge_clock_events_[ts]) {
+    for (CompId cid : tab_.edge_clock_events[ts]) {
       act.storage_clock_events[cid.index()] += computations;
     }
   }
@@ -1047,8 +1044,8 @@ PhaseHeatmap SlicedKernel::periods_heatmap(std::uint64_t computations) const {
   hm.resize(design_.clocks.num_phases(), P);
   for (int t = 1; t <= P; ++t) {
     const auto ts = static_cast<std::size_t>(t);
-    hm.clock_events[hm.at(sim_.phase_by_step_[ts], t)] +=
-        computations * sim_.edge_clock_events_[ts].size();
+    hm.clock_events[hm.at(tab_.phase_by_step[ts], t)] +=
+        computations * tab_.edge_clock_events[ts].size();
   }
   return hm;
 }
@@ -1092,14 +1089,12 @@ std::vector<SimResult> SlicedKernel::results() {
              results[s].activity.net_toggles[i] += v;
            });
   }
-  for (const auto& by_phase : sim_.storage_by_phase_) {
-    for (CompId cid : by_phase) {
-      const std::size_t i = cid.index();
-      unpack(storage_counters_.data() + i * depth_,
-             [&](std::size_t s, std::uint64_t v) {
-               results[s].activity.storage_write_toggles[i] += v;
-             });
-    }
+  for (CompId cid : tab_.storage_by_phase.items) {
+    const std::size_t i = cid.index();
+    unpack(storage_counters_.data() + i * depth_,
+           [&](std::size_t s, std::uint64_t v) {
+             results[s].activity.storage_write_toggles[i] += v;
+           });
   }
   if (heatmaps_) {
     auto& hms = *heatmaps_;
@@ -1222,10 +1217,9 @@ std::vector<SimResult> Simulator::run_chunked(
 bool Simulator::time_sliceable() const {
   MCRTL_CHECK_MSG(mode_ == Mode::BitSliced,
                   "time_sliceable() requires a Mode::BitSliced simulator");
-  const rtl::Design& d = *design_;
-  const rtl::Netlist& nl = d.netlist;
+  const rtl::Netlist& nl = design_->netlist;
   const auto& comps = nl.components();
-  const int P = d.clocks.period();
+  const int P = design_->clocks.period();
   std::vector<std::uint8_t> known(nl.num_nets(), 0);
   // The value every controller line and constant carries in the step being
   // settled: the boundary state (step P), then the tabulated per-step
@@ -1242,16 +1236,17 @@ bool Simulator::time_sliceable() const {
       static_val[c.output.index()] = from_signed(c.const_value, c.width);
     }
   }
-  for (const auto& [net, value] : control_reset_writes_) {
-    is_static[net.index()] = 1;
-    static_val[net.index()] = value;
+  const auto lines = tab_->lines_at(P);
+  for (std::size_t s = 0; s < lines.size(); ++s) {
+    is_static[tab_->line_net[s].index()] = 1;
+    static_val[tab_->line_net[s].index()] = lines[s];
   }
   auto static_value = [&](NetId net, std::uint64_t& v) {
     v = static_val[net.index()];
     return is_static[net.index()] != 0;
   };
   auto settle = [&] {
-    for (CompId cid : comb_order_) {
+    for (CompId cid : tab_->comb_order) {
       const rtl::Component& c = comps[cid.index()];
       const auto k = [&](NetId net) { return known[net.index()] != 0; };
       std::uint64_t v = 0;
@@ -1286,7 +1281,7 @@ bool Simulator::time_sliceable() const {
   };
   std::vector<std::uint8_t> captured;
   auto edge = [&](int t) {
-    const auto& caps = edge_captures_[static_cast<std::size_t>(t)];
+    const auto caps = tab_->edge_captures[static_cast<std::size_t>(t)];
     captured.clear();
     for (CompId cid : caps) {
       captured.push_back(known[comps[cid.index()].inputs[0].index()]);
@@ -1301,9 +1296,8 @@ bool Simulator::time_sliceable() const {
   edge(P);
   settle();
   for (int t = 1; t <= P; ++t) {
-    for (const auto& [net, value] :
-         control_step_writes_[static_cast<std::size_t>(t)]) {
-      static_val[net.index()] = value;
+    for (const auto& w : tab_->step_writes[static_cast<std::size_t>(t)]) {
+      static_val[w.net.index()] = w.value;
     }
     settle();
     edge(t);

@@ -143,7 +143,7 @@ TEST(NetlistTest, CombOrderTopological) {
   nl.connect_input(alu1, nl.comp(a).output);
   nl.connect_input(alu2, nl.comp(alu1).output);
   nl.connect_input(alu2, nl.comp(a).output);
-  const auto order = nl.comb_order();
+  const auto order = nl.levelize().order;
   ASSERT_EQ(order.size(), 2u);
   EXPECT_EQ(order[0], alu1);
   EXPECT_EQ(order[1], alu2);
@@ -161,7 +161,7 @@ TEST(NetlistTest, StorageBreaksCombCycles) {
   const CompId out = nl.add_component(CompKind::OutputPort, "o", 4);
   nl.connect_input(out, nl.comp(reg).output);
   nl.validate();
-  EXPECT_EQ(nl.comb_order().size(), 1u);
+  EXPECT_EQ(nl.levelize().order.size(), 1u);
 }
 
 TEST(ControlPlanTest, DirectLineFollowsTable) {

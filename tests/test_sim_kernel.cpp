@@ -13,9 +13,11 @@
 
 #include "core/synthesizer.hpp"
 #include "dfg/random_graph.hpp"
+#include "hand_built.hpp"
 #include "sim/simulator.hpp"
 #include "sim/stimulus.hpp"
 #include "suite/benchmarks.hpp"
+#include "util/bits.hpp"
 #include "util/rng.hpp"
 
 namespace mcrtl::sim {
@@ -189,6 +191,35 @@ TEST(SimKernelTest, RepeatedRunsOnOneSimulatorStayIdentical) {
     EXPECT_EQ(rev.outputs, rob.outputs) << "round " << round;
     expect_identical_activity(rev.activity, rob.activity,
                               "round " + std::to_string(round));
+  }
+}
+
+TEST(SimKernelTest, ObliviousOrdersADatapathDrivenSelectBeforeItsMux) {
+  // A mux whose select comes from a comparator: the reference kernel must
+  // evaluate the comparator first, or it settles the mux on a stale select
+  // and counts a spurious wave the event-driven kernel never sees.
+  const fixtures::SelectOrderMux fx;
+  const rtl::Design& d = *fx.design;
+  EXPECT_EQ(d.tables.comb_order, (std::vector<rtl::CompId>{fx.cmp, fx.mux}));
+  Rng rng(17);
+  const auto stream = uniform_stream(rng, 2, 50, 4);
+  const std::vector<dfg::ValueId> in{fx.a_value, fx.b_value};
+  const std::vector<dfg::ValueId> out{fx.out_value};
+  Simulator ev(d);
+  Simulator ob(d, Simulator::Mode::Oblivious);
+  const SimResult rev = ev.run(stream, in, out);
+  const SimResult rob = ob.run(stream, in, out);
+  EXPECT_EQ(rev.outputs, rob.outputs);
+  expect_identical_activity(rev.activity, rob.activity, "select order");
+  // The bit-sliced kernel blends the data-driven select per lane.
+  Simulator bs(d, Simulator::Mode::BitSliced);
+  const auto rbs = bs.run_sliced({stream}, in, out);
+  EXPECT_EQ(rbs[0].outputs, rev.outputs);
+  expect_identical_activity(rbs[0].activity, rev.activity, "sliced");
+  for (std::size_t i = 0; i < stream.size(); ++i) {
+    const auto a = stream[i][0], b = stream[i][1];
+    ASSERT_EQ(rev.outputs[i][0], to_signed(a, 4) < to_signed(b, 4) ? b : a)
+        << "computation " << i;
   }
 }
 

@@ -29,6 +29,7 @@
 #include "core/record.hpp"
 #include "core/synthesizer.hpp"
 #include "dfg/random_graph.hpp"
+#include "hand_built.hpp"
 #include "obs/obs.hpp"
 #include "power/attribution.hpp"
 #include "sim/equivalence.hpp"
@@ -545,40 +546,7 @@ TEST(TimeSlicedTest, RepeatedCallsStartFromReset) {
   expect_identical_activity(again.activity, ref.activity, "second call");
 }
 
-/// A hand-built design without the one-period warm-up property: R2 loads
-/// the input at step 3, R1 loads R2 at step 1 — so at a period boundary R1
-/// holds a value from two computations back. Output = R1, sampled at T=3.
-struct TwoPeriodChain {
-  dfg::ValueId in_value{0};
-  dfg::ValueId out_value{1};
-  std::unique_ptr<rtl::Design> design;
-
-  TwoPeriodChain() {
-    rtl::Netlist nl("chain");
-    const auto in = nl.add_component(rtl::CompKind::InputPort, "in", 4);
-    const auto r2 = nl.add_component(rtl::CompKind::Register, "r2", 4);
-    const auto r1 = nl.add_component(rtl::CompKind::Register, "r1", 4);
-    const auto ld2 = nl.add_component(rtl::CompKind::ControlSource, "ld2", 1);
-    const auto ld1 = nl.add_component(rtl::CompKind::ControlSource, "ld1", 1);
-    nl.connect_input(r2, nl.comp(in).output);
-    nl.connect_input(r1, nl.comp(r2).output);
-    nl.set_load(r2, nl.comp(ld2).output);
-    nl.set_load(r1, nl.comp(ld1).output);
-    const rtl::ClockScheme cs(1, 3);
-    rtl::ControlPlan cp(cs);
-    const unsigned s2 =
-        cp.add_signal("ld2", rtl::SignalRole::Load, 1, false, 1, ld2);
-    const unsigned s1 =
-        cp.add_signal("ld1", rtl::SignalRole::Load, 1, false, 1, ld1);
-    cp.set_value(s2, 3, 1);
-    cp.set_value(s1, 1, 1);
-    design = std::make_unique<rtl::Design>("chain", std::move(nl), cs,
-                                           std::move(cp));
-    design->schedule_steps = 3;
-    design->input_ports[in_value] = in;
-    design->output_storage[out_value] = r1;
-  }
-};
+using fixtures::TwoPeriodChain;
 
 TEST(TimeSlicedTest, StaticCheckRejectsATwoPeriodChainAndFallsBack) {
   TwoPeriodChain chain;
