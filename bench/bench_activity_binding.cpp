@@ -28,10 +28,12 @@ int main() {
     const auto le = bench::run_style(b, opts, 2500, 21);
     opts.storage_binding = core::StorageBinding::ActivityAware;
     const auto aa = bench::run_style(b, opts, 2500, 21);
-    t.add_row({name, format_fixed(le.power_mw, 2), format_fixed(aa.power_mw, 2),
-               str_format("%+.1f%%",
-                          100.0 * (aa.power_mw - le.power_mw) / le.power_mw),
-               std::to_string(le.mem_cells), std::to_string(aa.mem_cells)});
+    t.add_row({name, format_fixed(le.power.total, 2),
+               format_fixed(aa.power.total, 2),
+               str_format("%+.1f%%", 100.0 * (aa.power.total - le.power.total) /
+                                         le.power.total),
+               std::to_string(le.stats.num_memory_cells),
+               std::to_string(aa.stats.num_memory_cells)});
   }
   std::fputs(t.render().c_str(), stdout);
   std::printf("\n(the extension changes only which values share a memory "

@@ -7,9 +7,7 @@
 // activity).
 #include <cstdio>
 
-#include "core/synthesizer.hpp"
-#include "power/estimator.hpp"
-#include "sim/simulator.hpp"
+#include "core/measure.hpp"
 #include "sim/stimulus.hpp"
 #include "suite/benchmarks.hpp"
 #include "util/strings.hpp"
@@ -26,13 +24,12 @@ double measure(const suite::Benchmark& b, core::DesignStyle style, int clocks,
   opts.num_clocks = clocks;
   const auto syn = core::synthesize(*b.graph, *b.schedule, opts);
   Rng rng(17);
-  const auto stream = sim::correlated_stream(rng, b.graph->inputs().size(),
-                                             2000, b.graph->width(), flip_prob);
-  sim::Simulator simulator(*syn.design);
-  const auto res = simulator.run(stream, b.graph->inputs(), b.graph->outputs());
-  return power::estimate_power(*syn.design, res.activity,
-                               power::TechLibrary::cmos08())
-      .total;
+  const auto stim = core::make_stimulus(
+      *b.graph, {sim::correlated_stream(rng, b.graph->inputs().size(), 2000,
+                                        b.graph->width(), flip_prob)});
+  return core::measure(*syn.design, *b.graph, stim,
+                       power::TechLibrary::cmos08())
+      .point.power.total;
 }
 
 }  // namespace

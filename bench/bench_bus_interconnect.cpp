@@ -30,9 +30,10 @@ int main() {
       opts.interconnect = rtl::BuildOptions::Interconnect::TristateBus;
       const auto bus = bench::run_style(b, opts, 2000, 51);
       t.add_row({name, n == 1 ? "gated" : "3 clocks",
-                 format_fixed(mux.power_mw, 2), format_fixed(bus.power_mw, 2),
-                 format_fixed(mux.area_lambda2 / 1e6, 2),
-                 format_fixed(bus.area_lambda2 / 1e6, 2)});
+                 format_fixed(mux.power.total, 2),
+                 format_fixed(bus.power.total, 2),
+                 format_fixed(mux.area.total / 1e6, 2),
+                 format_fixed(bus.area.total / 1e6, 2)});
     }
   }
   std::fputs(t.render().c_str(), stdout);

@@ -67,16 +67,16 @@ int main() {
     // switched capacitance per computation as one copy at f, so
     // P_dup = P_conv * (V'/V)^2 (+ a mux/merge overhead ~5 %); area ~2x.
     const double ratio = (v2 * v2) / (v0 * v0);
-    const double p_dup = conv.power_mw * ratio * 1.05;
-    const double a_dup = conv.area_lambda2 * 2.0 * 0.95;  // shared pads
+    const double p_dup = conv.power.total * ratio * 1.05;
+    const double a_dup = conv.area.total * 2.0 * 0.95;  // shared pads
 
-    t.add_row({name, format_fixed(conv.power_mw, 2), format_fixed(p_dup, 2),
-               format_fixed(mc3.power_mw, 2),
-               str_format("%+.0f%%", 100.0 * (a_dup - conv.area_lambda2) /
-                                          conv.area_lambda2),
-               str_format("%+.0f%%", 100.0 * (mc3.area_lambda2 -
-                                              conv.area_lambda2) /
-                                          conv.area_lambda2)});
+    t.add_row({name, format_fixed(conv.power.total, 2), format_fixed(p_dup, 2),
+               format_fixed(mc3.power.total, 2),
+               str_format("%+.0f%%", 100.0 * (a_dup - conv.area.total) /
+                                          conv.area.total),
+               str_format("%+.0f%%", 100.0 * (mc3.area.total -
+                                              conv.area.total) /
+                                          conv.area.total)});
   }
   std::fputs(t.render().c_str(), stdout);
   std::printf("\nduplication wins on raw power (aggressive voltage scaling) "

@@ -11,10 +11,7 @@
 // printed.
 #include <cstdio>
 
-#include "core/synthesizer.hpp"
-#include "power/estimator.hpp"
-#include "sim/simulator.hpp"
-#include "sim/stimulus.hpp"
+#include "core/measure.hpp"
 #include "suite/benchmarks.hpp"
 #include "table_common.hpp"
 #include "util/strings.hpp"
@@ -25,7 +22,7 @@ using namespace mcrtl;
 namespace {
 
 struct Measured {
-  bench::Row row;
+  core::ExplorationPoint row;
   double busy_fraction;  // average fraction of steps storage actually loads
 };
 
@@ -38,12 +35,11 @@ Measured run(const suite::Benchmark& b, core::DesignStyle style, int clocks) {
 
   // Busy factor: measured storage clock events per storage per step for the
   // gated variants (for non-gated, every cycle is an event by construction).
-  auto syn = core::synthesize(*b.graph, *b.schedule, opts);
-  Rng rng(42);
-  const auto stream = sim::uniform_stream(rng, b.graph->inputs().size(), 500,
-                                          b.graph->width());
-  sim::Simulator s(*syn.design);
-  const auto res = s.run(stream, b.graph->inputs(), b.graph->outputs());
+  const auto syn = core::synthesize(*b.graph, *b.schedule, opts);
+  const auto res =
+      core::measure(*syn.design, *b.graph,
+                    core::uniform_stimulus(*b.graph, 500, 42),
+                    power::TechLibrary::cmos08());
   std::uint64_t events = 0;
   std::uint64_t cells = 0;
   for (const auto& c : syn.design->netlist.components()) {
@@ -72,8 +68,10 @@ int main() {
   TextTable t({"Design", "Power[mW]", "ALUs", "Mem", "MuxIn",
                "storage busy"});
   auto add = [&](const char* label, const Measured& m) {
-    t.add_row({label, format_fixed(m.row.power_mw, 2), m.row.alus,
-               std::to_string(m.row.mem_cells), std::to_string(m.row.mux_inputs),
+    t.add_row({label, format_fixed(m.row.power.total, 2),
+               m.row.stats.alu_summary,
+               std::to_string(m.row.stats.num_memory_cells),
+               std::to_string(m.row.stats.num_mux_inputs),
                format_fixed(m.busy_fraction, 3)});
   };
   add("Circuit 1 (no power mgmt)", c1_plain);
@@ -84,13 +82,13 @@ int main() {
   std::printf("\npaper Sec 2.1: P1 = C1 V^2 f vs P2 = (C21+C22) V^2 f/2 — "
               "2-clock wins when C21+C22 < 2 C1\n");
   std::printf("  measured: Circuit 2 vs ungated Circuit 1: %+.1f%% power\n",
-              100.0 * (c2.row.power_mw - c1_plain.row.power_mw) /
-                  c1_plain.row.power_mw);
+              100.0 * (c2.row.power.total - c1_plain.row.power.total) /
+                  c1_plain.row.power.total);
   std::printf("paper Sec 2.2: vs conventional management, 2-clock wins when "
               "C21+C22 < 3/2 C1\n");
   std::printf("  measured: Circuit 2 vs gated Circuit 1:   %+.1f%% power\n",
-              100.0 * (c2.row.power_mw - c1_gated.row.power_mw) /
-                  c1_gated.row.power_mw);
+              100.0 * (c2.row.power.total - c1_gated.row.power.total) /
+                  c1_gated.row.power.total);
   std::printf("\nbusy factors (paper: Circuit 1 ~75%%, Circuit 2 ~50%% per "
               "component-slot; ours are per-storage load rates under\n"
               "non-overlapped computations, so lower in absolute terms but "

@@ -10,10 +10,7 @@
 //      lets muxes switch mid-interval and wastes power).
 #include <cstdio>
 
-#include "core/synthesizer.hpp"
-#include "power/estimator.hpp"
-#include "sim/simulator.hpp"
-#include "sim/stimulus.hpp"
+#include "core/measure.hpp"
 #include "suite/benchmarks.hpp"
 #include "util/strings.hpp"
 
@@ -32,12 +29,10 @@ CombActivity measure(const suite::Benchmark& b, bool latched_control) {
   opts.style = core::DesignStyle::MultiClock;
   opts.num_clocks = 2;
   opts.latched_control = latched_control;
-  auto syn = core::synthesize(*b.graph, *b.schedule, opts);
-  Rng rng(7);
-  const auto stream = sim::uniform_stream(rng, b.graph->inputs().size(), 3000,
-                                          b.graph->width());
-  sim::Simulator s(*syn.design);
-  const auto res = s.run(stream, b.graph->inputs(), b.graph->outputs());
+  const auto syn = core::synthesize(*b.graph, *b.schedule, opts);
+  const auto res = core::measure(*syn.design, *b.graph,
+                                 core::uniform_stimulus(*b.graph, 3000, 7),
+                                 power::TechLibrary::cmos08());
 
   CombActivity out;
   for (const auto& net : syn.design->netlist.nets()) {
@@ -48,9 +43,7 @@ CombActivity measure(const suite::Benchmark& b, bool latched_control) {
       out.ctrl_toggles += res.activity.net_toggles[net.id.index()];
     }
   }
-  out.power_mw = power::estimate_power(*syn.design, res.activity,
-                                       power::TechLibrary::cmos08())
-                     .total;
+  out.power_mw = res.point.power.total;
   return out;
 }
 
@@ -67,11 +60,10 @@ int main() {
     core::SynthesisOptions opts;
     opts.style = core::DesignStyle::MultiClock;
     opts.num_clocks = 2;
-    auto syn = core::synthesize(*b.graph, *b.schedule, opts);
-    Rng rng(3);
-    const auto stream = sim::uniform_stream(rng, b.graph->inputs().size(), 200, 4);
-    sim::Simulator s(*syn.design);
-    const auto res = s.run(stream, b.graph->inputs(), b.graph->outputs());
+    const auto syn = core::synthesize(*b.graph, *b.schedule, opts);
+    const auto res = core::measure(*syn.design, *b.graph,
+                                   core::uniform_stimulus(*b.graph, 200, 3),
+                                   power::TechLibrary::cmos08());
     bool ok = true;
     for (const auto& c : syn.design->netlist.components()) {
       if (!rtl::is_storage(c.kind)) continue;

@@ -71,8 +71,9 @@ int main() {
     const auto rs = bench::run_style(b, so, 2000, 99);
     so.method = core::AllocMethod::Integrated;
     const auto ri = bench::run_style(b, so, 2000, 99);
-    cmp.add_row({name, format_fixed(rs.power_mw, 2), format_fixed(ri.power_mw, 2),
-                 ri.power_mw <= rs.power_mw ? "integrated" : "split"});
+    cmp.add_row({name, format_fixed(rs.power.total, 2),
+                 format_fixed(ri.power.total, 2),
+                 ri.power.total <= rs.power.total ? "integrated" : "split"});
   }
   std::fputs(cmp.render().c_str(), stdout);
   std::printf("\nthe paper (Sec. 4) expects the integrated method to share "

@@ -88,8 +88,9 @@ int main() {
     const auto rw = bench::run_style(b, with, 2000, 5);
     const auto ro = bench::run_style(b, without, 2000, 5);
     t.add_row({name, std::to_string(syn.alloc.transfers_inserted),
-               format_fixed(rw.power_mw, 2), format_fixed(ro.power_mw, 2),
-               std::to_string(rw.mem_cells), std::to_string(ro.mem_cells)});
+               format_fixed(rw.power.total, 2), format_fixed(ro.power.total, 2),
+               std::to_string(rw.stats.num_memory_cells),
+               std::to_string(ro.stats.num_memory_cells)});
   }
   std::fputs(t.render().c_str(), stdout);
   std::printf("\ntransfers hold operands in the partition preceding each "

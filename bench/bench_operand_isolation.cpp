@@ -34,15 +34,16 @@ int main() {
     opts.operand_isolation = true;
     const auto mc3_iso = bench::run_style(b, opts, 2000, 41);
 
-    const double best = std::min({gated.power_mw, gated_iso.power_mw,
-                                  mc3.power_mw, mc3_iso.power_mw});
-    const char* who = best == mc3_iso.power_mw  ? "3clk+iso"
-                      : best == mc3.power_mw    ? "3clk"
-                      : best == gated_iso.power_mw ? "gated+iso"
-                                                   : "gated";
-    t.add_row({name, format_fixed(gated.power_mw, 2),
-               format_fixed(gated_iso.power_mw, 2), format_fixed(mc3.power_mw, 2),
-               format_fixed(mc3_iso.power_mw, 2), who});
+    const double best = std::min({gated.power.total, gated_iso.power.total,
+                                  mc3.power.total, mc3_iso.power.total});
+    const char* who = best == mc3_iso.power.total     ? "3clk+iso"
+                      : best == mc3.power.total       ? "3clk"
+                      : best == gated_iso.power.total ? "gated+iso"
+                                                      : "gated";
+    t.add_row({name, format_fixed(gated.power.total, 2),
+               format_fixed(gated_iso.power.total, 2),
+               format_fixed(mc3.power.total, 2),
+               format_fixed(mc3_iso.power.total, 2), who});
   }
   std::fputs(t.render().c_str(), stdout);
   std::printf("\nisolation shields idle ALU function blocks from upstream "

@@ -4,13 +4,14 @@
 // per cycle, so the per-cycle switching-energy profile flattens and its
 // average drops. Prints the profile folded onto one computation period for
 // the HAL benchmark under each style.
+#include <algorithm>
 #include <cstdio>
+#include <string>
+#include <vector>
 
-#include "core/synthesizer.hpp"
-#include "power/trace.hpp"
-#include "sim/simulator.hpp"
-#include "sim/stimulus.hpp"
+#include "core/measure.hpp"
 #include "suite/benchmarks.hpp"
+#include "util/strings.hpp"
 
 using namespace mcrtl;
 
@@ -21,24 +22,37 @@ void profile(const suite::Benchmark& b, core::DesignStyle style, int clocks) {
   opts.style = style;
   opts.num_clocks = clocks;
   const auto syn = core::synthesize(*b.graph, *b.schedule, opts);
+  const auto m = core::measure(*syn.design, *b.graph,
+                               core::uniform_stimulus(*b.graph, 400, 61),
+                               power::TechLibrary::cmos08());
+  const sim::PowerProbe& probe = m.probe;
 
-  const auto tech = power::TechLibrary::cmos08();
-  power::PowerTrace trace(*syn.design, tech);
-  sim::Simulator simulator(*syn.design);
-  simulator.set_observer(
-      [&](std::uint64_t step, const std::vector<std::uint64_t>& nets) {
-        trace.record(step, nets);
-      });
-  Rng rng(61);
-  const auto stream =
-      sim::uniform_stream(rng, b.graph->inputs().size(), 400, b.graph->width());
-  simulator.run(stream, b.graph->inputs(), b.graph->outputs());
-
-  std::printf("%s (datapath+control switching only):\n",
+  // The probe's folded profile, averaged over the computations: the whole
+  // design's energy at each step of the master period.
+  const int P = probe.period();
+  const double periods = static_cast<double>(probe.steps() / P);
+  std::vector<double> per_step(static_cast<std::size_t>(P), 0.0);
+  double top = 1.0;
+  for (int t = 1; t <= P; ++t) {
+    double& e = per_step[static_cast<std::size_t>(t - 1)];
+    for (int d = 0; d <= probe.num_domains(); ++d) e += probe.profile_fj(d, t);
+    e /= periods;
+    top = std::max(top, e);
+  }
+  std::printf("%s (all switching, clock tree included):\n",
               syn.design->style_name.c_str());
-  std::printf("%s", trace.render_period_profile().c_str());
+  for (int t = 1; t <= P; ++t) {
+    const double e = per_step[static_cast<std::size_t>(t - 1)];
+    const auto bars = static_cast<std::size_t>(40.0 * e / top + 0.5);
+    std::printf("step %2d (CLK_%d) |%-40s| %8.0f fJ\n", t,
+                syn.design->clocks.phase_of_step(t),
+                std::string(bars, '#').c_str(), e);
+  }
+  const auto energies = probe.step_energies();
   std::printf("mean %.0f fJ/cycle, peak %.0f fJ, crest %.2f\n\n",
-              trace.mean_fj(), trace.peak_fj(), trace.crest());
+              probe.total_fj() / static_cast<double>(probe.steps()),
+              *std::max_element(energies.begin(), energies.end()),
+              m.point.crest);
 }
 
 }  // namespace

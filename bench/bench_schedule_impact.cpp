@@ -5,12 +5,8 @@
 // operation class across the step residues mod n before allocation.
 #include <cstdio>
 
-#include "core/synthesizer.hpp"
-#include "power/estimator.hpp"
-#include "sim/simulator.hpp"
-#include "sim/stimulus.hpp"
+#include "core/measure.hpp"
 #include "suite/benchmarks.hpp"
-#include "table_common.hpp"
 #include "util/strings.hpp"
 #include "util/table.hpp"
 
@@ -18,27 +14,15 @@ using namespace mcrtl;
 
 namespace {
 
-bench::Row run_with_schedule(const dfg::Graph& g, const dfg::Schedule& s,
-                             int clocks) {
+core::ExplorationPoint run_with_schedule(const dfg::Graph& g,
+                                         const dfg::Schedule& s, int clocks) {
   core::SynthesisOptions opts;
   opts.style = core::DesignStyle::MultiClock;
   opts.num_clocks = clocks;
   const auto syn = core::synthesize(g, s, opts);
-  Rng rng(71);
-  const auto stream =
-      sim::uniform_stream(rng, g.inputs().size(), 2000, g.width());
-  sim::Simulator simulator(syn.design.operator*());
-  const auto res = simulator.run(stream, g.inputs(), g.outputs());
-  const auto tech = power::TechLibrary::cmos08();
-  bench::Row row;
-  row.label = syn.design->style_name;
-  row.breakdown = power::estimate_power(*syn.design, res.activity, tech);
-  row.power_mw = row.breakdown.total;
-  row.area_lambda2 = power::estimate_area(*syn.design, tech).total;
-  row.alus = syn.design->stats.alu_summary;
-  row.mem_cells = syn.design->stats.num_memory_cells;
-  row.mux_inputs = syn.design->stats.num_mux_inputs;
-  return row;
+  return core::measure(*syn.design, g, core::uniform_stimulus(g, 2000, 71),
+                       power::TechLibrary::cmos08())
+      .point;
 }
 
 }  // namespace
@@ -57,8 +41,9 @@ int main() {
           dfg::schedule_partition_balanced(*b.graph, limits, n);
       const auto rl = run_with_schedule(*b.graph, *b.schedule, n);
       const auto rb = run_with_schedule(*b.graph, balanced, n);
-      t.add_row({name, std::to_string(n), format_fixed(rl.power_mw, 2),
-                 format_fixed(rb.power_mw, 2), rl.alus, rb.alus});
+      t.add_row({name, std::to_string(n), format_fixed(rl.power.total, 2),
+                 format_fixed(rb.power.total, 2), rl.stats.alu_summary,
+                 rb.stats.alu_summary});
     }
   }
   std::fputs(t.render().c_str(), stdout);

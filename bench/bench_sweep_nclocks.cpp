@@ -33,7 +33,7 @@ int main() {
                                          "ewf", "ar_lattice", "fir8"};
     // Per benchmark: column 0 = gated baseline, columns 1..6 = n clocks.
     constexpr int kCols = 7;
-    std::vector<bench::Row> cells(names.size() * kCols);
+    std::vector<core::ExplorationPoint> cells(names.size() * kCols);
     pool.parallel_for_index(cells.size(), [&](std::size_t i) {
       const auto b = suite::by_name(names[i / kCols], 4);
       const int col = static_cast<int>(i % kCols);
@@ -53,7 +53,7 @@ int main() {
       double best = 1e18;
       int best_n = 0;
       for (int col = 0; col < kCols; ++col) {
-        const double p = cells[bi * kCols + col].power_mw;
+        const double p = cells[bi * kCols + col].power.total;
         row.push_back(format_fixed(p, 2));
         if (col > 0 && p < best) {
           best = p;
@@ -70,7 +70,7 @@ int main() {
   {
     const std::vector<const char*> names{"facet", "hal", "biquad", "bandpass"};
     constexpr int kCols = 6;
-    std::vector<bench::Row> cells(names.size() * kCols);
+    std::vector<core::ExplorationPoint> cells(names.size() * kCols);
     pool.parallel_for_index(cells.size(), [&](std::size_t i) {
       const auto b = suite::by_name(names[i / kCols], 4);
       core::SynthesisOptions opts;
@@ -83,7 +83,7 @@ int main() {
       std::vector<std::string> row{names[bi]};
       for (int col = 0; col < kCols; ++col) {
         row.push_back(
-            format_fixed(cells[bi * kCols + col].area_lambda2 / 1e6, 2));
+            format_fixed(cells[bi * kCols + col].area.total / 1e6, 2));
       }
       t.add_row(row);
     }
@@ -94,7 +94,7 @@ int main() {
   {
     const std::vector<const char*> names{"facet", "hal", "biquad", "bandpass"};
     // Two cells per benchmark: even index = latch, odd = DFF.
-    std::vector<bench::Row> cells(names.size() * 2);
+    std::vector<core::ExplorationPoint> cells(names.size() * 2);
     pool.parallel_for_index(cells.size(), [&](std::size_t i) {
       const auto b = suite::by_name(names[i / 2], 4);
       core::SynthesisOptions opts;
@@ -108,10 +108,10 @@ int main() {
     for (std::size_t bi = 0; bi < names.size(); ++bi) {
       const auto& lat = cells[bi * 2];
       const auto& dff = cells[bi * 2 + 1];
-      t.add_row({names[bi], format_fixed(lat.power_mw, 2),
-                 format_fixed(dff.power_mw, 2),
-                 format_fixed(lat.area_lambda2 / 1e6, 2),
-                 format_fixed(dff.area_lambda2 / 1e6, 2)});
+      t.add_row({names[bi], format_fixed(lat.power.total, 2),
+                 format_fixed(dff.power.total, 2),
+                 format_fixed(lat.area.total / 1e6, 2),
+                 format_fixed(dff.area.total / 1e6, 2)});
     }
     std::fputs(t.render().c_str(), stdout);
     std::printf("\n(the latch advantage of Sec. 2.2: cheaper clock pin and "

@@ -2,45 +2,38 @@
 
 #include <cstdio>
 
-#include "sim/equivalence.hpp"
-#include "sim/simulator.hpp"
-#include "sim/stimulus.hpp"
-#include "util/error.hpp"
+#include "core/measure.hpp"
 #include "util/strings.hpp"
 #include "util/table.hpp"
 
 namespace mcrtl::bench {
 
-Row run_style(const suite::Benchmark& b, const core::SynthesisOptions& opts,
-              std::size_t computations, std::uint64_t seed) {
-  core::Synthesized syn = core::synthesize(*b.graph, *b.schedule, opts);
+namespace {
 
-  Rng rng(seed);
-  const auto stream = sim::uniform_stream(rng, b.graph->inputs().size(),
-                                          computations, b.graph->width());
-
-  // Guard: a style whose outputs are wrong must never make it into a table.
-  const auto rep = sim::check_equivalence(*syn.design, *b.graph, stream);
-  MCRTL_CHECK_MSG(rep.equivalent, "table row not equivalent: " << rep.detail);
-
-  sim::Simulator simulator(*syn.design);
-  const auto res =
-      simulator.run(stream, b.graph->inputs(), b.graph->outputs());
-
-  const power::TechLibrary tech = power::TechLibrary::cmos08();
-  Row row;
-  row.label = syn.design->style_name;
-  row.breakdown = power::estimate_power(*syn.design, res.activity, tech);
-  row.power_mw = row.breakdown.total;
-  row.area_lambda2 = power::estimate_area(*syn.design, tech).total;
-  row.alus = syn.design->stats.alu_summary;
-  row.mem_cells = syn.design->stats.num_memory_cells;
-  row.mux_inputs = syn.design->stats.num_mux_inputs;
-  return row;
+core::ExplorationPoint measure_style(const suite::Benchmark& b,
+                                     const core::SynthesisOptions& opts,
+                                     const core::Stimulus& stim) {
+  const auto syn = core::synthesize(*b.graph, *b.schedule, opts);
+  // measure() throws if the style's outputs differ from the golden model:
+  // a wrong design must never make it into a table.
+  return core::measure(*syn.design, *b.graph, stim,
+                       power::TechLibrary::cmos08())
+      .point;
 }
 
-std::vector<Row> run_table(const TableConfig& cfg) {
+}  // namespace
+
+core::ExplorationPoint run_style(const suite::Benchmark& b,
+                                 const core::SynthesisOptions& opts,
+                                 std::size_t computations, std::uint64_t seed) {
+  return measure_style(b, opts,
+                       core::uniform_stimulus(*b.graph, computations, seed));
+}
+
+std::vector<core::ExplorationPoint> run_table(const TableConfig& cfg) {
   const suite::Benchmark b = suite::by_name(cfg.benchmark, cfg.width);
+  const auto stim =
+      core::uniform_stimulus(*b.graph, cfg.computations, cfg.seed);
 
   struct StyleSpec {
     core::DesignStyle style;
@@ -53,17 +46,18 @@ std::vector<Row> run_table(const TableConfig& cfg) {
       {core::DesignStyle::MultiClock, 2},
       {core::DesignStyle::MultiClock, 3},
   };
-  std::vector<Row> rows;
+  std::vector<core::ExplorationPoint> rows;
   for (const auto& spec : specs) {
     core::SynthesisOptions opts;
     opts.style = spec.style;
     opts.num_clocks = spec.clocks;
-    rows.push_back(run_style(b, opts, cfg.computations, cfg.seed));
+    rows.push_back(measure_style(b, opts, stim));
   }
   return rows;
 }
 
-std::string print_table(const TableConfig& cfg, const std::vector<Row>& rows) {
+std::string print_table(const TableConfig& cfg,
+                        const std::vector<core::ExplorationPoint>& rows) {
   std::string out;
   out += "=== " + cfg.title + " ===\n";
   out += str_format("benchmark '%s', %u-bit datapath, %zu random computations, "
@@ -73,13 +67,14 @@ std::string print_table(const TableConfig& cfg, const std::vector<Row>& rows) {
   TextTable t({"Design", "Power[mW]", "Area[1e6 l^2]", "ALUs", "Mem", "MuxIn",
                "comb", "stor", "clk", "ctrl"});
   for (const auto& r : rows) {
-    t.add_row({r.label, format_fixed(r.power_mw, 2),
-               format_fixed(r.area_lambda2 / 1e6, 2), r.alus,
-               std::to_string(r.mem_cells), std::to_string(r.mux_inputs),
-               format_fixed(r.breakdown.combinational, 2),
-               format_fixed(r.breakdown.storage, 2),
-               format_fixed(r.breakdown.clock_tree, 2),
-               format_fixed(r.breakdown.control, 2)});
+    t.add_row({r.label, format_fixed(r.power.total, 2),
+               format_fixed(r.area.total / 1e6, 2), r.stats.alu_summary,
+               std::to_string(r.stats.num_memory_cells),
+               std::to_string(r.stats.num_mux_inputs),
+               format_fixed(r.power.combinational, 2),
+               format_fixed(r.power.storage, 2),
+               format_fixed(r.power.clock_tree, 2),
+               format_fixed(r.power.control, 2)});
   }
   out += t.render();
 
@@ -93,13 +88,12 @@ std::string print_table(const TableConfig& cfg, const std::vector<Row>& rows) {
     }
     out += p.render();
 
-    const double ours =
-        100.0 * (rows[1].power_mw - rows[4].power_mw) / rows[1].power_mw;
+    const double ours = 100.0 * (rows[1].power.total - rows[4].power.total) /
+                        rows[1].power.total;
     const double papers = 100.0 * (cfg.paper[1].power_mw - cfg.paper[4].power_mw) /
                           cfg.paper[1].power_mw;
     const double area_ours =
-        100.0 * (rows[4].area_lambda2 - rows[1].area_lambda2) /
-        rows[1].area_lambda2;
+        100.0 * (rows[4].area.total - rows[1].area.total) / rows[1].area.total;
     const double area_papers =
         100.0 * (cfg.paper[4].area_lambda2 - cfg.paper[1].area_lambda2) /
         cfg.paper[1].area_lambda2;

@@ -7,22 +7,10 @@
 #include <string>
 #include <vector>
 
-#include "core/synthesizer.hpp"
-#include "power/estimator.hpp"
+#include "core/explorer.hpp"
 #include "suite/benchmarks.hpp"
 
 namespace mcrtl::bench {
-
-/// One measured table row.
-struct Row {
-  std::string label;
-  double power_mw = 0.0;
-  double area_lambda2 = 0.0;
-  std::string alus;
-  int mem_cells = 0;
-  int mux_inputs = 0;
-  power::PowerBreakdown breakdown;
-};
 
 /// The paper's reported numbers for comparison (power mW, area λ²).
 struct PaperRow {
@@ -41,15 +29,19 @@ struct TableConfig {
   std::string title;
 };
 
-/// Run the five styles of the paper's tables; returns rows in paper order.
-std::vector<Row> run_table(const TableConfig& cfg);
+/// Run the five styles of the paper's tables on one stimulus; returns rows
+/// in paper order, each labelled with its design style.
+std::vector<core::ExplorationPoint> run_table(const TableConfig& cfg);
 
 /// Render rows (and the paper reference, if provided) to stdout and return
 /// the text. Also prints the headline reduction (n-clock best vs gated).
-std::string print_table(const TableConfig& cfg, const std::vector<Row>& rows);
+std::string print_table(const TableConfig& cfg,
+                        const std::vector<core::ExplorationPoint>& rows);
 
-/// Run a single custom style on a benchmark (used by ablation benches).
-Row run_style(const suite::Benchmark& b, const core::SynthesisOptions& opts,
-              std::size_t computations, std::uint64_t seed);
+/// Measure a single custom style on a benchmark with `computations`
+/// uniform random computations from Rng(seed) (used by ablation benches).
+core::ExplorationPoint run_style(const suite::Benchmark& b,
+                                 const core::SynthesisOptions& opts,
+                                 std::size_t computations, std::uint64_t seed);
 
 }  // namespace mcrtl::bench

@@ -9,10 +9,7 @@
 #include <string>
 #include <vector>
 
-#include "core/synthesizer.hpp"
-#include "power/estimator.hpp"
-#include "sim/simulator.hpp"
-#include "sim/stimulus.hpp"
+#include "core/measure.hpp"
 #include "suite/benchmarks.hpp"
 #include "util/strings.hpp"
 #include "util/table.hpp"
@@ -38,19 +35,16 @@ int main(int argc, char** argv) {
               "element\n\n", name.c_str(), width);
 
   const auto tech = power::TechLibrary::cmos08();
-  Rng rng(77);
-  const auto stream =
-      sim::uniform_stream(rng, b.graph->inputs().size(), 1500, width);
+  const auto stim = core::uniform_stimulus(*b.graph, 1500, 77);
 
   std::vector<Point> points;
   auto eval = [&](const core::SynthesisOptions& opts, std::string label) {
     const auto syn = core::synthesize(*b.graph, *b.schedule, opts);
-    sim::Simulator simulator(*syn.design);
-    const auto res = simulator.run(stream, b.graph->inputs(), b.graph->outputs());
+    const auto m = core::measure(*syn.design, *b.graph, stim, tech);
     Point p;
     p.label = std::move(label);
-    p.power_mw = power::estimate_power(*syn.design, res.activity, tech).total;
-    p.area = power::estimate_area(*syn.design, tech).total;
+    p.power_mw = m.point.power.total;
+    p.area = m.point.area.total;
     points.push_back(p);
   };
 

@@ -6,11 +6,7 @@
 #include <cstdio>
 #include <fstream>
 
-#include "core/synthesizer.hpp"
-#include "power/estimator.hpp"
-#include "sim/equivalence.hpp"
-#include "sim/simulator.hpp"
-#include "sim/stimulus.hpp"
+#include "core/measure.hpp"
 #include "sim/vcd.hpp"
 #include "suite/benchmarks.hpp"
 #include "util/strings.hpp"
@@ -44,9 +40,7 @@ int main(int argc, char** argv) {
   TextTable t({"Design", "total[mW]", "comb", "storage", "clock", "control",
                "area[1e6 l^2]"});
   const auto tech = power::TechLibrary::cmos08();
-  Rng rng(1996);
-  const auto stream =
-      sim::uniform_stream(rng, b.graph->inputs().size(), 3000, 4);
+  const auto stim = core::uniform_stimulus(*b.graph, 3000, 1996);
 
   for (const auto& run : runs) {
     core::SynthesisOptions opts;
@@ -54,15 +48,10 @@ int main(int argc, char** argv) {
     opts.num_clocks = run.clocks;
     const auto syn = core::synthesize(*b.graph, *b.schedule, opts);
 
-    const auto rep = sim::check_equivalence(*syn.design, *b.graph, stream);
-    if (!rep.equivalent) {
-      std::printf("BUG: %s\n", rep.detail.c_str());
-      return 1;
-    }
-    sim::Simulator simulator(*syn.design);
-    const auto res = simulator.run(stream, b.graph->inputs(), b.graph->outputs());
-    const auto pw = power::estimate_power(*syn.design, res.activity, tech);
-    const auto ar = power::estimate_area(*syn.design, tech);
+    // measure() checks every computation against the golden model first.
+    const auto m = core::measure(*syn.design, *b.graph, stim, tech);
+    const auto& pw = m.point.power;
+    const auto& ar = m.point.area;
     t.add_row({syn.design->style_name, format_fixed(pw.total, 2),
                format_fixed(pw.combinational, 2), format_fixed(pw.storage, 2),
                format_fixed(pw.clock_tree, 2), format_fixed(pw.control, 2),
@@ -76,14 +65,13 @@ int main(int argc, char** argv) {
   opts.num_clocks = 2;
   const auto syn = core::synthesize(*b.graph, *b.schedule, opts);
   sim::VcdTracer tracer(*syn.design);
-  sim::Simulator simulator(*syn.design);
-  simulator.set_observer(
-      [&](std::uint64_t step, const std::vector<std::uint64_t>& nets) {
-        tracer.record(step, nets);
-      });
-  Rng vrng(7);
-  const auto small = sim::uniform_stream(vrng, b.graph->inputs().size(), 4, 4);
-  simulator.run(small, b.graph->inputs(), b.graph->outputs());
+  core::MeasureHooks hooks;
+  hooks.observer = [&](std::uint64_t step,
+                       const std::vector<std::uint64_t>& nets) {
+    tracer.record(step, nets);
+  };
+  core::measure(*syn.design, *b.graph, core::uniform_stimulus(*b.graph, 4, 7),
+                tech, {}, hooks);
   const std::string path = argc > 1 ? argv[1] : "hal_2clock.vcd";
   std::ofstream(path) << tracer.render();
   std::printf("\nwrote waveform trace of the 2-clock design to %s\n",

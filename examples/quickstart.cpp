@@ -6,11 +6,7 @@
 // Build & run:  ./build/examples/quickstart
 #include <cstdio>
 
-#include "core/synthesizer.hpp"
-#include "power/estimator.hpp"
-#include "sim/equivalence.hpp"
-#include "sim/simulator.hpp"
-#include "sim/stimulus.hpp"
+#include "core/measure.hpp"
 
 using namespace mcrtl;
 
@@ -45,21 +41,15 @@ int main() {
               syn.design->stats.num_memory_cells,
               syn.design->stats.num_mux_inputs, syn.design->stats.num_clocks);
 
-  // 4. Simulate 1000 random computations and check against the golden model.
-  Rng rng(2024);
-  const auto stream = sim::uniform_stream(rng, g.inputs().size(), 1000, 8);
-  const auto rep = sim::check_equivalence(*syn.design, g, stream);
-  std::printf("equivalence vs golden model: %s (%zu computations)\n",
-              rep.equivalent ? "OK" : rep.detail.c_str(),
-              rep.computations_checked);
-
-  // 5. Measure switching activity and estimate power and area.
-  sim::Simulator simulator(*syn.design);
-  const auto result = simulator.run(stream, g.inputs(), g.outputs());
-  const auto tech = power::TechLibrary::cmos08();
-  const auto pw = power::estimate_power(*syn.design, result.activity, tech);
-  const auto ar = power::estimate_area(*syn.design, tech);
-  std::printf("power: %s\n", pw.to_string().c_str());
-  std::printf("area:  %s\n", ar.to_string().c_str());
-  return rep.equivalent ? 0 : 1;
+  // 4. Simulate 1000 random computations, check every one against the
+  //    golden model (measure() throws on a mismatch) and estimate power and
+  //    area from the same run's switching activity.
+  const auto stim = core::uniform_stimulus(g, 1000, 2024);
+  const auto m = core::measure(*syn.design, g, stim,
+                               power::TechLibrary::cmos08());
+  std::printf("equivalence vs golden model: OK (%zu computations)\n",
+              stim.streams[0].size());
+  std::printf("power: %s\n", m.point.power.to_string().c_str());
+  std::printf("area:  %s\n", m.point.area.to_string().c_str());
+  return 0;
 }

@@ -9,10 +9,8 @@
 #include <unordered_map>
 
 #include "core/checkpoint.hpp"
+#include "core/measure.hpp"
 #include "obs/obs.hpp"
-#include "power/attribution.hpp"
-#include "sim/equivalence.hpp"
-#include "sim/simulator.hpp"
 #include "sim/stimulus.hpp"
 #include "util/error.hpp"
 #include "util/fault_injection.hpp"
@@ -205,18 +203,19 @@ ExplorationResult explore(const dfg::Graph& graph, const dfg::Schedule& sched,
   const std::vector<std::uint64_t> seeds =
       cfg.streams == 1 ? std::vector<std::uint64_t>{cfg.seed}
                        : sim::stream_seeds(cfg.seed, num_streams);
-  std::vector<sim::InputStream> bundle(
+  const dfg::Interpreter interp(graph);
+  Stimulus stim;
+  stim.streams.assign(
       num_streams, sim::InputStream(cfg.computations,
                                     dfg::InputVector(graph.inputs().size())));
-  const dfg::Interpreter interp(graph);
-  std::vector<sim::GoldenOutputs> golden(
+  stim.golden.assign(
       num_streams,
       sim::GoldenOutputs(cfg.computations, interp.num_outputs()));
   std::vector<char> prepared(num_streams, 0);
   auto prepare_stream = [&](std::size_t s) {
     Rng rng(seeds[s]);
-    sim::fill_uniform(rng, bundle[s], graph.width());
-    sim::fill_golden_outputs(interp, bundle[s], golden[s]);
+    sim::fill_uniform(rng, stim.streams[s], graph.width());
+    sim::fill_golden_outputs(interp, stim.streams[s], stim.golden[s]);
     prepared[s] = 1;
   };
   if (pool) {
@@ -242,103 +241,24 @@ ExplorationResult explore(const dfg::Graph& graph, const dfg::Schedule& sched,
   // submitted task before rethrowing).
   std::vector<char> done(configs.size(), 0);
 
-  // Single-pass evaluation: one RTL simulation per point feeds both the
-  // equivalence check (sampled outputs vs. the interpreter) and the power
-  // estimate (the same run's Activity) — the design is never simulated
-  // twice.
+  // Single-pass evaluation: measure() runs one RTL simulation per point and
+  // feeds both the equivalence check (sampled outputs vs. the golden
+  // outputs above) and the power estimate (the same run's Activity).
   auto eval_point = [&](std::size_t i) {
     obs::Span point_span("explore.point");
     const auto& [opts, label] = configs[i];
     const auto syn = synthesize(graph, sched, opts);
-    // Both stimulus shapes run time-sliced on the bit-sliced kernel: a
-    // single stream cut into 64 chunks, a bundle of S streams into ⌊64/S⌋
-    // chunks each (for a design without the one-period warm-up property,
-    // the scalar run or the lockstep bundle).
-    sim::Simulator simulator(*syn.design, sim::Simulator::Mode::BitSliced);
+    MeasureHooks hooks;
     if (cfg.point_timeout_s > 0) {
-      simulator.set_deadline(std::chrono::steady_clock::now() +
-                             std::chrono::duration_cast<
-                                 std::chrono::steady_clock::duration>(
-                                 std::chrono::duration<double>(
-                                     cfg.point_timeout_s)));
+      hooks.deadline = std::chrono::steady_clock::now() +
+                       std::chrono::duration_cast<
+                           std::chrono::steady_clock::duration>(
+                           std::chrono::duration<double>(cfg.point_timeout_s));
     }
-    ExplorationPoint p;
+    ExplorationPoint p =
+        measure(*syn.design, graph, stim, tech, cfg.power_params, hooks).point;
     p.options = opts;
     p.label = label;
-    // Hierarchical attribution rides along with every evaluation: the probe
-    // time-resolves the energy (for the crest factor and, when tracing, the
-    // per-domain counter tracks) and attribute() names the hotspot. The
-    // probe only observes — outputs and Activity are bit-identical with it
-    // attached (tests/test_attribution.cpp).
-    power::Attribution attribution(*syn.design, tech, cfg.power_params.vdd);
-    sim::PowerProbe probe(attribution.energy_model());
-    simulator.set_power_probe(&probe);
-    auto finish_attribution = [&](const sim::Activity& activity) {
-      const auto arep = attribution.attribute(activity);
-      if (!arep.rows.empty()) {
-        p.hotspot = arep.rows.front().component;
-        p.hotspot_share = arep.total_fj > 0.0
-                              ? arep.rows.front().energy_fj / arep.total_fj
-                              : 0.0;
-      }
-      p.crest = probe.crest();
-      if (obs::enabled()) {
-        obs::observe_many("power.step_fj", probe.step_energies());
-      }
-    };
-    if (cfg.streams == 1) {
-      const auto res = simulator.run_time_sliced(bundle[0], graph.inputs(),
-                                                 graph.outputs());
-      const auto rep = sim::check_outputs(graph, golden[0], res.outputs,
-                                          syn.design->style_name);
-      MCRTL_CHECK_MSG(rep.equivalent,
-                      "explorer produced a non-equivalent design: "
-                          << rep.detail);
-      p.power = power::estimate_power(*syn.design, res.activity, tech,
-                                      cfg.power_params);
-      finish_attribution(res.activity);
-    } else {
-      // One bit-sliced pass advances all streams; every stream must still
-      // be functionally equivalent to the golden model on its own.
-      const auto results =
-          simulator.run_time_sliced(bundle, graph.inputs(), graph.outputs());
-      std::vector<double> totals(results.size());
-      std::vector<power::PowerBreakdown> brs(results.size());
-      for (std::size_t s = 0; s < results.size(); ++s) {
-        const auto rep = sim::check_outputs(graph, golden[s],
-                                            results[s].outputs,
-                                            syn.design->style_name);
-        MCRTL_CHECK_MSG(rep.equivalent,
-                        "explorer produced a non-equivalent design (stream "
-                            << s << "): " << rep.detail);
-        brs[s] = power::estimate_power(*syn.design, results[s].activity, tech,
-                                       cfg.power_params);
-        totals[s] = brs[s].total;
-      }
-      // Every reported field is a per-stream sample mean; sample_stats
-      // accumulates in sorted order, so the point is invariant under stream
-      // permutation.
-      auto mean_of = [&](double power::PowerBreakdown::*field) {
-        std::vector<double> v(brs.size());
-        for (std::size_t s = 0; s < brs.size(); ++s) v[s] = brs[s].*field;
-        return sim::sample_stats(std::move(v)).mean;
-      };
-      p.power.combinational = mean_of(&power::PowerBreakdown::combinational);
-      p.power.storage = mean_of(&power::PowerBreakdown::storage);
-      p.power.clock_tree = mean_of(&power::PowerBreakdown::clock_tree);
-      p.power.control = mean_of(&power::PowerBreakdown::control);
-      p.power.io = mean_of(&power::PowerBreakdown::io);
-      p.power.leakage = mean_of(&power::PowerBreakdown::leakage);
-      const sim::SampleStats st = sim::sample_stats(std::move(totals));
-      p.power.total = st.mean;
-      p.power_stddev = st.stddev;
-      p.power_ci95 = st.ci95;
-      // Aggregate attribution across streams: integer Activity records add
-      // exactly, and the probe already accumulated the all-lane waveform.
-      finish_attribution(sim::sum_activities(results));
-    }
-    p.area = power::estimate_area(*syn.design, tech);
-    p.stats = syn.design->stats;
     result.points[i] = std::move(p);
   };
 

@@ -67,13 +67,4 @@ EquivalenceReport check_outputs(const dfg::Graph& graph,
   return rep;
 }
 
-EquivalenceReport check_equivalence(const rtl::Design& design,
-                                    const dfg::Graph& graph,
-                                    const InputStream& stream) {
-  Simulator simulator(design);
-  const SimResult sim =
-      simulator.run(stream, graph.inputs(), graph.outputs());
-  return check_outputs(graph, stream, sim.outputs, design.style_name);
-}
-
 }  // namespace mcrtl::sim

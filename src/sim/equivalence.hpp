@@ -3,16 +3,15 @@
 // Every design style (conventional, gated, 1/2/3-clock) must compute exactly
 // the behaviour of the source DFG; the clock-management machinery is only
 // allowed to change *when* things switch, never *what* is computed. The
-// checker simulates the design over an input stream and compares every
-// computation's sampled outputs against the interpreter.
+// checker compares every computation's sampled outputs of a simulation run
+// against the interpreter.
 //
-// Two entry points: check_equivalence() simulates and compares in one call;
-// check_outputs() compares *already sampled* outputs, so a caller that needs
-// the simulation's Activity anyway (the explorer's power estimate) can run
-// the RTL simulation once and feed both the checker and the power model
-// from the same SimResult. A caller checking many designs against one
-// stream (the explorer) runs the interpreter once with golden_outputs() and
-// compares every design against that.
+// check_outputs() takes *already sampled* outputs, so the caller that
+// simulates (core::measure) runs the RTL simulation once and feeds both the
+// checker and the power model from the same SimResult. A caller checking
+// many designs against one stream (the explorer, `mcrtl table`) runs the
+// interpreter once with golden_outputs() and compares every design against
+// that.
 #pragma once
 
 #include <string>
@@ -68,12 +67,5 @@ EquivalenceReport check_outputs(const dfg::Graph& graph,
                                 const GoldenOutputs& golden,
                                 const std::vector<OutputSample>& outputs,
                                 const std::string& style_name);
-
-/// Simulate `design` over `stream` and compare against the interpreter of
-/// `graph`. The design must have been synthesized from (a schedule of)
-/// `graph`.
-EquivalenceReport check_equivalence(const rtl::Design& design,
-                                    const dfg::Graph& graph,
-                                    const InputStream& stream);
 
 }  // namespace mcrtl::sim

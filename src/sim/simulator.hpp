@@ -18,15 +18,18 @@
 //
 // Three settle kernels implement step 3/5 with bit-identical results:
 //
-//  * EventDriven (default) — a levelized event-driven worklist over the
-//    design's compiled tables (rtl::DesignTables: the net ->
+//  * EventDriven (the constructor default) — a levelized event-driven
+//    worklist over the design's compiled tables (rtl::DesignTables: the net ->
 //    combinational-fanout index and a topological level per combinational
 //    component); write_net() enqueues the dirty fanout of every real value
 //    change into a level-bucketed worklist, and settle() drains only the
 //    affected cone in level order. In an n-clock design
 //    only ~1/n of the datapath sees new values in any master cycle (the
 //    paper's one-active-DPM property), so most components are never
-//    touched.
+//    touched. Every reported number is measured on the BitSliced kernel
+//    (core::measure); the event-driven settle is its scalar fallback (a
+//    step observer, a design that is not time_sliceable()) and the kernel
+//    of the benchmark's traced replay.
 //  * Oblivious — the reference kernel: re-evaluate every combinational
 //    component in topological order on every settle, write every
 //    control-line value every step, and re-derive the phase-edge capture
@@ -92,9 +95,11 @@ Activity sum_activities(const std::vector<SimResult>& results);
 
 class Simulator {
  public:
-  /// Settle-kernel selection. EventDriven is the production single-stream
-  /// kernel; Oblivious is the retained reference path for differential
-  /// testing; BitSliced batches up to 64 streams per run_sliced() call.
+  /// Settle-kernel selection. BitSliced is the measuring kernel: it batches
+  /// up to 64 streams per run_sliced() call and time-slices one stream or a
+  /// bundle in run_time_sliced(). EventDriven is the scalar kernel (also the
+  /// settle of run_time_sliced()'s scalar fallback); Oblivious is the
+  /// retained reference path for differential testing.
   enum class Mode { EventDriven, Oblivious, BitSliced };
 
   /// Maximum number of stimulus streams one run_sliced() call can batch —

@@ -1,16 +1,18 @@
 // Tests for the hierarchical power-attribution subsystem: conservation of
 // toggles and energy between the three accounting views (per-net
 // attribution rows, the live PowerProbe waveform, the whole-run
-// estimator), the observe-only contract of the probe, and the per-domain
-// waveform's one-active-partition signature.
+// estimator), the observe-only contract of the probe, the per-step
+// waveform core::measure() reports, and the per-domain waveform's
+// one-active-partition signature.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <cstdint>
 #include <string>
 #include <vector>
 
-#include "core/synthesizer.hpp"
+#include "core/measure.hpp"
 #include "obs/obs.hpp"
 #include "power/attribution.hpp"
 #include "power/estimator.hpp"
@@ -183,6 +185,74 @@ TEST(AttributionTest, SlicedProbeAggregatesExactlyAcrossStreams) {
   expect_near_rel(probe.total_fj(), per_stream_sum);
   const auto agg = attr.attribute(sim::sum_activities(acts));
   expect_near_rel(agg.total_fj, per_stream_sum);
+}
+
+// --- the per-step waveform of a measured run ----------------------------
+
+/// The whole-design per-step energies of measure()'s run of `b` under
+/// `style` on `stream`.
+std::vector<double> measured_step_energies(const suite::Benchmark& b,
+                                           DesignStyle style, int clocks,
+                                           const sim::InputStream& stream) {
+  core::SynthesisOptions opts;
+  opts.style = style;
+  opts.num_clocks = clocks;
+  const auto syn = core::synthesize(*b.graph, *b.schedule, opts);
+  return core::measure(*syn.design, *b.graph,
+                       core::make_stimulus(*b.graph, {stream}),
+                       TechLibrary::cmos08())
+      .probe.step_energies();
+}
+
+double mean(const std::vector<double>& v) {
+  double sum = 0.0;
+  for (double e : v) sum += e;
+  return v.empty() ? 0.0 : sum / static_cast<double>(v.size());
+}
+
+TEST(PowerTraceTest, OneEntryPerStep) {
+  const auto b = suite::motivating(8);
+  Rng rng(7);
+  const auto stream =
+      sim::uniform_stream(rng, b.graph->inputs().size(), 10, 8);
+  const auto e = measured_step_energies(b, DesignStyle::ConventionalGated, 1,
+                                        stream);
+  // period = T+1 = 6 steps per computation.
+  EXPECT_EQ(e.size(), 60u);
+}
+
+TEST(PowerTraceTest, EnergyNonNegativeAndNonTrivial) {
+  const auto b = suite::hal(8);
+  Rng rng(7);
+  const auto stream =
+      sim::uniform_stream(rng, b.graph->inputs().size(), 200, 8);
+  const auto e = measured_step_energies(b, DesignStyle::ConventionalGated, 1,
+                                        stream);
+  ASSERT_FALSE(e.empty());
+  for (double x : e) EXPECT_GE(x, 0.0);
+  EXPECT_GT(mean(e), 0.0);
+  EXPECT_GE(*std::max_element(e.begin(), e.end()), mean(e));
+}
+
+TEST(AttributionTest, ThreeClockMeanStepEnergyBelowGated) {
+  const auto b = suite::hal(4);
+  Rng rng(7);
+  const auto stream =
+      sim::uniform_stream(rng, b.graph->inputs().size(), 200, 4);
+  EXPECT_LT(mean(measured_step_energies(b, DesignStyle::MultiClock, 3, stream)),
+            mean(measured_step_energies(b, DesignStyle::ConventionalGated, 1,
+                                        stream)));
+}
+
+TEST(AttributionTest, ConstantInputsGiveQuieterWaveform) {
+  const auto b = suite::motivating(8);
+  Rng r1(9), r2(9);
+  const auto uni = sim::uniform_stream(r1, b.graph->inputs().size(), 100, 8);
+  const auto con = sim::constant_stream(r2, b.graph->inputs().size(), 100, 8);
+  EXPECT_LT(mean(measured_step_energies(b, DesignStyle::ConventionalGated, 1,
+                                        con)),
+            mean(measured_step_energies(b, DesignStyle::ConventionalGated, 1,
+                                        uni)));
 }
 
 // --- per-domain waveform signature ---------------------------------------

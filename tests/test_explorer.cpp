@@ -6,6 +6,7 @@
 #include <map>
 
 #include "core/explorer.hpp"
+#include "core/measure.hpp"
 #include "core/record.hpp"
 #include "obs/obs.hpp"
 #include "power/attribution.hpp"
@@ -270,6 +271,100 @@ TEST(ExplorerTest, BundleSweepsAreTimeSlicedAndMatchLockstepReplay) {
     EXPECT_EQ(counters["sim.time_sliced.fallbacks"], 0u);
     EXPECT_EQ(counters["sim.sliced.runs"], 0u);
   }
+}
+
+/// The paper's five Table styles as explicit explorer configurations.
+std::vector<std::pair<SynthesisOptions, std::string>> table_configs() {
+  std::vector<std::pair<SynthesisOptions, std::string>> configs;
+  for (const auto& [style, clocks] :
+       {std::pair{DesignStyle::ConventionalNonGated, 1},
+        std::pair{DesignStyle::ConventionalGated, 1},
+        std::pair{DesignStyle::MultiClock, 1},
+        std::pair{DesignStyle::MultiClock, 2},
+        std::pair{DesignStyle::MultiClock, 3}}) {
+    SynthesisOptions opts;
+    opts.style = style;
+    opts.num_clocks = clocks;
+    configs.emplace_back(opts, style_label(style, clocks));
+  }
+  return configs;
+}
+
+/// measure() of `p`'s configuration on `stim`, labelled like `p`.
+ExplorationPoint measured_like(const suite::Benchmark& b,
+                               const ExplorationPoint& p, const Stimulus& stim,
+                               const MeasureHooks& hooks = {}) {
+  const auto syn = synthesize(*b.graph, *b.schedule, p.options);
+  ExplorationPoint m = measure(*syn.design, *b.graph, stim,
+                               power::TechLibrary::cmos08(), {}, hooks)
+                           .point;
+  m.label = p.label;
+  return m;
+}
+
+TEST(ExplorerTest, MeasureIsTheExplorePoint) {
+  // `mcrtl table` reports measure() on the uniform stream of Rng(seed) and
+  // `mcrtl explore` reports explore() with the same seed: for the five
+  // Table styles the two must agree field for field, bit for bit — power
+  // breakdown, spread, area, stats, hotspot and crest. Bundles too.
+  const auto b = suite::by_name("hal", 4);
+  for (const std::size_t streams : {1u, 2u}) {
+    SCOPED_TRACE(streams);
+    ExplorerConfig cfg;
+    cfg.computations = 300;
+    cfg.seed = 1996;
+    cfg.streams = streams;
+    cfg.explicit_configs = table_configs();
+    const auto r = explore(*b.graph, *b.schedule, cfg);
+    const auto stim =
+        streams == 1
+            ? uniform_stimulus(*b.graph, cfg.computations, cfg.seed)
+            : make_stimulus(*b.graph,
+                            sim::uniform_streams(cfg.seed, streams,
+                                                 b.graph->inputs().size(),
+                                                 cfg.computations, 4));
+    ASSERT_EQ(r.points.size(), 5u);
+    for (const auto& p : r.points) {
+      const ExplorationPoint m = measured_like(b, p, stim);
+      EXPECT_EQ(record::encode_point_fields(m), record::encode_point_fields(p))
+          << p.label;
+      EXPECT_EQ(m.power.total, p.power.total) << p.label;
+      EXPECT_EQ(m.crest, p.crest) << p.label;
+      EXPECT_FALSE(m.hotspot.empty()) << p.label;
+    }
+  }
+}
+
+TEST(ExplorerTest, MeasureWithObserverTakesScalarPathAndSamePoint) {
+  // A step observer (the --vcd dump) runs the scalar simulation instead of
+  // the time-sliced pass; the measured point must not change.
+  const auto b = suite::by_name("hal", 4);
+  ExplorerConfig cfg;
+  cfg.computations = 300;
+  cfg.seed = 1996;
+  cfg.explicit_configs = table_configs();
+  const auto r = explore(*b.graph, *b.schedule, cfg);
+  const auto stim = uniform_stimulus(*b.graph, cfg.computations, cfg.seed);
+  obs::Registry::instance().reset();
+  obs::set_enabled(true);
+  std::size_t steps = 0;
+  MeasureHooks hooks;
+  hooks.observer = [&](std::uint64_t, const std::vector<std::uint64_t>&) {
+    ++steps;
+  };
+  for (const auto& p : r.points) {
+    EXPECT_EQ(record::encode_point_fields(measured_like(b, p, stim, hooks)),
+              record::encode_point_fields(p))
+        << p.label;
+  }
+  obs::set_enabled(false);
+  std::map<std::string, std::uint64_t> counters;
+  for (const auto& [k, v] : obs::Registry::instance().counters()) {
+    counters[k] = v;
+  }
+  obs::Registry::instance().reset();
+  EXPECT_EQ(counters["sim.time_sliced.fallbacks"], 5u);
+  EXPECT_GT(steps, 5u * cfg.computations);
 }
 
 TEST(ExplorerTest, RejectsZeroComputationsUpFront) {

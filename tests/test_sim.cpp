@@ -2,7 +2,7 @@
 // gating semantics, stimulus generators, VCD tracing.
 #include <gtest/gtest.h>
 
-#include "core/synthesizer.hpp"
+#include "core/measure.hpp"
 #include "util/bits.hpp"
 #include "sim/equivalence.hpp"
 #include "sim/simulator.hpp"
@@ -256,7 +256,7 @@ TEST(StimulusTest, RampIsDeterministic) {
 
 TEST(EquivalenceTest, DetectsBrokenDesign) {
   // Sabotage: swap the function set of an ALU after synthesis; the checker
-  // must flag a mismatch.
+  // must flag a mismatch, and measure() must refuse to report the design.
   const auto b = suite::motivating(8);
   auto syn = make(b, DesignStyle::ConventionalGated);
   for (auto& c : const_cast<std::vector<rtl::Component>&>(
@@ -270,9 +270,19 @@ TEST(EquivalenceTest, DetectsBrokenDesign) {
   }
   Rng rng(12);
   const auto stream = uniform_stream(rng, b.graph->inputs().size(), 30, 8);
-  const auto rep = check_equivalence(*syn.design, *b.graph, stream);
+  const auto rep = check_outputs(*b.graph, stream,
+                                 simulate(b, *syn.design, stream).outputs,
+                                 syn.design->style_name);
   EXPECT_FALSE(rep.equivalent);
   EXPECT_FALSE(rep.detail.empty());
+  try {
+    core::measure(*syn.design, *b.graph,
+                  core::make_stimulus(*b.graph, {stream}),
+                  power::TechLibrary::cmos08());
+    ADD_FAILURE() << "measure() reported a non-equivalent design";
+  } catch (const Error& e) {
+    EXPECT_EQ(std::string(e.what()), "non-equivalent design: " + rep.detail);
+  }
 }
 
 TEST(VcdTest, ProducesWellFormedHeaderAndChanges) {

@@ -106,18 +106,15 @@
 #include <vector>
 
 #include "core/explorer.hpp"
+#include "core/measure.hpp"
 #include "core/search.hpp"
 #include "core/synthesizer.hpp"
 #include "dfg/dot.hpp"
 #include "dfg/textio.hpp"
 #include "obs/obs.hpp"
 #include "power/attribution.hpp"
-#include "power/estimator.hpp"
 #include "power/report.hpp"
 #include "rtl/analysis.hpp"
-#include "sim/equivalence.hpp"
-#include "sim/simulator.hpp"
-#include "sim/stimulus.hpp"
 #include "sim/vcd.hpp"
 #include "suite/benchmarks.hpp"
 #include "util/error.hpp"
@@ -380,48 +377,57 @@ core::SynthesisOptions synth_options(const CliOptions& o) {
   return opts;
 }
 
-power::ExperimentRecord measure(const Loaded& l,
+/// Write `text` to `path`; a file that cannot be opened or written is an
+/// error naming the path (exit code 1), never a silent "wrote" line.
+void write_file(const std::string& path, const std::string& text) {
+  std::ofstream out(path);
+  out << text;
+  out.close();
+  if (!out) throw mcrtl::Error("cannot write " + path);
+}
+
+/// The per-domain energy waveform of a probe as CSV: one row per master
+/// cycle, one fJ column per clock domain.
+std::string power_trace_csv(const sim::PowerProbe& probe) {
+  std::ostringstream out;
+  out << "step";
+  for (int d = 0; d <= probe.num_domains(); ++d) {
+    out << ',' << power::domain_label(d) << "_fj";
+  }
+  out << '\n';
+  for (std::size_t s = 0; s < probe.steps(); ++s) {
+    out << s;
+    for (int d = 0; d <= probe.num_domains(); ++d) {
+      out << ',' << str_format("%.3f", probe.step_fj(s, d));
+    }
+    out << '\n';
+  }
+  return out.str();
+}
+
+/// Measure one design style on `stim` as a report record. With
+/// `print_structure` (synth) the VCD dump, the heatmap, the --power-*
+/// exports and the datapath description ride on the same run; cmd_table
+/// calls this concurrently without them.
+power::ExperimentRecord measure(const Loaded& l, const core::Stimulus& stim,
                                 const core::SynthesisOptions& opts,
                                 const CliOptions& o, bool print_structure) {
   const auto syn = core::synthesize(*l.graph, *l.schedule, opts);
-  Rng rng(o.seed);
-  const auto stream = sim::uniform_stream(rng, l.graph->inputs().size(),
-                                          o.computations, l.graph->width());
-  const auto rep = sim::check_equivalence(*syn.design, *l.graph, stream);
-  if (!rep.equivalent) throw mcrtl::Error("equivalence failure: " + rep.detail);
-
-  sim::Simulator simulator(*syn.design);
-  // Waveform dump and per-partition activity telemetry are only wired on the
-  // single-design path (synth); cmd_table calls measure() concurrently.
+  core::MeasureHooks hooks;
   std::unique_ptr<sim::VcdTracer> vcd;
   if (print_structure && !o.vcd_file.empty()) {
     vcd = std::make_unique<sim::VcdTracer>(*syn.design);
-    simulator.set_observer([&](std::uint64_t step, const auto& nets) {
+    hooks.observer = [&](std::uint64_t step, const auto& nets) {
       vcd->record(step, nets);
-    });
+    };
   }
   sim::PhaseHeatmap heatmap;
   const bool want_heatmap = print_structure && obs::enabled();
-  if (want_heatmap) simulator.set_heatmap(&heatmap);
-  const auto tech = power::TechLibrary::cmos08();
-  // Power attribution rides on the same run whenever anything will consume
-  // it: an explicit --power-* flag, or tracing (the per-domain waveform is
-  // merged into the Chrome trace as counter tracks). Attaching the probe
-  // never changes simulation results.
-  const bool want_power_profile =
-      print_structure && (!o.power_trace_file.empty() ||
-                          !o.power_flame_file.empty() || o.power_top > 0 ||
-                          obs::enabled());
-  std::unique_ptr<power::Attribution> attribution;
-  std::unique_ptr<sim::PowerProbe> probe;
-  if (want_power_profile) {
-    attribution = std::make_unique<power::Attribution>(*syn.design, tech);
-    probe = std::make_unique<sim::PowerProbe>(attribution->energy_model());
-    simulator.set_power_probe(probe.get());
-  }
-  const auto res = simulator.run(stream, l.graph->inputs(), l.graph->outputs());
+  if (want_heatmap) hooks.heatmap = &heatmap;
+  const auto m = core::measure(*syn.design, *l.graph, stim,
+                               power::TechLibrary::cmos08(), {}, hooks);
   if (vcd) {
-    std::ofstream(o.vcd_file) << vcd->render();
+    write_file(o.vcd_file, vcd->render());
     std::printf("wrote %s\n", o.vcd_file.c_str());
   }
   if (want_heatmap) {
@@ -439,46 +445,34 @@ power::ExperimentRecord measure(const Loaded& l,
   rec.benchmark = l.name;
   rec.width = l.graph->width();
   rec.computations = o.computations;
-  rec.power = power::estimate_power(*syn.design, res.activity, tech);
-  rec.area = power::estimate_area(*syn.design, tech);
-  rec.stats = syn.design->stats;
+  rec.power = m.point.power;
+  rec.area = m.point.area;
+  rec.stats = m.point.stats;
 
-  if (want_power_profile) {
-    power::publish_power_tracks(*probe);  // no-op unless tracing is on
-    obs::observe_many("power.step_fj", probe->step_energies());
-    const auto arep = attribution->attribute(res.activity);
-    if (!arep.rows.empty()) {
-      rec.hotspot = arep.rows.front().component;
-      rec.hotspot_share = arep.total_fj > 0.0
-                              ? arep.rows.front().energy_fj / arep.total_fj
-                              : 0.0;
-    }
-    rec.crest = probe->crest();
+  // The attribution columns are reported only when something asked for the
+  // power profile: an explicit --power-* flag, or tracing (the per-domain
+  // waveform is merged into the Chrome trace as counter tracks).
+  if (print_structure && (!o.power_trace_file.empty() ||
+                          !o.power_flame_file.empty() || o.power_top > 0 ||
+                          obs::enabled())) {
+    power::publish_power_tracks(m.probe);  // no-op unless tracing is on
+    rec.hotspot = m.point.hotspot;
+    rec.hotspot_share = m.point.hotspot_share;
+    rec.crest = m.point.crest;
     if (!o.power_trace_file.empty()) {
-      std::ofstream out(o.power_trace_file);
-      out << "step";
-      for (int d = 0; d <= probe->num_domains(); ++d) {
-        out << ',' << power::domain_label(d) << "_fj";
-      }
-      out << '\n';
-      for (std::size_t s = 0; s < probe->steps(); ++s) {
-        out << s;
-        for (int d = 0; d <= probe->num_domains(); ++d) {
-          out << ',' << str_format("%.3f", probe->step_fj(s, d));
-        }
-        out << '\n';
-      }
+      write_file(o.power_trace_file, power_trace_csv(m.probe));
       std::printf("wrote %s\n", o.power_trace_file.c_str());
     }
     if (!o.power_flame_file.empty()) {
-      std::ofstream(o.power_flame_file) << arep.collapsed_stacks();
+      write_file(o.power_flame_file, m.attribution.collapsed_stacks());
       std::printf("wrote %s\n", o.power_flame_file.c_str());
     }
     if (o.power_top > 0) {
       std::printf("\ntop %d power hotspots (of %zu attributed rows, "
                   "%.0f fJ total, crest %.2f):\n%s",
-                  o.power_top, arep.rows.size(), arep.total_fj, rec.crest,
-                  arep.top_table(static_cast<std::size_t>(o.power_top))
+                  o.power_top, m.attribution.rows.size(),
+                  m.attribution.total_fj, rec.crest,
+                  m.attribution.top_table(static_cast<std::size_t>(o.power_top))
                       .c_str());
     }
   }
@@ -504,14 +498,16 @@ int cmd_list() {
 
 int cmd_synth(const CliOptions& o) {
   const Loaded l = load(o);
-  const auto rec = measure(l, synth_options(o), o, /*print_structure=*/true);
+  const auto rec = measure(
+      l, core::uniform_stimulus(*l.graph, o.computations, o.seed),
+      synth_options(o), o, /*print_structure=*/true);
   std::printf("\npower: %s\narea:  %.0f lambda^2\nALUs %s | %d mem cells | "
               "%d mux inputs\n",
               rec.power.to_string().c_str(), rec.area.total,
               rec.stats.alu_summary.c_str(), rec.stats.num_memory_cells,
               rec.stats.num_mux_inputs);
   if (!o.csv_file.empty()) {
-    std::ofstream(o.csv_file) << power::to_csv({rec});
+    write_file(o.csv_file, power::to_csv({rec}));
     std::printf("wrote %s\n", o.csv_file.c_str());
   }
   return 0;
@@ -528,8 +524,10 @@ int cmd_table(const CliOptions& o) {
                       {core::DesignStyle::MultiClock, 1},
                       {core::DesignStyle::MultiClock, 2},
                       {core::DesignStyle::MultiClock, 3}};
-  // Measure the five rows concurrently; each slot is written by exactly one
-  // worker and the table is rendered afterwards in row order.
+  // Measure the five rows concurrently on one shared stimulus; each slot is
+  // written by exactly one worker and the table is rendered afterwards in
+  // row order.
+  const auto stim = core::uniform_stimulus(*l.graph, o.computations, o.seed);
   std::vector<power::ExperimentRecord> recs(std::size(rows));
   mcrtl::ThreadPool pool(ThreadPool::resolve_jobs(o.jobs));
   pool.parallel_for_index(std::size(rows), [&](std::size_t i) {
@@ -539,7 +537,7 @@ int cmd_table(const CliOptions& o) {
                    ? "gated"
                    : "conv";
     ro.clocks = rows[i].clocks;
-    recs[i] = measure(l, synth_options(ro), ro, false);
+    recs[i] = measure(l, stim, synth_options(ro), ro, false);
   });
   TextTable t({"Design", "Power[mW]", "Area[1e6 l^2]", "ALUs", "Mem", "MuxIn"});
   for (const auto& rec : recs) {
@@ -550,7 +548,7 @@ int cmd_table(const CliOptions& o) {
   }
   std::fputs(t.render().c_str(), stdout);
   if (!o.csv_file.empty()) {
-    std::ofstream(o.csv_file) << power::to_csv(recs);
+    write_file(o.csv_file, power::to_csv(recs));
     std::printf("wrote %s\n", o.csv_file.c_str());
   }
   return 0;
@@ -693,11 +691,11 @@ int cmd_explore(const CliOptions& o) {
                 r.best_power().power.total);
   }
   if (!o.csv_file.empty()) {
-    std::ofstream(o.csv_file) << power::to_csv(recs);
+    write_file(o.csv_file, power::to_csv(recs));
     std::printf("wrote %s\n", o.csv_file.c_str());
   }
   if (!o.json_file.empty()) {
-    std::ofstream(o.json_file) << power::to_json(recs);
+    write_file(o.json_file, power::to_json(recs));
     std::printf("wrote %s\n", o.json_file.c_str());
   }
   // A quarantined point is a *reported* degradation, not a failure of the
@@ -798,11 +796,11 @@ int cmd_search(const CliOptions& o) {
   std::fputs(t.render().c_str(), stdout);
 
   if (!o.csv_file.empty()) {
-    std::ofstream(o.csv_file) << core::search_to_csv(res, o.pareto_only);
+    write_file(o.csv_file, core::search_to_csv(res, o.pareto_only));
     std::printf("wrote %s\n", o.csv_file.c_str());
   }
   if (!o.json_file.empty()) {
-    std::ofstream(o.json_file) << core::search_to_json(res, o.pareto_only);
+    write_file(o.json_file, core::search_to_json(res, o.pareto_only));
     std::printf("wrote %s\n", o.json_file.c_str());
   }
   return 0;
@@ -846,12 +844,12 @@ void flush_obs(const CliOptions& o) {
   if (!obs::enabled()) return;
   auto& reg = obs::Registry::instance();
   if (!o.trace_file.empty()) {
-    std::ofstream(o.trace_file) << reg.chrome_trace_json();
+    write_file(o.trace_file, reg.chrome_trace_json());
     std::fprintf(stderr, "wrote %s (%zu spans)\n", o.trace_file.c_str(),
                  reg.num_spans());
   }
   if (!o.metrics_file.empty()) {
-    std::ofstream(o.metrics_file) << reg.metrics_json();
+    write_file(o.metrics_file, reg.metrics_json());
     std::fprintf(stderr, "wrote %s\n", o.metrics_file.c_str());
   }
   if (o.progress) std::fputs(reg.summary().c_str(), stderr);
@@ -878,13 +876,17 @@ int main(int argc, char** argv) {
       }
     }
   }
+  int rc = 1;
   try {
-    const int rc = dispatch(o);
-    flush_obs(o);
-    return rc;
+    rc = dispatch(o);
   } catch (const std::exception& e) {
     std::fprintf(stderr, "error: %s\n", e.what());
-    flush_obs(o);
-    return 1;
   }
+  try {
+    flush_obs(o);
+  } catch (const std::exception& e) {
+    std::fprintf(stderr, "error: %s\n", e.what());
+    rc = 1;
+  }
+  return rc;
 }
