@@ -206,8 +206,7 @@ ExplorationResult explore(const dfg::Graph& graph, const dfg::Schedule& sched,
   const dfg::Interpreter interp(graph);
   Stimulus stim;
   stim.streams.assign(
-      num_streams, sim::InputStream(cfg.computations,
-                                    dfg::InputVector(graph.inputs().size())));
+      num_streams, sim::InputStream(cfg.computations, graph.inputs().size()));
   stim.golden.assign(
       num_streams,
       sim::GoldenOutputs(cfg.computations, interp.num_outputs()));

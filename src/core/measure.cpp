@@ -8,10 +8,13 @@ namespace mcrtl::core {
 
 Stimulus make_stimulus(const dfg::Graph& graph,
                        std::vector<sim::InputStream> streams) {
+  const dfg::Interpreter interp(graph);
+  for (const auto& s : streams) sim::check_stream_width(s, interp.num_inputs());
   Stimulus stim;
   stim.golden.reserve(streams.size());
   for (const auto& s : streams) {
-    stim.golden.push_back(sim::golden_outputs(graph, s));
+    stim.golden.emplace_back(s.size(), interp.num_outputs());
+    sim::fill_golden_outputs(interp, s, stim.golden.back());
   }
   stim.streams = std::move(streams);
   return stim;

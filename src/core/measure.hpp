@@ -37,6 +37,8 @@ struct Stimulus {
 };
 
 /// `streams` with their golden outputs from the interpreter of `graph`.
+/// Throws mcrtl::Error (sim::check_stream_width) before evaluating any
+/// stream if one of them is not `graph.inputs().size()` words wide.
 Stimulus make_stimulus(const dfg::Graph& graph,
                        std::vector<sim::InputStream> streams);
 

@@ -49,15 +49,7 @@ EvalResult Interpreter::run(const InputVector& inputs) const {
   return r;
 }
 
-std::vector<EvalResult> Interpreter::run_stream(
-    const std::vector<InputVector>& stream) const {
-  std::vector<EvalResult> out;
-  out.reserve(stream.size());
-  for (const auto& in : stream) out.push_back(run(in));
-  return out;
-}
-
-void Interpreter::eval(const InputVector& inputs,
+void Interpreter::eval(std::span<const std::uint64_t> inputs,
                        std::span<std::uint64_t> scratch,
                        std::span<std::uint64_t> out) const {
   MCRTL_CHECK_MSG(inputs.size() == input_slots_.size(),

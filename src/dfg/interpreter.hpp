@@ -40,9 +40,6 @@ class Interpreter {
   /// Evaluate one full computation.
   EvalResult run(const InputVector& inputs) const;
 
-  /// Evaluate a stream of computations; returns one EvalResult per vector.
-  std::vector<EvalResult> run_stream(const std::vector<InputVector>& stream) const;
-
   /// Scratch for eval(): one word per value, constants already in place.
   std::vector<std::uint64_t> scratch() const { return init_; }
 
@@ -50,9 +47,12 @@ class Interpreter {
   /// across calls) and write its primary outputs, in Graph::outputs()
   /// order, to `out`. Throws mcrtl::Error on a wrong input count or
   /// mis-sized buffers.
-  void eval(const InputVector& inputs, std::span<std::uint64_t> scratch,
+  void eval(std::span<const std::uint64_t> inputs,
+            std::span<std::uint64_t> scratch,
             std::span<std::uint64_t> out) const;
 
+  /// Words eval() reads per computation (Graph::inputs().size()).
+  std::size_t num_inputs() const { return input_slots_.size(); }
   /// Words eval() writes per computation (Graph::outputs().size()).
   std::size_t num_outputs() const { return output_slots_.size(); }
 

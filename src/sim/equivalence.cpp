@@ -1,5 +1,7 @@
 #include "sim/equivalence.hpp"
 
+#include <algorithm>
+
 #include "obs/obs.hpp"
 #include "util/error.hpp"
 #include "util/strings.hpp"
@@ -8,7 +10,7 @@ namespace mcrtl::sim {
 
 EquivalenceReport check_outputs(const dfg::Graph& graph,
                                 const InputStream& stream,
-                                const std::vector<OutputSample>& outputs,
+                                const WordTable& outputs,
                                 const std::string& style_name) {
   return check_outputs(graph, golden_outputs(graph, stream), outputs,
                        style_name);
@@ -24,30 +26,31 @@ GoldenOutputs golden_outputs(const dfg::Graph& graph,
 
 void fill_golden_outputs(const dfg::Interpreter& interp,
                          const InputStream& stream, GoldenOutputs& golden) {
+  check_stream_width(stream, interp.num_inputs());
   obs::Span span("sim.golden");
-  MCRTL_CHECK(golden.computations == stream.size() &&
-              golden.outputs == interp.num_outputs() &&
-              golden.values.size() == stream.size() * golden.outputs);
+  MCRTL_CHECK(golden.size() == stream.size() &&
+              golden.words() == interp.num_outputs());
   auto scratch = interp.scratch();
   for (std::size_t c = 0; c < stream.size(); ++c) {
-    interp.eval(stream[c], scratch,
-                std::span(golden.values).subspan(c * golden.outputs,
-                                                 golden.outputs));
+    interp.eval(stream[c], scratch, golden[c]);
   }
 }
 
 EquivalenceReport check_outputs(const dfg::Graph& graph,
                                 const GoldenOutputs& golden,
-                                const std::vector<OutputSample>& outputs,
+                                const WordTable& outputs,
                                 const std::string& style_name) {
   obs::Span span("sim.equivalence");
   EquivalenceReport rep;
   const auto out_order = graph.outputs();
-  MCRTL_CHECK(outputs.size() == golden.computations &&
-              golden.outputs == out_order.size());
+  MCRTL_CHECK(outputs.size() == golden.size() &&
+              golden.words() == out_order.size() &&
+              outputs.words() == out_order.size());
+  rep.computations_checked = outputs.size();
+  if (std::ranges::equal(golden.values(), outputs.values())) return rep;
   for (std::size_t c = 0; c < outputs.size(); ++c) {
-    const std::uint64_t* expect = golden.values.data() + c * golden.outputs;
-    const auto& rtl_out = outputs[c];
+    const auto expect = golden[c];
+    const auto rtl_out = outputs[c];
     for (std::size_t o = 0; o < out_order.size(); ++o) {
       if (expect[o] != rtl_out[o]) {
         rep.equivalent = false;
@@ -63,7 +66,6 @@ EquivalenceReport check_outputs(const dfg::Graph& graph,
       }
     }
   }
-  rep.computations_checked = outputs.size();
   return rep;
 }
 

@@ -12,6 +12,10 @@
 // many designs against one stream (the explorer, `mcrtl table`) runs the
 // interpreter once with golden_outputs() and compares every design against
 // that.
+//
+// Stream, samples and golden outputs are all flat WordTables, so the check
+// of an equivalent design is one comparison of two word blocks; only a
+// mismatch walks the rows to name its first computation and output.
 #pragma once
 
 #include <string>
@@ -28,29 +32,22 @@ struct EquivalenceReport {
   std::string detail;               ///< human-readable mismatch description
 };
 
-/// Compare sampled RTL outputs (one OutputSample per computation of
-/// `stream`, in Graph::outputs() order — exactly SimResult::outputs) against
-/// the interpreter of `graph`. `style_name` only labels the mismatch
-/// message. This is the single-simulation path: the caller keeps the
-/// SimResult and its Activity.
+/// Compare sampled RTL outputs (one row per computation of `stream`, in
+/// Graph::outputs() order — exactly SimResult::outputs) against the
+/// interpreter of `graph`. `style_name` only labels the mismatch message.
+/// This is the single-simulation path: the caller keeps the SimResult and
+/// its Activity.
 EquivalenceReport check_outputs(const dfg::Graph& graph,
                                 const InputStream& stream,
-                                const std::vector<OutputSample>& outputs,
+                                const WordTable& outputs,
                                 const std::string& style_name);
 
 /// The interpreter's outputs of a graph for every computation of one
-/// stream — what check_outputs() compares against — stored flat.
-struct GoldenOutputs {
-  GoldenOutputs() = default;
-  /// Zeroed storage for `computations` × `outputs` values.
-  GoldenOutputs(std::size_t computations, std::size_t outputs)
-      : computations(computations),
-        outputs(outputs),
-        values(computations * outputs) {}
-
-  std::size_t computations = 0;
-  std::size_t outputs = 0;            ///< values per computation
-  std::vector<std::uint64_t> values;  ///< computation-major
+/// stream — what check_outputs() compares against: one row per
+/// computation, Graph::outputs() order. A type of its own only so the two
+/// check_outputs() overloads stay apart.
+struct GoldenOutputs : WordTable {
+  using WordTable::WordTable;
 };
 GoldenOutputs golden_outputs(const dfg::Graph& graph,
                              const InputStream& stream);
@@ -58,6 +55,8 @@ GoldenOutputs golden_outputs(const dfg::Graph& graph,
 /// golden_outputs() into storage the caller already sized
 /// (GoldenOutputs(stream.size(), interp.num_outputs())); allocates only
 /// the interpreter's scratch. `interp` may be shared between threads.
+/// Throws mcrtl::Error (check_stream_width) before evaluating anything if
+/// the stream's width is not the graph's input count.
 void fill_golden_outputs(const dfg::Interpreter& interp,
                          const InputStream& stream, GoldenOutputs& golden);
 
@@ -65,7 +64,7 @@ void fill_golden_outputs(const dfg::Interpreter& interp,
 /// mismatch text.
 EquivalenceReport check_outputs(const dfg::Graph& graph,
                                 const GoldenOutputs& golden,
-                                const std::vector<OutputSample>& outputs,
+                                const WordTable& outputs,
                                 const std::string& style_name);
 
 }  // namespace mcrtl::sim

@@ -14,6 +14,14 @@ using rtl::CompId;
 using rtl::CompKind;
 using rtl::NetId;
 
+void check_stream_width(const InputStream& stream, std::size_t inputs) {
+  if (stream.words() != inputs) {
+    throw Error("expected " + std::to_string(inputs) +
+                " inputs per computation, got " +
+                std::to_string(stream.words()));
+  }
+}
+
 Simulator::Simulator(const rtl::Design& design, Mode mode)
     : design_(&design),
       tab_(&design.tables),
@@ -155,6 +163,7 @@ SimResult Simulator::run(const InputStream& stream,
   MCRTL_CHECK_MSG(mode_ != Mode::BitSliced,
                   "run() is scalar-only; a BitSliced simulator batches "
                   "streams through run_sliced()");
+  check_stream_width(stream, input_order.size());
   return run_scalar(stream, input_order, output_order);
 }
 
@@ -195,10 +204,10 @@ SimResult Simulator::run_scalar(const InputStream& stream,
   }
 
   auto apply_inputs = [&](std::size_t comp_index, bool count) {
-    MCRTL_CHECK(stream[comp_index].size() == in_ports.size());
+    const std::uint64_t* row = stream[comp_index].data();
     for (std::size_t i = 0; i < in_ports.size(); ++i) {
       const auto& [net, w] = in_ports[i];
-      write_net(net, truncate(stream[comp_index][i], w), act, count);
+      write_net(net, truncate(row[i], w), act, count);
     }
   };
 
@@ -241,7 +250,7 @@ SimResult Simulator::run_scalar(const InputStream& stream,
   const std::size_t limit =
       computation_budget_ > 0 ? std::min(computation_budget_, stream.size())
                               : stream.size();
-  result.outputs.reserve(limit);
+  result.outputs = WordTable(limit, out_storage.size());
   for (std::size_t comp = 0; comp < limit; ++comp) {
     // One clock read per master period — cheap against the period's settle
     // work, frequent enough that a stuck point is caught within one
@@ -319,12 +328,10 @@ SimResult Simulator::run_scalar(const InputStream& stream,
       if (observer_) observer_(act.steps, net_value_);
       // Sample primary outputs at the end of schedule step T.
       if (t == T) {
-        OutputSample sample;
-        sample.reserve(out_storage.size());
-        for (CompId cid : out_storage) {
-          sample.push_back(storage_q_[cid.index()]);
+        const auto sample = result.outputs[comp];
+        for (std::size_t o = 0; o < out_storage.size(); ++o) {
+          sample[o] = storage_q_[out_storage[o].index()];
         }
-        result.outputs.push_back(std::move(sample));
       }
     }
     ++act.computations;

@@ -16,6 +16,12 @@
 // All transitions — datapath, control lines, storage outputs, clock pins —
 // are accumulated into an Activity record for the power model.
 //
+// A stream's inputs and a run's sampled outputs are WordTables: one row
+// per computation in one block per stream, so no run allocates per
+// computation. Every entry point checks the stream's width once, before it
+// simulates anything (check_stream_width); the per-computation loops read
+// row pointers unchecked.
+//
 // Three settle kernels implement step 3/5 with bit-identical results:
 //
 //  * EventDriven (the constructor default) — a levelized event-driven
@@ -68,6 +74,7 @@
 #include <chrono>
 #include <cstdint>
 #include <functional>
+#include <span>
 #include <vector>
 
 #include "rtl/design.hpp"
@@ -76,16 +83,57 @@
 
 namespace mcrtl::sim {
 
-/// One computation's sampled primary outputs, in Graph::outputs() order.
-using OutputSample = std::vector<std::uint64_t>;
+/// A computation-major table of words in one block: row c holds the words
+/// of computation c, every row the same width. Input streams, sampled RTL
+/// outputs and the golden model's outputs (sim::GoldenOutputs) all use it,
+/// so a table of any length is one allocation and a ragged one cannot be
+/// built.
+class WordTable {
+ public:
+  WordTable() = default;
+  /// `rows` zeroed rows of `words` words each.
+  WordTable(std::size_t rows, std::size_t words)
+      : rows_(rows), words_(words), values_(rows * words) {}
 
-/// Input stream: one vector of words per computation, in Graph::inputs()
-/// order.
-using InputStream = std::vector<std::vector<std::uint64_t>>;
+  /// Number of rows (computations).
+  std::size_t size() const { return rows_; }
+  bool empty() const { return rows_ == 0; }
+  /// Words per row.
+  std::size_t words() const { return words_; }
+
+  std::span<const std::uint64_t> operator[](std::size_t row) const {
+    return {values_.data() + row * words_, words_};
+  }
+  std::span<std::uint64_t> operator[](std::size_t row) {
+    return {values_.data() + row * words_, words_};
+  }
+
+  /// Every word, row after row.
+  std::span<const std::uint64_t> values() const { return values_; }
+  std::span<std::uint64_t> values() { return values_; }
+
+  bool operator==(const WordTable&) const = default;
+
+ private:
+  std::size_t rows_ = 0;
+  std::size_t words_ = 0;
+  std::vector<std::uint64_t> values_;
+};
+
+/// Input stream: one row per computation, one word per input in
+/// Graph::inputs() order.
+using InputStream = WordTable;
+
+/// Throws mcrtl::Error "expected N inputs per computation, got M" unless
+/// the rows of `stream` hold `inputs` words — the one shape check of a
+/// stream, made before anything is simulated or evaluated on it.
+void check_stream_width(const InputStream& stream, std::size_t inputs);
 
 /// Result of simulating a stream.
 struct SimResult {
-  std::vector<OutputSample> outputs;  ///< one per computation
+  /// One row per computation: the sampled primary outputs in the
+  /// `output_order` the run was given.
+  WordTable outputs;
   Activity activity;
 };
 
@@ -244,10 +292,12 @@ class Simulator {
                        const std::vector<dfg::ValueId>& input_order,
                        const std::vector<dfg::ValueId>& output_order);
   /// The checks run_sliced() and the bundle run_time_sliced() share
-  /// (BitSliced mode, 1..kMaxStreams streams of equal length); returns the
-  /// streams' addresses. `fn` names the caller in the error.
+  /// (BitSliced mode, 1..kMaxStreams streams of equal length and `inputs`
+  /// words per computation); returns the streams' addresses. `fn` names
+  /// the caller in the error.
   std::vector<const InputStream*> checked_bundle(
-      const std::vector<InputStream>& streams, const char* fn) const;
+      const std::vector<InputStream>& streams, std::size_t inputs,
+      const char* fn) const;
   /// The bit-sliced pass behind run_sliced() and both run_time_sliced()
   /// overloads: `chunks` chunks per stream (1 = lockstep), per-stream
   /// heatmaps into `heatmaps` (nullptr = none). A `time_sliced` pass starts

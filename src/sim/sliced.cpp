@@ -120,6 +120,7 @@ std::vector<SliceLane> chunk_lanes(
   const std::size_t per = n == 0 ? 0 : (n + chunks - 1) / chunks;
   local = std::min(per + 1, n);
   std::vector<SliceLane> lanes;
+  lanes.reserve(chunks * streams.size());
   for (std::size_t begin = 0; lanes.empty() || begin < n; begin += per) {
     const std::size_t first = begin == 0 ? 0 : std::min(begin - 1, n - local);
     for (const InputStream* s : streams) {
@@ -495,13 +496,12 @@ class SlicedKernel {
   std::vector<std::uint64_t> comp_changed_;     // by CompId: changed lanes
   std::vector<LaneSums> comp_sums_;             // by CompId: counted toggles
 
-  // Sampled outputs, by stream: `outs_` words per computation, row g for
-  // computation g, written by whichever lane counts it. Per-group probe
-  // state: the open rows of the current step (domain-major, 64 group slots
-  // per domain), the stitched waveform (rows of counted steps in stream
-  // order) and each group's next row in it.
-  std::size_t outs_ = 0;
-  std::vector<std::vector<std::uint64_t>> samples_;
+  // Sampled outputs, one table per stream (moved into its SimResult): row
+  // g for computation g, written by whichever lane counts it. Per-group
+  // probe state: the open rows of the current step (domain-major, 64 group
+  // slots per domain), the stitched waveform (rows of counted steps in
+  // stream order) and each group's next row in it.
+  std::vector<WordTable> samples_;
   std::size_t domains_ = 0;
   std::vector<double> group_row_;
   std::vector<double> waveform_;
@@ -719,16 +719,14 @@ void SlicedKernel::settle(std::uint64_t count) {
 }
 
 void SlicedKernel::apply_inputs(std::size_t comp, std::uint64_t count) {
-  // Hoist the vector-of-vectors row lookups: one pointer per lane, then
-  // plain array indexing in the per-port gather. Past the end of its
-  // stream a lane re-presents its last computation, which changes nothing.
+  // One row pointer per lane, then plain array indexing in the per-port
+  // gather. Past the end of its stream a lane re-presents its last
+  // computation, which changes nothing.
   const std::uint64_t* rows[64];
   for (std::size_t s = 0; s < n_; ++s) {
     const SliceLane& lane = lanes_[s];
-    const auto& row =
-        (*lane.stream)[std::min(lane.first + comp, lane.stream->size() - 1)];
-    MCRTL_CHECK(row.size() == sliced_in_ports_.size());
-    rows[s] = row.data();
+    const std::size_t c = std::min(lane.first + comp, lane.stream->size() - 1);
+    rows[s] = (*lane.stream)[c].data();
   }
   // Ports are packed a chunk at a time: every port in a chunk is
   // concatenated into one word per lane at its precomputed bit offset,
@@ -860,8 +858,7 @@ void SlicedKernel::simulate(const std::vector<dfg::ValueId>& input_order,
   }
 
   // ---- main loop ----------------------------------------------------------
-  outs_ = out_storage.size();
-  samples_.assign(streams_, std::vector<std::uint64_t>(computations_ * outs_));
+  samples_.assign(streams_, WordTable(computations_, out_storage.size()));
   for (std::size_t comp = 0; comp < local_comps_; ++comp) {
     if (sim_.has_deadline_ &&
         std::chrono::steady_clock::now() > sim_.deadline_) {
@@ -963,8 +960,7 @@ void SlicedKernel::simulate(const std::vector<dfg::ValueId>& input_order,
         std::uint64_t* row[64];
         for (std::size_t s = 0; s < n_; ++s) {
           row[s] = (count >> s) & 1
-                       ? samples_[s % streams_].data() +
-                             (lanes_[s].first + comp) * outs_
+                       ? samples_[s % streams_][lanes_[s].first + comp].data()
                        : nullptr;
         }
         std::uint64_t lanes[64];
@@ -1054,16 +1050,7 @@ std::vector<SimResult> SlicedKernel::results() {
   std::vector<SimResult> results(streams_);
   for (std::size_t s = 0; s < streams_; ++s) {
     results[s].activity = periods_activity(computations_);
-    auto& outputs = results[s].outputs;
-    outputs.reserve(computations_);
-    for (std::size_t g = 0; g < computations_; ++g) {
-      const auto row =
-          samples_[s].begin() + static_cast<std::ptrdiff_t>(g * outs_);
-      outputs.emplace_back(row, row + static_cast<std::ptrdiff_t>(outs_));
-    }
-    // Free the flat copy before the next stream's samples are unpacked, so
-    // a wide bundle never holds both forms of all its samples at once.
-    std::vector<std::uint64_t>().swap(samples_[s]);
+    results[s].outputs = std::move(samples_[s]);
   }
   // Per-stream totals of a counter: a plain total as is, one stream's
   // vertical counter by popcounts, otherwise one transpose64 unpacks every
@@ -1115,7 +1102,8 @@ std::vector<SimResult> SlicedKernel::results() {
 }
 
 std::vector<const InputStream*> Simulator::checked_bundle(
-    const std::vector<InputStream>& streams, const char* fn) const {
+    const std::vector<InputStream>& streams, std::size_t inputs,
+    const char* fn) const {
   MCRTL_CHECK_MSG(mode_ == Mode::BitSliced,
                   fn << " requires a Mode::BitSliced simulator");
   MCRTL_CHECK_MSG(!streams.empty() && streams.size() <= kMaxStreams,
@@ -1125,6 +1113,7 @@ std::vector<const InputStream*> Simulator::checked_bundle(
   for (const auto& s : streams) {
     MCRTL_CHECK_MSG(s.size() == streams[0].size(),
                     "all sliced streams must have equal length");
+    check_stream_width(s, inputs);
     ptrs.push_back(&s);
   }
   return ptrs;
@@ -1136,8 +1125,9 @@ std::vector<SimResult> Simulator::run_sliced(
     const std::vector<dfg::ValueId>& output_order) {
   obs::Span span("sim.run");
   fault::inject("sim.run");
-  return run_chunked(checked_bundle(streams, "run_sliced()"), 1, input_order,
-                     output_order, stream_heatmaps_, false);
+  return run_chunked(
+      checked_bundle(streams, input_order.size(), "run_sliced()"), 1,
+      input_order, output_order, stream_heatmaps_, false);
 }
 
 SimResult Simulator::run_time_sliced(
@@ -1147,6 +1137,7 @@ SimResult Simulator::run_time_sliced(
   fault::inject("sim.run");
   MCRTL_CHECK_MSG(mode_ == Mode::BitSliced,
                   "run_time_sliced() requires a Mode::BitSliced simulator");
+  check_stream_width(stream, input_order.size());
   // Both paths start from the reset state, as a fresh simulator would.
   if (observer_ || stream.empty() || !time_sliceable()) {
     obs::count("sim.time_sliced.fallbacks");
@@ -1167,7 +1158,8 @@ std::vector<SimResult> Simulator::run_time_sliced(
     const std::vector<dfg::ValueId>& output_order) {
   obs::Span span("sim.run");
   fault::inject("sim.run");
-  const auto ptrs = checked_bundle(streams, "run_time_sliced()");
+  const auto ptrs =
+      checked_bundle(streams, input_order.size(), "run_time_sliced()");
   std::size_t chunks = kMaxStreams / streams.size();
   if (chunks > 1 && !time_sliceable()) {
     obs::count("sim.time_sliced.fallbacks");

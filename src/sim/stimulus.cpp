@@ -1,5 +1,7 @@
 #include "sim/stimulus.hpp"
 
+#include <algorithm>
+
 #include "util/bits.hpp"
 
 namespace mcrtl::sim {
@@ -41,24 +43,23 @@ std::vector<InputStream> uniform_streams(std::uint64_t seed,
 
 InputStream uniform_stream(Rng& rng, std::size_t num_inputs,
                            std::size_t computations, unsigned width) {
-  InputStream s(computations, std::vector<std::uint64_t>(num_inputs));
+  InputStream s(computations, num_inputs);
   fill_uniform(rng, s, width);
   return s;
 }
 
 void fill_uniform(Rng& rng, InputStream& stream, unsigned width) {
-  for (auto& vec : stream) {
-    for (auto& w : vec) w = rng.next_bits(width);
-  }
+  for (auto& w : stream.values()) w = rng.next_bits(width);
 }
 
 InputStream correlated_stream(Rng& rng, std::size_t num_inputs,
                               std::size_t computations, unsigned width,
                               double flip_prob) {
-  InputStream s(computations, std::vector<std::uint64_t>(num_inputs));
+  InputStream s(computations, num_inputs);
   std::vector<std::uint64_t> prev(num_inputs);
   for (auto& w : prev) w = rng.next_bits(width);
-  for (auto& vec : s) {
+  for (std::size_t c = 0; c < computations; ++c) {
+    const auto vec = s[c];
     for (std::size_t i = 0; i < num_inputs; ++i) {
       std::uint64_t flips = 0;
       for (unsigned b = 0; b < width; ++b) {
@@ -75,12 +76,16 @@ InputStream constant_stream(Rng& rng, std::size_t num_inputs,
                             std::size_t computations, unsigned width) {
   std::vector<std::uint64_t> fixed(num_inputs);
   for (auto& w : fixed) w = rng.next_bits(width);
-  return InputStream(computations, fixed);
+  InputStream s(computations, num_inputs);
+  for (std::size_t c = 0; c < computations; ++c) {
+    std::copy(fixed.begin(), fixed.end(), s[c].begin());
+  }
+  return s;
 }
 
 InputStream ramp_stream(std::size_t num_inputs, std::size_t computations,
                         unsigned width) {
-  InputStream s(computations, std::vector<std::uint64_t>(num_inputs));
+  InputStream s(computations, num_inputs);
   for (std::size_t c = 0; c < computations; ++c) {
     for (std::size_t i = 0; i < num_inputs; ++i) {
       s[c][i] = truncate(c * (i + 1), width);

@@ -27,6 +27,7 @@
 #include "suite/benchmarks.hpp"
 #include "util/error.hpp"
 #include "util/rng.hpp"
+#include "word_tables.hpp"
 
 using namespace mcrtl;
 
@@ -114,7 +115,9 @@ TEST(SearchPrefix, BudgetedRunIsBitExactPrefixOfFullRun) {
 
   ASSERT_EQ(pre.outputs.size(), 16u);
   for (std::size_t i = 0; i < pre.outputs.size(); ++i) {
-    EXPECT_EQ(pre.outputs[i], full_res.outputs[i]) << "computation " << i;
+    EXPECT_EQ(fixtures::row(pre.outputs, i),
+              fixtures::row(full_res.outputs, i))
+        << "computation " << i;
   }
   // A budget larger than the stream is a plain full run.
   sim::Simulator large(*syn.design);

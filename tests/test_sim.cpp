@@ -2,7 +2,10 @@
 // gating semantics, stimulus generators, VCD tracing.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+
 #include "core/measure.hpp"
+#include "obs/obs.hpp"
 #include "util/bits.hpp"
 #include "sim/equivalence.hpp"
 #include "sim/simulator.hpp"
@@ -10,6 +13,8 @@
 #include "sim/vcd.hpp"
 #include "suite/benchmarks.hpp"
 #include "util/error.hpp"
+#include "util/strings.hpp"
+#include "word_tables.hpp"
 
 namespace mcrtl::sim {
 namespace {
@@ -111,7 +116,7 @@ TEST(SimulatorTest, ConstantInputsQuietTheDatapath) {
   EXPECT_LT(tq, tn);
   // ... and every computation is identical.
   for (std::size_t i = 1; i < rq.outputs.size(); ++i) {
-    EXPECT_EQ(rq.outputs[i], rq.outputs[0]);
+    EXPECT_EQ(fixtures::row(rq.outputs, i), fixtures::row(rq.outputs, 0));
   }
 }
 
@@ -151,7 +156,7 @@ TEST(SimulatorTest, PrecomputedGoldenOutputsGiveTheSameReport) {
   const auto stream = uniform_stream(rng, b.graph->inputs().size(), 40, 4);
   auto outputs = simulate(b, *syn.design, stream).outputs;
   const GoldenOutputs golden = golden_outputs(*b.graph, stream);
-  ASSERT_EQ(golden.computations, stream.size());
+  ASSERT_EQ(golden.size(), stream.size());
   const auto ok = check_outputs(*b.graph, golden, outputs, "s");
   EXPECT_TRUE(ok.equivalent);
   EXPECT_EQ(ok.computations_checked, stream.size());
@@ -177,14 +182,13 @@ TEST(SimulatorTest, GoldenOutputsMatchTheInterpreterRun) {
     Rng rng(23);
     const auto stream = uniform_stream(rng, b.graph->inputs().size(), 50, 4);
     const GoldenOutputs golden = golden_outputs(*b.graph, stream);
-    ASSERT_EQ(golden.outputs, b.graph->outputs().size()) << name;
-    ASSERT_EQ(golden.values.size(), stream.size() * golden.outputs) << name;
+    ASSERT_EQ(golden.words(), b.graph->outputs().size()) << name;
+    ASSERT_EQ(golden.values().size(), stream.size() * golden.words()) << name;
     const dfg::Interpreter interp(*b.graph);
     for (std::size_t c = 0; c < stream.size(); ++c) {
-      const std::vector<std::uint64_t> row(
-          golden.values.begin() + c * golden.outputs,
-          golden.values.begin() + (c + 1) * golden.outputs);
-      EXPECT_EQ(row, interp.run(stream[c]).outputs) << name << " " << c;
+      EXPECT_EQ(fixtures::row(golden, c),
+                interp.run(fixtures::row(stream, c)).outputs)
+          << name << " " << c;
     }
   }
 }
@@ -200,6 +204,59 @@ TEST(SimulatorTest, FillGoldenOutputsRejectsMisSizedStorage) {
   EXPECT_THROW(fill_golden_outputs(interp, stream, wrong_width), Error);
 }
 
+// ---- stream shape: checked once, at the entry point ----------------------
+
+TEST(StreamShapeTest, RunRejectsWrongWidthBeforeSimulating) {
+  const auto b = suite::hal(4);
+  const auto syn = make(b, DesignStyle::MultiClock, 2);
+  const std::size_t inputs = b.graph->inputs().size();
+  Rng rng(31);
+  for (std::size_t width : {inputs - 1, inputs + 1}) {
+    const auto stream = uniform_stream(rng, width, 10, 4);
+    Simulator sim(*syn.design);
+    PhaseHeatmap hm;
+    sim.set_heatmap(&hm);
+    fixtures::expect_width_error(
+        [&] { sim.run(stream, b.graph->inputs(), b.graph->outputs()); },
+        inputs, width);
+    EXPECT_EQ(sim.kernel_stats().settles, 0u);
+    EXPECT_EQ(sim.kernel_stats().evals, 0u);
+    EXPECT_TRUE(hm.write_toggles.empty());
+  }
+}
+
+TEST(StreamShapeTest, FillGoldenOutputsRejectsWrongWidthBeforeEvaluating) {
+  const auto b = suite::hal(4);
+  const std::size_t inputs = b.graph->inputs().size();
+  const dfg::Interpreter interp(*b.graph);
+  Rng rng(32);
+  const auto stream = uniform_stream(rng, inputs + 1, 10, 4);
+  GoldenOutputs golden(stream.size(), interp.num_outputs());
+  std::ranges::fill(golden.values(), 0xA5u);
+  fixtures::expect_width_error(
+      [&] { fill_golden_outputs(interp, stream, golden); }, inputs,
+      inputs + 1);
+  for (auto w : golden.values()) EXPECT_EQ(w, 0xA5u);
+}
+
+TEST(StreamShapeTest, MakeStimulusRejectsWrongWidthBeforeEvaluating) {
+  // The bad stream comes second: no golden model may run on the first.
+  const auto b = suite::hal(4);
+  const std::size_t inputs = b.graph->inputs().size();
+  Rng rng(33);
+  std::vector<InputStream> streams;
+  streams.push_back(uniform_stream(rng, inputs, 10, 4));
+  streams.push_back(uniform_stream(rng, inputs - 1, 10, 4));
+  obs::Registry::instance().reset();
+  obs::set_enabled(true);
+  fixtures::expect_width_error(
+      [&] { core::make_stimulus(*b.graph, std::move(streams)); }, inputs,
+      inputs - 1);
+  obs::set_enabled(false);
+  EXPECT_EQ(obs::Registry::instance().num_spans(), 0u);
+  obs::Registry::instance().reset();
+}
+
 TEST(StimulusTest, UniformShapeAndDeterminism) {
   Rng a(9), b(9);
   const auto s1 = uniform_stream(a, 3, 10, 8);
@@ -207,9 +264,7 @@ TEST(StimulusTest, UniformShapeAndDeterminism) {
   EXPECT_EQ(s1, s2);
   EXPECT_EQ(s1.size(), 10u);
   EXPECT_EQ(s1[0].size(), 3u);
-  for (const auto& vec : s1) {
-    for (auto w : vec) EXPECT_LE(w, 0xFFu);
-  }
+  for (auto w : s1.values()) EXPECT_LE(w, 0xFFu);
 }
 
 TEST(StimulusTest, FilledStreamsMatchUniformStreams) {
@@ -219,7 +274,8 @@ TEST(StimulusTest, FilledStreamsMatchUniformStreams) {
   const auto seeds = stream_seeds(11, 5);
   ASSERT_EQ(seeds.size(), bundle.size());
   for (std::size_t s = 0; s < seeds.size(); ++s) {
-    InputStream filled(40, std::vector<std::uint64_t>(3, ~0ull));
+    InputStream filled(40, 3);
+    std::ranges::fill(filled.values(), ~0ull);
     Rng rng(seeds[s]);
     fill_uniform(rng, filled, 6);
     EXPECT_EQ(filled, bundle[s]) << "stream " << s;
@@ -229,7 +285,9 @@ TEST(StimulusTest, FilledStreamsMatchUniformStreams) {
 TEST(StimulusTest, CorrelatedZeroFlipIsConstant) {
   Rng rng(10);
   const auto s = correlated_stream(rng, 2, 12, 8, 0.0);
-  for (std::size_t i = 1; i < s.size(); ++i) EXPECT_EQ(s[i], s[0]);
+  for (std::size_t i = 1; i < s.size(); ++i) {
+    EXPECT_EQ(fixtures::row(s, i), fixtures::row(s, 0));
+  }
 }
 
 TEST(StimulusTest, CorrelatedLowFlipTogglesLessThanUniform) {
@@ -282,6 +340,94 @@ TEST(EquivalenceTest, DetectsBrokenDesign) {
     ADD_FAILURE() << "measure() reported a non-equivalent design";
   } catch (const Error& e) {
     EXPECT_EQ(std::string(e.what()), "non-equivalent design: " + rep.detail);
+  }
+}
+
+// ---- mismatch reports on the flat tables ----------------------------------
+
+/// The row-wise scan check_outputs() ran before the tables were flat: the
+/// first (computation, output) that differs, and how many computations it
+/// looked at.
+struct RowScan {
+  bool equivalent = true;
+  std::size_t first_mismatch = 0;
+  std::size_t computations_checked = 0;
+};
+RowScan row_scan(const WordTable& golden, const WordTable& rtl) {
+  RowScan r;
+  for (std::size_t c = 0; c < rtl.size(); ++c) {
+    const auto expect = fixtures::row(golden, c);
+    const auto got = fixtures::row(rtl, c);
+    for (std::size_t o = 0; o < got.size(); ++o) {
+      if (expect[o] != got[o]) {
+        r.equivalent = false;
+        r.first_mismatch = c;
+        r.computations_checked = c + 1;
+        return r;
+      }
+    }
+  }
+  r.computations_checked = rtl.size();
+  return r;
+}
+
+TEST(EquivalenceTest, FlatCheckReportsWhatTheRowScanReports) {
+  const auto b = suite::hal(4);
+  const auto syn = make(b, DesignStyle::MultiClock, 3);
+  Rng rng(41);
+  const auto stream = uniform_stream(rng, b.graph->inputs().size(), 40, 4);
+  const auto outputs = simulate(b, *syn.design, stream).outputs;
+  const GoldenOutputs golden = golden_outputs(*b.graph, stream);
+  const std::size_t last_c = outputs.size() - 1;
+  const std::size_t last_o = outputs.words() - 1;
+  // (computation, output) pairs to flip, alone and together.
+  const std::vector<std::vector<std::pair<std::size_t, std::size_t>>> cases =
+      {{},
+       {{0, 0}},
+       {{0, last_o}},
+       {{17, 1}},
+       {{last_c, 0}},
+       {{last_c, last_o}},
+       {{30, last_o}, {12, 0}},
+       {{5, 0}, {5, last_o}, {last_c, last_o}}};
+  for (const auto& flips : cases) {
+    WordTable rtl = outputs;
+    for (const auto& [c, o] : flips) rtl[c][o] ^= 1;
+    const auto rep = check_outputs(*b.graph, golden, rtl, "s");
+    const RowScan ref = row_scan(golden, rtl);
+    EXPECT_EQ(rep.equivalent, ref.equivalent) << flips.size();
+    EXPECT_EQ(rep.computations_checked, ref.computations_checked);
+    if (!ref.equivalent) {
+      EXPECT_EQ(rep.first_mismatch, ref.first_mismatch);
+    }
+  }
+}
+
+TEST(EquivalenceTest, MeasureNamesTheMismatchingStreamWordForWord) {
+  // Flip the golden word of stream 3's last computation, last output in a
+  // 4-stream bundle: measure() must refuse the design with the text the
+  // row-wise checker always gave.
+  const auto b = suite::hal(4);
+  const auto syn = make(b, DesignStyle::MultiClock, 2);
+  const auto streams =
+      uniform_streams(7, 4, b.graph->inputs().size(), 50, b.graph->width());
+  auto stim = core::make_stimulus(*b.graph, streams);
+  auto& golden = stim.golden[3];
+  const std::size_t c = golden.size() - 1;
+  const std::size_t o = golden.words() - 1;
+  const std::uint64_t rtl = golden[c][o];
+  golden[c][o] ^= 1;
+  const std::string expected = str_format(
+      "non-equivalent design (stream 3): computation %zu, output '%s': "
+      "golden=%llu rtl=%llu (style '%s')",
+      c, b.graph->value(b.graph->outputs()[o]).name.c_str(),
+      static_cast<unsigned long long>(golden[c][o]),
+      static_cast<unsigned long long>(rtl), syn.design->style_name.c_str());
+  try {
+    core::measure(*syn.design, *b.graph, stim, power::TechLibrary::cmos08());
+    ADD_FAILURE() << "measure() reported a non-equivalent design";
+  } catch (const Error& e) {
+    EXPECT_EQ(std::string(e.what()), expected);
   }
 }
 

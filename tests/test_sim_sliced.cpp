@@ -39,6 +39,7 @@
 #include "util/bits.hpp"
 #include "util/error.hpp"
 #include "util/rng.hpp"
+#include "word_tables.hpp"
 
 namespace mcrtl::sim {
 namespace {
@@ -338,7 +339,7 @@ TEST(SimSlicedTest, RejectsUnsupportedConfigurations) {
   EXPECT_THROW(ev.run_sliced(streams, in, out), Error);
   // Ragged bundles are rejected.
   auto ragged = streams;
-  ragged[1].pop_back();
+  ragged[1] = fixtures::prefix(ragged[1], ragged[1].size() - 1);
   EXPECT_THROW(sliced.run_sliced(ragged, in, out), Error);
   EXPECT_THROW(sliced.run_sliced({}, in, out), Error);
 }
@@ -473,7 +474,7 @@ TEST(TimeSlicedTest, MatchesScalarRunOnEverySuiteConfiguration) {
         const std::string tag =
             name + "/w" + std::to_string(width) + "/" + style.label;
         for (std::size_t n : kSliceLengths) {
-          const InputStream prefix(stream.begin(), stream.begin() + n);
+          const InputStream prefix = fixtures::prefix(stream, n);
           EXPECT_TRUE(differential_check_time_sliced(
               *syn.design, *b.graph, prefix,
               tag + " N=" + std::to_string(n)))
@@ -517,7 +518,7 @@ TEST(TimeSlicedTest, MatchesScalarRunOnFuzzGraphs) {
     for (const auto& style : kernel_styles()) {
       const auto syn = core::synthesize(g, s, style.opts);
       for (std::size_t n : {1, 64, 65, 130}) {
-        const InputStream prefix(stream.begin(), stream.begin() + n);
+        const InputStream prefix = fixtures::prefix(stream, n);
         std::ostringstream what;
         what << "graph_seed=" << seed << " " << style.label << " N=" << n;
         differential_check_time_sliced(*syn.design, g, prefix, what.str());
@@ -672,7 +673,7 @@ TEST(TimeSlicedBundleTest, MatchesLockstepOnEverySuiteConfiguration) {
           for (std::size_t n : kSliceLengths) {
             std::vector<InputStream> prefix;
             for (const auto& st : streams) {
-              prefix.emplace_back(st.begin(), st.begin() + n);
+              prefix.push_back(fixtures::prefix(st, n));
             }
             differential_check_bundle(*syn.design, *b.graph, prefix,
                                       tag + " N=" + std::to_string(n));
@@ -822,12 +823,92 @@ TEST(TimeSlicedBundleTest, RejectsBadBundles) {
   Simulator ts(*syn.design, Simulator::Mode::BitSliced);
   EXPECT_THROW(ts.run_time_sliced(std::vector<InputStream>{}, in, out), Error);
   auto ragged = uniform_streams(1, 2, in.size(), 10, 4);
-  ragged[1].pop_back();
+  ragged[1] = fixtures::prefix(ragged[1], 9);
   EXPECT_THROW(ts.run_time_sliced(ragged, in, out), Error);
   Simulator ev(*syn.design);
   EXPECT_THROW(ev.run_time_sliced(uniform_streams(1, 2, in.size(), 10, 4), in,
                                   out),
                Error);
+}
+
+// ---- stream shape: checked once, at the entry point ----------------------
+
+/// A 4-stream bundle for `b` whose stream 2 is `width` inputs wide.
+std::vector<InputStream> bundle_with_bad_stream(const suite::Benchmark& b,
+                                                std::size_t width) {
+  auto streams = uniform_streams(3, 4, b.graph->inputs().size(), 20, 4);
+  Rng rng(4);
+  streams[2] = uniform_stream(rng, width, 20, 4);
+  return streams;
+}
+
+TEST(StreamShapeTest, RunSlicedRejectsWrongWidthBeforeSimulating) {
+  const auto b = suite::by_name("hal", 4);
+  const auto syn = core::synthesize(*b.graph, *b.schedule, {});
+  const std::size_t inputs = b.graph->inputs().size();
+  for (std::size_t width : {inputs - 1, inputs + 1}) {
+    const auto streams = bundle_with_bad_stream(b, width);
+    Simulator sim(*syn.design, Simulator::Mode::BitSliced);
+    std::vector<PhaseHeatmap> hms;
+    sim.set_stream_heatmaps(&hms);
+    fixtures::expect_width_error(
+        [&] { sim.run_sliced(streams, b.graph->inputs(), b.graph->outputs()); },
+        inputs, width);
+    EXPECT_EQ(sim.kernel_stats().settles, 0u);
+    EXPECT_EQ(sim.kernel_stats().evals, 0u);
+    EXPECT_TRUE(hms.empty());
+  }
+}
+
+TEST(StreamShapeTest, RunTimeSlicedRejectsWrongWidthBeforeSimulating) {
+  const auto b = suite::by_name("hal", 4);
+  const auto syn = core::synthesize(*b.graph, *b.schedule, {});
+  const std::size_t inputs = b.graph->inputs().size();
+  Rng rng(5);
+  for (std::size_t width : {inputs - 1, inputs + 1}) {
+    const auto stream = uniform_stream(rng, width, 200, 4);
+    Simulator sim(*syn.design, Simulator::Mode::BitSliced);
+    ASSERT_TRUE(sim.time_sliceable());
+    PhaseHeatmap hm;
+    sim.set_heatmap(&hm);
+    const auto counters = counters_of([&] {
+      fixtures::expect_width_error(
+          [&] {
+            sim.run_time_sliced(stream, b.graph->inputs(), b.graph->outputs());
+          },
+          inputs, width);
+    });
+    EXPECT_EQ(sim.kernel_stats().settles, 0u);
+    EXPECT_EQ(sim.kernel_stats().evals, 0u);
+    EXPECT_TRUE(hm.write_toggles.empty());
+    // Neither the sliced pass nor its scalar fallback started.
+    EXPECT_EQ(counters.count("sim.time_sliced.runs"), 0u);
+    EXPECT_EQ(counters.count("sim.time_sliced.fallbacks"), 0u);
+  }
+}
+
+TEST(StreamShapeTest, RunTimeSlicedBundleRejectsWrongWidthBeforeSimulating) {
+  const auto b = suite::by_name("hal", 4);
+  const auto syn = core::synthesize(*b.graph, *b.schedule, {});
+  const std::size_t inputs = b.graph->inputs().size();
+  for (std::size_t width : {inputs - 1, inputs + 1}) {
+    const auto streams = bundle_with_bad_stream(b, width);
+    Simulator sim(*syn.design, Simulator::Mode::BitSliced);
+    std::vector<PhaseHeatmap> hms;
+    sim.set_stream_heatmaps(&hms);
+    const auto counters = counters_of([&] {
+      fixtures::expect_width_error(
+          [&] {
+            sim.run_time_sliced(streams, b.graph->inputs(),
+                                b.graph->outputs());
+          },
+          inputs, width);
+    });
+    EXPECT_EQ(sim.kernel_stats().settles, 0u);
+    EXPECT_EQ(sim.kernel_stats().evals, 0u);
+    EXPECT_TRUE(hms.empty());
+    EXPECT_EQ(counters.count("sim.time_sliced.runs"), 0u);
+  }
 }
 
 }  // namespace
