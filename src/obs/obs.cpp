@@ -16,25 +16,6 @@ std::atomic<bool> g_enabled{false};
 
 double ms(std::uint64_t ns) { return static_cast<double>(ns) / 1e6; }
 
-std::string json_escape(const std::string& s) {
-  std::string out;
-  for (char c : s) {
-    switch (c) {
-      case '"': out += "\\\""; break;
-      case '\\': out += "\\\\"; break;
-      case '\n': out += "\\n"; break;
-      case '\t': out += "\\t"; break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          out += str_format("\\u%04x", c);
-        } else {
-          out += c;
-        }
-    }
-  }
-  return out;
-}
-
 std::string lane_name(int lane) {
   return lane == 0 ? std::string("main") : str_format("worker-%d", lane - 1);
 }

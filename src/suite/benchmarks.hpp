@@ -24,7 +24,9 @@
 // resource-constrained list schedule) so the tables are reproducible.
 #pragma once
 
+#include <array>
 #include <memory>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -33,6 +35,19 @@
 
 namespace mcrtl::suite {
 
+/// One design style's figures as the paper reports them (COMPASS 0.8um).
+struct PaperRow {
+  double power_mw;
+  double area_lambda2;
+};
+
+/// One of the paper's Tables 1-4: its title and its rows in the order
+/// conventional non-gated, conventional gated, 1, 2 and 3 clocks.
+struct PaperTable {
+  std::string title;
+  std::array<PaperRow, 5> rows;
+};
+
 /// A behaviour plus its reference schedule. The schedule points into the
 /// graph, so both are heap-held and the struct is freely movable.
 struct Benchmark {
@@ -40,6 +55,9 @@ struct Benchmark {
   std::string description;
   std::unique_ptr<dfg::Graph> graph;
   std::unique_ptr<dfg::Schedule> schedule;
+  /// The paper's table for this behaviour (facet, hal, biquad, bandpass);
+  /// empty for every other behaviour.
+  std::optional<PaperTable> paper;
 };
 
 Benchmark motivating(unsigned width = 4);

@@ -62,6 +62,36 @@ std::string sanitize_identifier(const std::string& s) {
   return out;
 }
 
+std::string json_escape(const std::string& s) {
+  std::string out;
+  for (char c : s) {
+    switch (c) {
+      case '"': out += "\\\""; break;
+      case '\\': out += "\\\\"; break;
+      case '\n': out += "\\n"; break;
+      case '\t': out += "\\t"; break;
+      default:
+        if (static_cast<unsigned char>(c) < 0x20) {
+          out += str_format("\\u%04x", c);
+        } else {
+          out += c;
+        }
+    }
+  }
+  return out;
+}
+
+std::string csv_escape(const std::string& s) {
+  if (s.find_first_of(",\"\n") == std::string::npos) return s;
+  std::string out = "\"";
+  for (char c : s) {
+    if (c == '"') out += '"';
+    out += c;
+  }
+  out += '"';
+  return out;
+}
+
 std::string format_fixed(double v, int digits) {
   return str_format("%.*f", digits, v);
 }

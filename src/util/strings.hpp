@@ -26,6 +26,14 @@ bool is_identifier(const std::string& s);
 /// leading digit prefixed).
 std::string sanitize_identifier(const std::string& s);
 
+/// The body of a JSON string literal: quote, backslash, newline and tab get
+/// their short escapes, every other byte below 0x20 a \u00XX escape.
+std::string json_escape(const std::string& s);
+
+/// A CSV field: quoted, with embedded quotes doubled, if it holds a comma, a
+/// quote or a newline; otherwise unchanged.
+std::string csv_escape(const std::string& s);
+
 /// Format a double with `digits` significant decimals, trimming trailing
 /// zeros ("3.50" stays "3.50" when digits==2; used for table output).
 std::string format_fixed(double v, int digits);

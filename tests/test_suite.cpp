@@ -22,6 +22,20 @@ TEST(SuiteTest, AllBenchmarksValidate) {
   }
 }
 
+TEST(SuiteTest, PaperTablesBelongToTheFourPaperBenchmarks) {
+  const std::map<std::string, std::string> tables{{"facet", "Table 1: "},
+                                                  {"hal", "Table 2: "},
+                                                  {"biquad", "Table 3: "},
+                                                  {"bandpass", "Table 4: "}};
+  for (const auto& name : all_names()) {
+    const Benchmark b = by_name(name);
+    const auto it = tables.find(name);
+    ASSERT_EQ(b.paper.has_value(), it != tables.end()) << name;
+    if (!b.paper) continue;
+    EXPECT_EQ(b.paper->title.rfind(it->second, 0), 0u) << b.paper->title;
+  }
+}
+
 TEST(SuiteTest, UnknownNameThrows) {
   EXPECT_THROW(by_name("nope"), Error);
 }

@@ -354,6 +354,25 @@ TEST(StringsTest, Sanitize) {
   EXPECT_TRUE(is_identifier(sanitize_identifier("")));
 }
 
+TEST(StringsTest, JsonEscape) {
+  EXPECT_EQ(json_escape("2 clk / split"), "2 clk / split");
+  EXPECT_EQ(json_escape("say \"hi\""), "say \\\"hi\\\"");
+  EXPECT_EQ(json_escape("a\\b"), "a\\\\b");
+  EXPECT_EQ(json_escape("l1\nl2\tx"), "l1\\nl2\\tx");
+  EXPECT_EQ(json_escape(std::string("x\x01y")), "x\\u0001y");
+  EXPECT_EQ(json_escape(std::string("\x1f\r")), "\\u001f\\u000d");
+  EXPECT_EQ(json_escape(""), "");
+}
+
+TEST(StringsTest, CsvEscape) {
+  EXPECT_EQ(csv_escape("1(*) 2(+)"), "1(*) 2(+)");
+  EXPECT_EQ(csv_escape("a,b"), "\"a,b\"");
+  EXPECT_EQ(csv_escape("say \"hi\""), "\"say \"\"hi\"\"\"");
+  EXPECT_EQ(csv_escape("l1\nl2"), "\"l1\nl2\"");
+  EXPECT_EQ(csv_escape("tab\there"), "tab\there");
+  EXPECT_EQ(csv_escape(""), "");
+}
+
 TEST(TableTest, RendersAlignedColumns) {
   TextTable t({"Name", "Val"});
   t.add_row({"a", "1"});

@@ -6,7 +6,9 @@
 //   mcrtl synth  (<benchmark> | --dfg <file>) [options]
 //       Synthesize, verify equivalence, report power/area and structure.
 //   mcrtl table  (<benchmark> | --dfg <file>) [options]
-//       Run all five paper design styles and print the table row set.
+//       Run the paper's five design styles on one stimulus and print their
+//       power/area table; for facet, hal, biquad and bandpass also the
+//       paper's reported Table 1-4 and the 3-clock-vs-gated headline.
 //   mcrtl emit   (<benchmark> | --dfg <file>) [options]
 //       Write structural VHDL to stdout.
 //   mcrtl dot    (<benchmark> | --dfg <file>) [options]
@@ -30,15 +32,15 @@
 //   --isolation      add hold-mode operand isolation
 //   --computations N simulation length (default 2000)
 //   --seed N         stimulus seed (default 1996)
-//   --streams N      (explore) independent Monte-Carlo stimulus streams per
+//   --streams N      (explore, search) independent Monte-Carlo streams per
 //                    point, 1..64 (default 1). N > 1 switches points to the
 //                    bit-sliced batch kernel: power becomes the per-stream
 //                    mean and the CSV/JSON rows carry power_stddev_mw /
 //                    power_ci95_mw
 //   --csv FILE       also write measured rows as CSV
-//   --json FILE      (explore) also write measured rows as JSON
-//   --jobs N         worker threads for table/explore (default: all cores;
-//                    results are identical for any N)
+//   --json FILE      (explore, search) also write measured rows as JSON
+//   --jobs N         worker threads for table/explore/search (default: all
+//                    cores; results are identical for any N)
 //   --checkpoint FILE (explore) crash-safe journal: completed points are
 //                    fsync'd as they finish; re-running the same command
 //                    resumes, skipping journalled points (byte-identical
@@ -95,11 +97,18 @@
 // --backoff 0..60000; --point-timeout 0..86400; --power-top 0..100000;
 // --budget-rungs 0..16; --promote-frac and --optimism 0.001..1;
 // --min-survivors 0..100000; each --limits entry 0..1024.
+//
+// A flag the command does not read is a usage error (exit 2) naming the
+// flag and the command; --trace-out, --metrics-out, --progress and
+// --fault-inject apply to every command.
 #include <atomic>
 #include <chrono>
 #include <cstdio>
 #include <fstream>
+#include <map>
 #include <memory>
+#include <optional>
+#include <set>
 #include <sstream>
 #include <string>
 #include <type_traits>
@@ -230,10 +239,48 @@ std::vector<int> parse_int_list(const std::string& flag, const std::string& s,
   return out;
 }
 
+/// The flags each command reads. --trace-out, --metrics-out, --progress and
+/// --fault-inject apply to every command and are not listed.
+const std::map<std::string, std::set<std::string>> kCommandFlags{
+    {"list", {}},
+    {"synth",
+     {"--dfg", "--width", "--clocks", "--style", "--method", "--dff",
+      "--isolation", "--computations", "--seed", "--csv", "--vcd",
+      "--power-trace-out", "--power-top", "--power-flame"}},
+    {"table",
+     {"--dfg", "--width", "--method", "--dff", "--isolation",
+      "--computations", "--seed", "--jobs", "--csv"}},
+    {"emit",
+     {"--dfg", "--width", "--clocks", "--style", "--method", "--dff",
+      "--isolation"}},
+    {"emit-verilog",
+     {"--dfg", "--width", "--clocks", "--style", "--method", "--dff",
+      "--isolation"}},
+    {"dot", {"--dfg", "--width", "--clocks", "--style"}},
+    {"explore",
+     {"--dfg", "--width", "--clocks", "--dff", "--computations", "--seed",
+      "--streams", "--jobs", "--csv", "--json", "--checkpoint",
+      "--point-timeout", "--retries", "--backoff", "--no-quarantine"}},
+    {"search",
+     {"--width", "--widths", "--limits", "--clocks", "--computations",
+      "--seed", "--streams", "--jobs", "--budget-rungs", "--promote-frac",
+      "--optimism", "--min-survivors", "--cache-db", "--csv", "--json",
+      "--pareto-only"}},
+};
+
+bool is_global_flag(const std::string& flag) {
+  return flag == "--trace-out" || flag == "--metrics-out" ||
+         flag == "--progress" || flag == "--fault-inject";
+}
+
 CliOptions parse_args(int argc, char** argv) {
   if (argc < 2) throw UsageError("no command given");
   CliOptions o;
   o.command = argv[1];
+  const auto command = kCommandFlags.find(o.command);
+  if (command == kCommandFlags.end()) {
+    throw UsageError("unknown command '" + o.command + "'");
+  }
   for (int i = 2; i < argc; ++i) {
     const std::string a = argv[i];
     auto value = [&]() -> std::string {
@@ -313,8 +360,13 @@ CliOptions parse_args(int argc, char** argv) {
       o.pareto_only = true;
     } else if (!a.empty() && a[0] != '-') {
       o.benchmark = a;
+      continue;
     } else {
       throw UsageError("unknown option " + a);
+    }
+    // A flag the command would ignore is an error, not a silent no-op.
+    if (!is_global_flag(a) && !command->second.contains(a)) {
+      throw UsageError(a + " is not an option of '" + o.command + "'");
     }
   }
   return o;
@@ -325,6 +377,7 @@ struct Loaded {
   std::unique_ptr<dfg::Graph> graph;
   std::unique_ptr<dfg::Schedule> schedule;
   std::string name;
+  std::optional<suite::PaperTable> paper;  ///< built-in paper benchmarks only
 };
 
 Loaded load(const CliOptions& o) {
@@ -352,6 +405,7 @@ Loaded load(const CliOptions& o) {
   l.graph = std::move(b.graph);
   l.schedule = std::move(b.schedule);
   l.name = b.name;
+  l.paper = std::move(b.paper);
   return l;
 }
 
@@ -513,40 +567,72 @@ int cmd_synth(const CliOptions& o) {
   return 0;
 }
 
+/// The paper's reported table under our measured `recs` (rows in the
+/// paper's order): its figures and the 3-clock-vs-gated headline.
+std::string paper_block(const suite::PaperTable& paper,
+                        const std::vector<power::ExperimentRecord>& recs) {
+  std::string out =
+      "\npaper reported (COMPASS 0.8um, absolute numbers not expected to "
+      "match):\n";
+  TextTable p({"Design", "Power[mW]", "Area[1e6 l^2]"});
+  for (std::size_t i = 0; i < recs.size(); ++i) {
+    p.add_row({recs[i].design, format_fixed(paper.rows[i].power_mw, 2),
+               format_fixed(paper.rows[i].area_lambda2 / 1e6, 2)});
+  }
+  out += p.render();
+  // Percent change from the gated baseline (row 1) to 3 clocks (row 4).
+  const auto change = [](double gated, double clk3) {
+    return 100.0 * (clk3 - gated) / gated;
+  };
+  out += str_format(
+      "\n3-clock vs gated baseline: power %+.1f%% (paper %+.1f%%), "
+      "area %+.1f%% (paper %+.1f%%)\n",
+      change(recs[1].power.total, recs[4].power.total),
+      change(paper.rows[1].power_mw, paper.rows[4].power_mw),
+      change(recs[1].area.total, recs[4].area.total),
+      change(paper.rows[1].area_lambda2, paper.rows[4].area_lambda2));
+  return out;
+}
+
 int cmd_table(const CliOptions& o) {
   const Loaded l = load(o);
-  struct Row {
-    core::DesignStyle style;
-    int clocks;
-  };
-  const Row rows[] = {{core::DesignStyle::ConventionalNonGated, 1},
-                      {core::DesignStyle::ConventionalGated, 1},
-                      {core::DesignStyle::MultiClock, 1},
-                      {core::DesignStyle::MultiClock, 2},
-                      {core::DesignStyle::MultiClock, 3}};
+  // The paper's five table styles, in its row order: conventional
+  // non-gated, conventional gated, then 1, 2 and 3 clocks.
+  const std::pair<const char*, int> styles[] = {
+      {"conv", 1}, {"gated", 1}, {"multi", 1}, {"multi", 2}, {"multi", 3}};
   // Measure the five rows concurrently on one shared stimulus; each slot is
   // written by exactly one worker and the table is rendered afterwards in
   // row order.
   const auto stim = core::uniform_stimulus(*l.graph, o.computations, o.seed);
-  std::vector<power::ExperimentRecord> recs(std::size(rows));
+  std::vector<power::ExperimentRecord> recs(std::size(styles));
   mcrtl::ThreadPool pool(ThreadPool::resolve_jobs(o.jobs));
-  pool.parallel_for_index(std::size(rows), [&](std::size_t i) {
+  pool.parallel_for_index(std::size(styles), [&](std::size_t i) {
     CliOptions ro = o;
-    ro.style = rows[i].style == core::DesignStyle::MultiClock ? "multi"
-               : rows[i].style == core::DesignStyle::ConventionalGated
-                   ? "gated"
-                   : "conv";
-    ro.clocks = rows[i].clocks;
+    ro.style = styles[i].first;
+    ro.clocks = styles[i].second;
     recs[i] = measure(l, stim, synth_options(ro), ro, false);
   });
-  TextTable t({"Design", "Power[mW]", "Area[1e6 l^2]", "ALUs", "Mem", "MuxIn"});
+
+  std::string out;
+  if (l.paper) out += "=== " + l.paper->title + " ===\n";
+  out += str_format("benchmark '%s', %u-bit datapath, %zu random computations, "
+                    "V=4.65V\n\n",
+                    l.name.c_str(), l.graph->width(), o.computations);
+  TextTable t({"Design", "Power[mW]", "Area[1e6 l^2]", "ALUs", "Mem", "MuxIn",
+               "comb", "stor", "clk", "ctrl"});
   for (const auto& rec : recs) {
     t.add_row({rec.design, format_fixed(rec.power.total, 2),
                format_fixed(rec.area.total / 1e6, 2), rec.stats.alu_summary,
                std::to_string(rec.stats.num_memory_cells),
-               std::to_string(rec.stats.num_mux_inputs)});
+               std::to_string(rec.stats.num_mux_inputs),
+               format_fixed(rec.power.combinational, 2),
+               format_fixed(rec.power.storage, 2),
+               format_fixed(rec.power.clock_tree, 2),
+               format_fixed(rec.power.control, 2)});
   }
-  std::fputs(t.render().c_str(), stdout);
+  out += t.render();
+  if (l.paper) out += paper_block(*l.paper, recs);
+  std::fputs(out.c_str(), stdout);
   if (!o.csv_file.empty()) {
     write_file(o.csv_file, power::to_csv(recs));
     std::printf("wrote %s\n", o.csv_file.c_str());
