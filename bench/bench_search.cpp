@@ -13,16 +13,20 @@
 //     row bit-identical to the exhaustive row (the correctness contract),
 //   * no exhaustive front member was pruned,
 //   * guided is >= 3x faster than exhaustive,
+//   * exhaustive simulates >= 3x the lane-steps guided does — the same
+//     floor on deterministic work, counted by an untimed, traced
+//     exhaustive pass after the timed legs,
 //   * the cached replay is >= 20x faster than the fresh guided run and its
 //     CSV export is byte-identical.
 //
 // Writes BENCH_search.json (cwd) — structural keys (grid size, survivor
-// and abort counts, the guided leg's work counters, contract booleans) are
-// exact-matched by bench_diff;
+// and abort counts, the guided leg's work counters, the lane-step work
+// ratio, contract booleans) are exact-matched by bench_diff;
 // seconds/speedups are noisy keys. Run with jobs = 1 so every count in the
 // JSON is machine-independent (determinism across jobs is test_search's
 // job, not this bench's).
 #include <chrono>
+#include <cstdint>
 #include <cstdio>
 #include <cstring>
 #include <fstream>
@@ -161,6 +165,7 @@ int main(int argc, char** argv) {
   const auto guided = core::search(space, gcfg);
   const double guided_s = seconds_since(t0);
   obs::set_enabled(false);
+  const auto guided_counters = obs::Registry::instance().counters();
   std::printf("guided:     %zu rows + %zu pruned in %.2fs "
               "(%zu full evaluations, %zu aborted, %d rungs)\n",
               guided.rows.size(), guided.pruned.size(), guided_s,
@@ -177,8 +182,32 @@ int main(int argc, char** argv) {
   }
   const RunStats cached_stats = RunStats::from_samples(std::move(cached_samples));
   const double cached_s = cached_stats.pct50;
-  std::printf("cached:     %zu hits / %zu misses in %.4fs\n\n",
+  std::printf("cached:     %zu hits / %zu misses in %.4fs\n",
               cached.cache_hits, cached.cache_misses, cached_s);
+
+  // Leg 4 — untimed exhaustive pass, traced, for its lane-step count: the
+  // work ratio is exact at jobs = 1, where the seconds ratio is noisy.
+  auto steps = [](const std::vector<std::pair<std::string, std::uint64_t>>& c) {
+    for (const auto& [name, value] : c) {
+      if (name == "sim.time_sliced.steps") return value;
+    }
+    return std::uint64_t{0};
+  };
+  obs::Registry::instance().reset();
+  obs::set_enabled(true);
+  core::search(space, exh_cfg);
+  obs::set_enabled(false);
+  const std::uint64_t exhaustive_steps =
+      steps(obs::Registry::instance().counters());
+  obs::Registry::instance().reset();
+  const std::uint64_t guided_steps = steps(guided_counters);
+  const double work_ratio =
+      guided_steps > 0 ? static_cast<double>(exhaustive_steps) /
+                             static_cast<double>(guided_steps)
+                       : 0.0;
+  std::printf("work:       %llu / %llu lane-steps (exhaustive / guided)\n\n",
+              static_cast<unsigned long long>(exhaustive_steps),
+              static_cast<unsigned long long>(guided_steps));
 
   // --- Correctness gates ---------------------------------------------------
   bool ok = true;
@@ -251,11 +280,18 @@ int main(int argc, char** argv) {
   const double speedup_cached = guided_s / cached_s;
   std::printf("guided speedup vs exhaustive: %.2fx (gate: >= 3x)\n",
               speedup_guided);
+  std::printf("guided work vs exhaustive:    %.2fx (gate: >= 3x)\n",
+              work_ratio);
   std::printf("cached speedup vs guided:     %.1fx (gate: >= 20x)\n",
               speedup_cached);
   if (!quick && speedup_guided < 3.0) {
     std::fprintf(stderr, "FATAL: guided speedup %.2fx below the 3x gate\n",
                  speedup_guided);
+    ok = false;
+  }
+  if (!quick && work_ratio < 3.0) {
+    std::fprintf(stderr, "FATAL: guided work ratio %.2fx below the 3x gate\n",
+                 work_ratio);
     ok = false;
   }
   if (!quick && speedup_cached < 20.0) {
@@ -288,6 +324,9 @@ int main(int argc, char** argv) {
      << ", \"cached_seconds\": " << cached_s
      << ", \"cached_seconds_stddev\": " << cached_stats.stddev
      << ", \"reps\": " << cached_stats.n << "}"
+     << ",\n  \"work\": {\"exhaustive_steps\": " << exhaustive_steps
+     << ", \"guided_steps\": " << guided_steps
+     << ", \"steps_ratio\": " << work_ratio << "}"
      << ",\n  \"speedup_guided\": " << speedup_guided
      << ",\n  \"speedup_cached\": " << speedup_cached
      << ",\n  \"front_identical\": " << (front_identical ? "true" : "false")
@@ -298,9 +337,8 @@ int main(int argc, char** argv) {
   // jobs = 1, so they are exact-matched by bench_diff: a change that makes
   // the search cheaper must do the same work.
   js << ",\n  \"counters\": {";
-  const auto counters = obs::Registry::instance().counters();
   bool first = true;
-  for (const auto& [name, value] : counters) {
+  for (const auto& [name, value] : guided_counters) {
     if (name.rfind("search.", 0) != 0 && name != "rtl.designs_built" &&
         name != "sim.time_sliced.steps") {
       continue;

@@ -25,6 +25,8 @@ struct FuBindingOptions {
   double function_add_cost = 0.55;
   /// Never let one ALU implement more than this many distinct functions.
   unsigned max_functions = 4;
+
+  bool operator==(const FuBindingOptions&) const = default;
 };
 
 /// Bind every node of the binding's schedule to a functional unit.

@@ -1,14 +1,13 @@
 #include "core/checkpoint.hpp"
 
-#include <cerrno>
-#include <cstdlib>
 #include <fstream>
+#include <span>
 #include <sstream>
+#include <string_view>
 
 #include "core/record.hpp"
 #include "dfg/textio.hpp"
 #include "util/fault_injection.hpp"
-#include "util/strings.hpp"
 
 #ifndef _WIN32
 #include <unistd.h>
@@ -19,7 +18,6 @@ namespace mcrtl::core {
 namespace {
 
 using record::encode_double;
-using record::encode_str;
 using record::encode_u64;
 using record::fnv1a64;
 
@@ -32,62 +30,48 @@ using record::fnv1a64;
 // result cache.
 constexpr const char* kMagic = "mcrtl-journal v4 fp=";
 
-/// The journalled payload of one record, without the leading "p " and the
-/// trailing checksum.
-std::string record_payload(std::size_t index, const ExplorationPoint& p) {
-  std::ostringstream os;
-  os << index << ' ' << record::encode_point_fields(p);
-  return os.str();
-}
-
 std::string record_line(std::size_t index, const ExplorationPoint& p) {
-  const std::string payload = record_payload(index, p);
-  return "p " + payload + ' ' + encode_u64(fnv1a64(payload)) + '\n';
+  std::string line;
+  const std::size_t payload_at = record::begin_record(line, 'p');
+  record::append_decimal(line, index);
+  line += ' ';
+  record::append_point_fields(line, p);
+  record::end_record(line, payload_at);
+  return line;
 }
 
 /// Parse one complete record line. Returns false (leaving `index`/`point`
 /// untouched as far as the caller is concerned) on any malformation.
-bool parse_record(const std::string& line, std::size_t& index,
+bool parse_record(std::string_view line, std::size_t& index,
                   ExplorationPoint& point) {
-  if (line.rfind("p ", 0) != 0) return false;
-  const std::size_t crc_sep = line.rfind(' ');
-  if (crc_sep == std::string::npos || crc_sep < 2) return false;
-  const std::string payload = line.substr(2, crc_sep - 2);
-  std::uint64_t crc = 0;
-  if (!record::decode_u64(line.substr(crc_sep + 1), crc)) return false;
-  if (crc != fnv1a64(payload)) return false;
-
-  const auto toks = record::split_tokens(payload);
-  if (toks.size() != 1 + record::kPointTokens) return false;
-  char* end = nullptr;
-  errno = 0;
-  index = static_cast<std::size_t>(std::strtoull(toks[0].c_str(), &end, 10));
-  if (errno != 0 || end == toks[0].c_str() || *end != '\0') return false;
-  return record::decode_point_fields(toks, 1, point);
+  std::string_view payload;
+  if (!record::checked_payload(line, payload) || line[0] != 'p') return false;
+  std::string_view toks[1 + record::kPointTokens];
+  return record::split(payload, toks) == std::size(toks) &&
+         record::decode_index(toks[0], index) &&
+         record::decode_point_fields(std::span(toks).subspan<1>(), point);
 }
 
 std::string header_line(std::uint64_t fp) {
-  return std::string(kMagic) +
-         str_format("%016llx", static_cast<unsigned long long>(fp)) + '\n';
+  std::string line = kMagic;
+  record::append_u64(line, fp);
+  line += '\n';
+  return line;
 }
 
-/// Classify the first line of an existing journal file.
+/// Classify the first line of a journal's bytes (empty when the file is
+/// missing).
 enum class HeaderState { Missing, Matches, Mismatch };
 
-HeaderState read_header(const std::string& path, std::uint64_t fp) {
-  std::ifstream in(path, std::ios::binary);
-  if (!in) return HeaderState::Missing;
-  std::string content((std::istreambuf_iterator<char>(in)),
-                      std::istreambuf_iterator<char>());
+HeaderState header_state(std::string_view content, std::uint64_t fp) {
   const std::size_t nl = content.find('\n');
   // An incomplete first line (crash before the header fsync finished) is
   // treated as no journal at all.
-  if (nl == std::string::npos) return HeaderState::Missing;
-  const std::string first = content.substr(0, nl);
-  if (first.rfind(kMagic, 0) != 0) return HeaderState::Missing;
-  std::string expected = header_line(fp);
-  expected.pop_back();  // drop the '\n'
-  return first == expected ? HeaderState::Matches : HeaderState::Mismatch;
+  if (nl == std::string_view::npos) return HeaderState::Missing;
+  const std::string_view first = content.substr(0, nl + 1);
+  if (!first.starts_with(kMagic)) return HeaderState::Missing;
+  return first == header_line(fp) ? HeaderState::Matches
+                                  : HeaderState::Mismatch;
 }
 
 void fsync_file(std::FILE* f) {
@@ -97,19 +81,15 @@ void fsync_file(std::FILE* f) {
 #endif
 }
 
-/// Drop a torn tail (bytes after the last '\n') before reopening for
-/// append. Without this, the first record a resumed run appends would
-/// concatenate onto the partial line a SIGKILL left behind, corrupting a
-/// *mid-file* record — which the loader treats as the end of the journal.
-void truncate_torn_tail(const std::string& path) {
-  std::ifstream in(path, std::ios::binary);
-  if (!in) return;
-  std::string content((std::istreambuf_iterator<char>(in)),
-                      std::istreambuf_iterator<char>());
-  in.close();
+/// Drop a torn tail (bytes after the last '\n' of `content`, the file's
+/// bytes) before reopening for append. Without this, the first record a
+/// resumed run appends would concatenate onto the partial line a SIGKILL
+/// left behind, corrupting a *mid-file* record — which the loader treats as
+/// the end of the journal.
+void truncate_torn_tail(const std::string& path, std::string_view content) {
   if (content.empty() || content.back() == '\n') return;
   const std::size_t nl = content.find_last_of('\n');
-  const std::size_t keep = nl == std::string::npos ? 0 : nl + 1;
+  const std::size_t keep = nl == std::string_view::npos ? 0 : nl + 1;
 #ifndef _WIN32
   if (::truncate(path.c_str(), static_cast<off_t>(keep)) == 0) return;
 #endif
@@ -160,7 +140,9 @@ CheckpointJournal::LoadResult CheckpointJournal::load(
   fault::inject("journal.load");
   LoadResult res;
   res.points.resize(configs.size());
-  switch (read_header(path, fp)) {
+  std::string content;
+  record::read_file(path, content);
+  switch (header_state(content, fp)) {
     case HeaderState::Missing:
       return res;
     case HeaderState::Mismatch:
@@ -171,19 +153,16 @@ CheckpointJournal::LoadResult CheckpointJournal::load(
     case HeaderState::Matches:
       break;
   }
-  std::ifstream in(path, std::ios::binary);
-  if (!in) throw Error("cannot open checkpoint journal '" + path + "'");
-  std::string content((std::istreambuf_iterator<char>(in)),
-                      std::istreambuf_iterator<char>());
-  std::size_t pos = content.find('\n') + 1;  // skip the verified header
-  while (pos < content.size()) {
-    const std::size_t nl = content.find('\n', pos);
+  const std::string_view text = content;
+  std::size_t pos = text.find('\n') + 1;  // skip the verified header
+  while (pos < text.size()) {
+    const std::size_t nl = text.find('\n', pos);
     // A line without its terminating newline is the torn tail of a crashed
     // append: stop replaying here.
-    if (nl == std::string::npos) break;
-    const std::string line = content.substr(pos, nl - pos);
+    if (nl == std::string_view::npos) break;
+    const std::string_view line = text.substr(pos, nl - pos);
     pos = nl + 1;
-    std::size_t index;
+    std::size_t index = 0;
     ExplorationPoint point;
     // Append-only files can only be damaged at the tail, so the first bad
     // record ends the replay.
@@ -199,12 +178,14 @@ CheckpointJournal::LoadResult CheckpointJournal::load(
 
 CheckpointJournal::CheckpointJournal(const std::string& path,
                                      std::uint64_t fp) {
-  switch (read_header(path, fp)) {
+  std::string content;
+  record::read_file(path, content);
+  switch (header_state(content, fp)) {
     case HeaderState::Mismatch:
       throw JournalMismatchError("checkpoint journal '" + path +
                                  "' belongs to a different exploration");
     case HeaderState::Matches:
-      truncate_torn_tail(path);
+      truncate_torn_tail(path, content);
       f_ = std::fopen(path.c_str(), "ab");
       break;
     case HeaderState::Missing: {

@@ -139,14 +139,15 @@ ExplorationResult explore(const dfg::Graph& graph, const dfg::Schedule& sched,
   // anything is scheduled. A stale journal (different configuration) is a
   // hard error; an unreadable one degrades to a fresh sweep.
   std::vector<std::optional<ExplorationPoint>> replayed(configs.size());
-  std::unique_ptr<CheckpointJournal> journal;
   std::size_t replayed_count = 0;
+  std::uint64_t journal_fp = 0;
   if (!cfg.checkpoint_file.empty()) {
-    const std::uint64_t fp = CheckpointJournal::fingerprint(cfg, graph, sched);
+    journal_fp = CheckpointJournal::fingerprint(cfg, graph, sched);
     {
       obs::Span replay_span("explore.journal.replay");
       try {
-        auto loaded = CheckpointJournal::load(cfg.checkpoint_file, fp, configs);
+        auto loaded =
+            CheckpointJournal::load(cfg.checkpoint_file, journal_fp, configs);
         replayed = std::move(loaded.points);
         replayed_count = loaded.replayed;
       } catch (const JournalMismatchError&) {
@@ -155,10 +156,17 @@ ExplorationResult explore(const dfg::Graph& graph, const dfg::Schedule& sched,
         obs::count("explore.journal.errors");
       }
     }
-    journal = std::make_unique<CheckpointJournal>(cfg.checkpoint_file, fp);
     if (replayed_count > 0) {
       obs::count("explore.journal.replayed", replayed_count);
     }
+  }
+  // Only a slot the journal did not replay (a duplicate included) appends,
+  // and only an append needs a torn tail cut first: a full replay leaves
+  // the file alone.
+  std::unique_ptr<CheckpointJournal> journal;
+  if (!cfg.checkpoint_file.empty() && replayed_count < configs.size()) {
+    journal = std::make_unique<CheckpointJournal>(cfg.checkpoint_file,
+                                                  journal_fp);
   }
 
   // In-sweep deduplication: identical configurations (possible with
@@ -180,10 +188,11 @@ ExplorationResult explore(const dfg::Graph& graph, const dfg::Schedule& sched,
     evaluates = evaluates || (canonical[i] == i && !replayed[i]);
   }
 
-  // One pool serves the per-stream preamble below and then the points.
+  // One pool serves the per-stream preamble below and then the points; a
+  // sweep that evaluates nothing replays inline and starts no thread.
   const unsigned jobs = ThreadPool::resolve_jobs(cfg.jobs);
   std::optional<ThreadPool> pool;
-  if (jobs > 1) pool.emplace(jobs);
+  if (jobs > 1 && evaluates) pool.emplace(jobs);
 
   // The stimulus is derived from the seed up front and then shared
   // read-only by every evaluation — this is what makes the result

@@ -1,13 +1,12 @@
 #include "core/search.hpp"
 
 #include <algorithm>
-#include <cerrno>
+#include <bit>
 #include <cmath>
 #include <cstdio>
-#include <cstdlib>
-#include <cstring>
 #include <exception>
 #include <fstream>
+#include <span>
 #include <sstream>
 #include <string_view>
 #include <unordered_map>
@@ -27,8 +26,6 @@ namespace mcrtl::core {
 
 namespace {
 
-using record::encode_str;
-using record::encode_u64;
 using record::fnv1a64;
 
 /// Floor on a rung's prefix length: below this the toggle statistics are
@@ -37,13 +34,15 @@ constexpr std::size_t kMinPrefixComputations = 8;
 
 constexpr const char* kCacheMagic = "mcrtl-cache v1";
 
-bool parse_int(const std::string& tok, int& out) {
-  char* end = nullptr;
-  errno = 0;
-  const long v = std::strtol(tok.c_str(), &end, 10);
-  if (errno != 0 || end == tok.c_str() || *end != '\0') return false;
-  out = static_cast<int>(v);
-  return true;
+/// Most distinct option sets search() remembers the config_hash() of.
+constexpr std::size_t kHashMemo = 256;
+
+/// Whether config_hash() reads the same input from `a` and `b`: equal
+/// options, with function_add_cost compared bit for bit (0.0 and -0.0
+/// compare equal but format, and so hash, differently).
+bool same_hash_input(const SynthesisOptions& a, const SynthesisOptions& b) {
+  return a == b && std::bit_cast<std::uint64_t>(a.fu.function_add_cost) ==
+                       std::bit_cast<std::uint64_t>(b.fu.function_add_cost);
 }
 
 }  // namespace
@@ -163,19 +162,19 @@ ParetoFront ParetoFront::compute(const std::vector<SearchRow>& rows) {
 
 std::size_t ResultCache::load(const std::string& path) {
   last_superseded_ = 0;
-  std::ifstream in(path, std::ios::binary);
-  if (!in) return 0;
-  std::string content((std::istreambuf_iterator<char>(in)),
-                      std::istreambuf_iterator<char>());
+  std::string content;
+  if (!record::read_file(path, content)) return 0;
+  const std::string_view text = content;
   std::size_t bad = 0;
   std::size_t pos = 0;
   bool saw_header = false;
-  while (pos < content.size()) {
-    std::size_t nl = content.find('\n', pos);
+  std::string_view toks[1 + record::kPointTokens];
+  while (pos < text.size()) {
+    std::size_t nl = text.find('\n', pos);
     // A torn final line (crash mid-save before the rename) still carries a
     // checksum if it is complete in substance; parse it like any other.
-    if (nl == std::string::npos) nl = content.size();
-    const std::string line = content.substr(pos, nl - pos);
+    if (nl == std::string_view::npos) nl = text.size();
+    const std::string_view line = text.substr(pos, nl - pos);
     pos = nl + 1;
     if (!saw_header) {
       saw_header = true;
@@ -187,47 +186,37 @@ std::size_t ResultCache::load(const std::string& path) {
       continue;
     }
     if (line.empty()) continue;
-    const bool is_row = line.rfind("r ", 0) == 0;
-    const bool is_mark = line.rfind("x ", 0) == 0;
-    if (!is_row && !is_mark) {
+    std::string_view payload;
+    if (!record::checked_payload(line, payload) ||
+        (line[0] != 'r' && line[0] != 'x')) {
       ++bad;
       continue;
     }
-    const std::size_t crc_sep = line.rfind(' ');
-    if (crc_sep == std::string::npos || crc_sep < 2) {
-      ++bad;
-      continue;
-    }
-    const std::string payload = line.substr(2, crc_sep - 2);
-    std::uint64_t crc = 0;
-    if (!record::decode_u64(line.substr(crc_sep + 1), crc) ||
-        crc != fnv1a64(payload)) {
-      ++bad;
-      continue;
-    }
-    const auto toks = record::split_tokens(payload);
-    if (is_row) {
+    const std::size_t n = record::split(payload, toks);
+    if (line[0] == 'r') {
       std::uint64_t key = 0;
       ExplorationPoint p;
-      if (toks.size() != 1 + record::kPointTokens ||
-          !record::decode_u64(toks[0], key) ||
-          !record::decode_point_fields(toks, 1, p)) {
+      if (n != std::size(toks) || !record::decode_u64(toks[0], key) ||
+          !record::decode_point_fields(std::span(toks).subspan<1>(), p)) {
         ++bad;
         continue;
       }
-      if (rows_.count(key)) ++last_superseded_;
-      rows_[key] = std::move(p);
+      if (!rows_.insert_or_assign(key, std::move(p)).second) {
+        ++last_superseded_;
+      }
     } else {
       std::uint64_t fp = 0, key = 0;
       PrunedMark mark;
-      if (toks.size() != 4 || !record::decode_u64(toks[0], fp) ||
-          !record::decode_u64(toks[1], key) || !parse_int(toks[2], mark.rung) ||
+      if (n != 4 || !record::decode_u64(toks[0], fp) ||
+          !record::decode_u64(toks[1], key) ||
+          !record::decode_int(toks[2], mark.rung) ||
           !record::decode_str(toks[3], mark.dominated_by)) {
         ++bad;
         continue;
       }
-      if (pruned_.count({fp, key})) ++last_superseded_;
-      pruned_[{fp, key}] = std::move(mark);
+      if (!pruned_.insert_or_assign({fp, key}, std::move(mark)).second) {
+        ++last_superseded_;
+      }
     }
   }
   return bad;
@@ -248,8 +237,12 @@ ResultCache::CompactStats ResultCache::load_and_compact(
   if (dirty && scratch.rows_.size() + scratch.pruned_.size() > 0) {
     st.rewritten = scratch.save(path);
   }
-  for (auto& [key, p] : scratch.rows_) rows_[key] = std::move(p);
-  for (auto& [key, m] : scratch.pruned_) pruned_[key] = std::move(m);
+  // The file's records win: keep ours only where it has none, then adopt
+  // the merged nodes without copying a point.
+  scratch.rows_.merge(rows_);
+  scratch.pruned_.merge(pruned_);
+  rows_.swap(scratch.rows_);
+  pruned_.swap(scratch.pruned_);
   return st;
 }
 
@@ -274,27 +267,39 @@ void ResultCache::put_pruned(std::uint64_t sweep_fp, std::uint64_t key,
 }
 
 bool ResultCache::save(const std::string& path) const {
-  std::ostringstream os;
-  os << kCacheMagic << '\n';
-  for (const auto& [key, p] : rows_) {
-    const std::string payload =
-        encode_u64(key) + ' ' + record::encode_point_fields(p);
-    os << "r " << payload << ' ' << encode_u64(fnv1a64(payload)) << '\n';
-  }
-  for (const auto& [fpkey, mark] : pruned_) {
-    const std::string payload =
-        encode_u64(fpkey.first) + ' ' + encode_u64(fpkey.second) + ' ' +
-        std::to_string(mark.rung) + ' ' + encode_str(mark.dominated_by);
-    os << "x " << payload << ' ' << encode_u64(fnv1a64(payload)) << '\n';
-  }
   // tmp + rename keeps a reader (or a crashed writer) from ever seeing a
   // half-written DB: either the old file or the complete new one.
   const std::string tmp = path + ".tmp";
   {
     std::ofstream out(tmp, std::ios::binary | std::ios::trunc);
     if (!out) return false;
-    const std::string body = os.str();
-    out.write(body.data(), static_cast<std::streamsize>(body.size()));
+    // One record at a time through one line buffer: the DB is never held
+    // in memory twice.
+    std::string line = kCacheMagic;
+    line += '\n';
+    out.write(line.data(), static_cast<std::streamsize>(line.size()));
+    for (const auto& [key, p] : rows_) {
+      line.clear();
+      const std::size_t at = record::begin_record(line, 'r');
+      record::append_u64(line, key);
+      line += ' ';
+      record::append_point_fields(line, p);
+      record::end_record(line, at);
+      out.write(line.data(), static_cast<std::streamsize>(line.size()));
+    }
+    for (const auto& [fpkey, mark] : pruned_) {
+      line.clear();
+      const std::size_t at = record::begin_record(line, 'x');
+      record::append_u64(line, fpkey.first);
+      line += ' ';
+      record::append_u64(line, fpkey.second);
+      line += ' ';
+      record::append_decimal(line, mark.rung);
+      line += ' ';
+      record::append_str(line, mark.dominated_by);
+      record::end_record(line, at);
+      out.write(line.data(), static_cast<std::streamsize>(line.size()));
+    }
     out.flush();
     if (!out) {
       std::remove(tmp.c_str());
@@ -332,7 +337,8 @@ SearchResult search(const SearchSpace& space, const SearchConfig& cfg) {
     b.sched->validate();
   }
   {
-    std::unordered_set<std::string> labels;
+    std::unordered_set<std::string_view> labels;
+    labels.reserve(space.candidates.size());
     for (const auto& c : space.candidates) {
       MCRTL_CHECK_MSG(c.behaviour < space.behaviours.size(),
                       "candidate '" << c.label
@@ -369,14 +375,37 @@ SearchResult search(const SearchSpace& space, const SearchConfig& cfg) {
 
   // Per-candidate cache keys and in-space deduplication (identical
   // behaviour + options evaluate once; duplicates are fanned out at
-  // assembly).
+  // assembly). A grid crosses every behaviour with the same few dozen
+  // option sets, so each distinct set is hashed once; the scan for it
+  // starts after the previous hit, where the next candidate's set usually
+  // sits. Past kHashMemo distinct sets, a new one is hashed directly, so
+  // a space of all-distinct options never pays a quadratic scan.
   std::vector<std::uint64_t> key(nc);
   std::vector<std::size_t> canonical(nc);
   {
+    std::vector<std::pair<const SynthesisOptions*, std::uint64_t>> hashes;
+    std::size_t next = 0;
     std::unordered_map<std::uint64_t, std::size_t> first;
+    first.reserve(nc);
     for (std::size_t i = 0; i < nc; ++i) {
-      key[i] = bfp[space.candidates[i].behaviour] ^
-               config_hash(space.candidates[i].options);
+      const SynthesisOptions& opts = space.candidates[i].options;
+      std::size_t at = hashes.size();
+      for (std::size_t k = 0; k < hashes.size(); ++k) {
+        const std::size_t j = (next + k) % hashes.size();
+        if (same_hash_input(*hashes[j].first, opts)) {
+          at = j;
+          break;
+        }
+      }
+      std::uint64_t hash = 0;
+      if (at < hashes.size()) {
+        hash = hashes[at].second;
+        next = at + 1;
+      } else {
+        hash = config_hash(opts);
+        if (hashes.size() < kHashMemo) hashes.emplace_back(&opts, hash);
+      }
+      key[i] = bfp[space.candidates[i].behaviour] ^ hash;
       canonical[i] = first.emplace(key[i], i).first->second;
     }
   }
@@ -385,19 +414,28 @@ SearchResult search(const SearchSpace& space, const SearchConfig& cfg) {
   // the full candidate key list (order included), each candidate's
   // dominance group, and the pruning knobs. A pruned marker from any
   // other sweep must not be replayed — the point might survive a
-  // different grid or a different grouping.
+  // different grid or a different grouping. The bytes are hashed line by
+  // line as they are formed.
   std::uint64_t sweep_fp = 0;
   {
-    std::ostringstream os;
-    os << "mcrtl-search v2\n"
-       << cfg.budget_rungs << ' ' << record::encode_double(cfg.promote_fraction)
-       << ' ' << record::encode_double(cfg.optimism) << ' '
-       << cfg.min_survivors << '\n';
+    std::string line = "mcrtl-search v2\n";
+    record::append_decimal(line, cfg.budget_rungs);
+    line += ' ';
+    record::append_double(line, cfg.promote_fraction);
+    line += ' ';
+    record::append_double(line, cfg.optimism);
+    line += ' ';
+    record::append_decimal(line, cfg.min_survivors);
+    line += '\n';
+    sweep_fp = fnv1a64(line);
     for (std::size_t i = 0; i < nc; ++i) {
-      os << encode_u64(key[i]) << ' ' << gid[space.candidates[i].behaviour]
-         << '\n';
+      line.clear();
+      record::append_u64(line, key[i]);
+      line += ' ';
+      record::append_decimal(line, gid[space.candidates[i].behaviour]);
+      line += '\n';
+      sweep_fp = fnv1a64(line, sweep_fp);
     }
-    sweep_fp = fnv1a64(os.str());
   }
 
   SearchResult result;
@@ -705,20 +743,32 @@ SearchResult search(const SearchSpace& space, const SearchConfig& cfg) {
   }
 
   // ---- write-back, assembly, annotation ------------------------------------
+  // A run that added nothing leaves the DB as loaded (and as compacted).
   if (use_cache) {
+    bool added = false;
     for (std::size_t i = 0; i < nc; ++i) {
       if (canonical[i] != i) continue;
       if (state[i] == St::Row && !row_from_cache[i]) {
         cache.put_row(key[i], row[i]);
+        added = true;
       } else if (state[i] == St::Pruned && !pruned_from_cache[i]) {
         cache.put_pruned(sweep_fp, key[i], pmark[i]);
+        added = true;
       }
     }
-    obs::Span save_span("search.cache.save");
-    if (!cache.save(cfg.cache_db)) obs::count("search.cache.save_errors");
+    if (added) {
+      obs::Span save_span("search.cache.save");
+      if (!cache.save(cfg.cache_db)) obs::count("search.cache.save_errors");
+    }
   }
 
+  std::size_t num_rows = 0;
+  for (std::size_t i = 0; i < nc; ++i) {
+    num_rows += state[canonical[i]] == St::Row ? 1 : 0;
+  }
   std::vector<std::pair<std::size_t, SearchRow>> assembled;
+  assembled.reserve(num_rows);
+  result.pruned.reserve(nc - num_rows);
   for (std::size_t i = 0; i < nc; ++i) {
     const std::size_t c = canonical[i];
     const auto& cand = space.candidates[i];

@@ -44,6 +44,8 @@ struct SynthesisOptions {
   rtl::BuildOptions::Interconnect interconnect =
       rtl::BuildOptions::Interconnect::Mux;
   alloc::FuBindingOptions fu;
+
+  bool operator==(const SynthesisOptions&) const = default;
 };
 
 /// A fully synthesized, simulatable design with its allocation artefacts.

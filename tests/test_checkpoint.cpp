@@ -18,6 +18,8 @@
 #include <thread>
 #include <vector>
 
+#include <sys/stat.h>
+
 #ifndef _WIN32
 #include <signal.h>
 #include <sys/types.h>
@@ -27,10 +29,12 @@
 
 #include "core/checkpoint.hpp"
 #include "core/explorer.hpp"
+#include "core/record.hpp"
 #include "obs/obs.hpp"
 #include "power/report.hpp"
 #include "suite/benchmarks.hpp"
 #include "util/error.hpp"
+#include "util/thread_pool.hpp"
 
 using namespace mcrtl;
 
@@ -90,6 +94,13 @@ void spit(const std::string& path, const std::string& bytes) {
   std::ofstream(path, std::ios::binary | std::ios::trunc) << bytes;
 }
 
+/// The file's inode: a rewrite through tmp + rename changes it, an append
+/// or a reopen does not.
+ino_t file_inode(const std::string& path) {
+  struct stat st {};
+  return ::stat(path.c_str(), &st) == 0 ? st.st_ino : 0;
+}
+
 /// Run a journalled sweep that aborts itself after `k` completed points
 /// (the journal then holds exactly the fsync'd prefix a crash would leave).
 void interrupt_after(const dfg::Graph& g, const dfg::Schedule& s,
@@ -146,6 +157,98 @@ TEST(CheckpointTest, FullReplayPreparesNoStreams) {
   obs::Registry::instance().reset();
   EXPECT_EQ(second.replayed_points, first.points.size());
   EXPECT_EQ(report_bytes(first), report_bytes(second));
+}
+
+TEST(CheckpointTest, FullReplayOnAPoolRunsInlineAndLeavesTheJournalAlone) {
+  // A sweep that evaluates nothing starts no pool, so every replayed point
+  // reaches on_point on the calling thread, and it never reopens the
+  // journal: not even a torn tail behind the last record is cut, because
+  // no append follows.
+  const auto b = suite::by_name("facet", 4);
+  TempPath journal("ck_inline.journal");
+  auto cfg = small_config();
+  cfg.checkpoint_file = journal.path;
+  cfg.jobs = 4;
+  const auto first = core::explore(*b.graph, *b.schedule, cfg);
+  spit(journal.path, slurp(journal.path) + "p 3 s:torn");
+  const std::string before = slurp(journal.path);
+  const auto inode = file_inode(journal.path);
+
+  std::vector<int> workers;
+  cfg.on_point = [&](const core::ExplorationPoint&) {
+    workers.push_back(ThreadPool::current_worker_index());
+  };
+  const auto second = core::explore(*b.graph, *b.schedule, cfg);
+  EXPECT_EQ(second.replayed_points, first.points.size());
+  EXPECT_EQ(report_bytes(first), report_bytes(second));
+  EXPECT_EQ(workers, std::vector<int>(first.points.size(), -1));
+  EXPECT_EQ(slurp(journal.path), before);
+  EXPECT_EQ(file_inode(journal.path), inode);
+}
+
+TEST(CheckpointTest, JournalLackingADuplicateSlotIsReopenedAndAppended) {
+  // Every canonical slot replays, but a duplicate's record is missing: the
+  // duplicate is fanned out from its replayed canonical point and its
+  // record appended again, restoring the complete journal.
+  const auto b = suite::by_name("facet", 4);
+  TempPath journal("ck_dup.journal");
+  auto cfg = small_config();
+  cfg.explicit_configs = core::enumerate_configurations(cfg);
+  cfg.explicit_configs.emplace_back(cfg.explicit_configs[1].first, "dup");
+  cfg.checkpoint_file = journal.path;
+  const auto first = core::explore(*b.graph, *b.schedule, cfg);
+  const std::string full = slurp(journal.path);
+  // The fan-out runs after every canonical slot, so its record is last.
+  const std::size_t last = full.rfind('\n', full.size() - 2) + 1;
+  ASSERT_EQ(full.compare(last, 2, "p "), 0);
+  spit(journal.path, full.substr(0, last));
+
+  const auto second = core::explore(*b.graph, *b.schedule, cfg);
+  EXPECT_EQ(second.replayed_points, cfg.explicit_configs.size() - 1);
+  EXPECT_EQ(slurp(journal.path), full);
+  EXPECT_EQ(report_bytes(first), report_bytes(second));
+}
+
+TEST(CheckpointTest, ForgedRecordWithAnOutOfRangeIntegerEndsTheReplay) {
+  // FNV-1a is not a MAC: this record carries a valid checksum over a
+  // num_alus of 2^32 + 1, which used to replay as 1. It must end the
+  // replay like any other malformed record.
+  const auto b = suite::by_name("facet", 4);
+  TempPath journal("ck_forged.journal");
+  auto cfg = small_config();
+  cfg.checkpoint_file = journal.path;
+  core::explore(*b.graph, *b.schedule, cfg);
+
+  std::vector<std::string> lines;
+  {
+    std::istringstream in(slurp(journal.path));
+    for (std::string line; std::getline(in, line);) lines.push_back(line);
+  }
+  ASSERT_GE(lines.size(), 4u);
+  // lines[2] is record 1: "p", index, 28 point fields, checksum.
+  std::vector<std::string> toks;
+  {
+    std::istringstream in(lines[2]);
+    for (std::string t; in >> t;) toks.push_back(t);
+  }
+  ASSERT_EQ(toks.size(), 2 + core::record::kPointTokens + 1);
+  toks[2 + 19] = "4294967297";  // num_alus
+  std::string payload = toks[1];
+  for (std::size_t k = 2; k + 1 < toks.size(); ++k) payload += ' ' + toks[k];
+  lines[2] = "p " + payload + ' ' +
+             core::record::encode_u64(core::record::fnv1a64(payload));
+  std::string bytes;
+  for (const auto& line : lines) bytes += line + '\n';
+  spit(journal.path, bytes);
+
+  const auto fp =
+      core::CheckpointJournal::fingerprint(cfg, *b.graph, *b.schedule);
+  const auto loaded = core::CheckpointJournal::load(
+      journal.path, fp, core::enumerate_configurations(cfg));
+  EXPECT_EQ(loaded.replayed, 1u);
+  EXPECT_TRUE(loaded.points[0].has_value());
+  EXPECT_FALSE(loaded.points[1].has_value());
+  EXPECT_FALSE(loaded.points[2].has_value());
 }
 
 TEST(CheckpointTest, InterruptedRunResumesByteIdentical) {

@@ -11,6 +11,7 @@
 //  * the cache: round-trips points losslessly, tolerates corruption, and
 //    never replays a pruning decision into a different sweep.
 #include <gtest/gtest.h>
+#include <sys/stat.h>
 
 #include <cstdio>
 #include <fstream>
@@ -87,6 +88,34 @@ std::string result_signature(const core::SearchResult& r) {
          p.dominated_by + '\n';
   }
   return s;
+}
+
+std::string slurp_db(const std::string& path) {
+  std::ifstream in(path, std::ios::binary);
+  return std::string((std::istreambuf_iterator<char>(in)),
+                     std::istreambuf_iterator<char>());
+}
+
+/// The file's inode: ResultCache::save renames a fresh file over the DB,
+/// so a rewrite changes it.
+ino_t file_inode(const std::string& path) {
+  struct stat st {};
+  return ::stat(path.c_str(), &st) == 0 ? st.st_ino : 0;
+}
+
+std::size_t span_count(const std::string& name) {
+  std::size_t n = 0;
+  for (const auto& s : obs::Registry::instance().spans()) {
+    n += name == s.name ? 1 : 0;
+  }
+  return n;
+}
+
+std::uint64_t counter(const std::string& name) {
+  for (const auto& [n, v] : obs::Registry::instance().counters()) {
+    if (n == name) return v;
+  }
+  return 0;
 }
 
 }  // namespace
@@ -169,6 +198,102 @@ TEST(Search, CachedRerunIsIdenticalAndFullyHit) {
             core::search_to_csv(fresh, false));
   EXPECT_EQ(core::search_to_json(cached, true),
             core::search_to_json(fresh, true));
+  std::remove(db.c_str());
+}
+
+TEST(Search, FullyCachedReplayWritesNothing) {
+  // ResultCache::save writes a temporary file and renames it over the DB,
+  // so a rewrite shows as a new inode. A 100%-hit replay adds no row and
+  // no marker: it must leave the DB's bytes and inode alone and record no
+  // save span.
+  const Grid g = small_grid();
+  const std::string db = tmp_path("replay_nowrite.db");
+  std::remove(db.c_str());
+  auto cfg = small_cfg();
+  cfg.cache_db = db;
+  core::search(g.space, cfg);
+  const std::string before = slurp_db(db);
+  const auto inode = file_inode(db);
+
+  obs::Registry::instance().reset();
+  obs::set_enabled(true);
+  const auto cached = core::search(g.space, cfg);
+  obs::set_enabled(false);
+  EXPECT_EQ(span_count("search.cache.save"), 0u);
+  EXPECT_EQ(span_count("search.cache.load"), 1u);
+  obs::Registry::instance().reset();
+  EXPECT_EQ(cached.cache_misses, 0u);
+  EXPECT_EQ(slurp_db(db), before);
+  EXPECT_EQ(file_inode(db), inode);
+  std::remove(db.c_str());
+}
+
+TEST(Search, ASearchThatAddsRowsRewritesTheDb) {
+  // The first search covers one behaviour; the second adds the other one's
+  // rows and markers, so it saves.
+  const Grid g = small_grid();
+  core::SearchSpace one = g.space;
+  std::erase_if(one.candidates, [](const core::SearchCandidate& c) {
+    return c.behaviour != 0;
+  });
+  const std::string db = tmp_path("adds_rows.db");
+  std::remove(db.c_str());
+  auto cfg = small_cfg();
+  cfg.cache_db = db;
+  core::search(one, cfg);
+  const std::string before = slurp_db(db);
+  const auto inode = file_inode(db);
+
+  obs::Registry::instance().reset();
+  obs::set_enabled(true);
+  const auto both = core::search(g.space, cfg);
+  obs::set_enabled(false);
+  EXPECT_EQ(span_count("search.cache.save"), 1u);
+  obs::Registry::instance().reset();
+  EXPECT_GT(both.cache_misses, 0u);
+  EXPECT_NE(file_inode(db), inode);
+  EXPECT_GT(slurp_db(db).size(), before.size());
+
+  // Every candidate of the second search is in the DB, next to the first
+  // search's markers (another sweep's, so they did not hit).
+  core::ResultCache reread;
+  EXPECT_EQ(reread.load(db), 0u);
+  EXPECT_GT(reread.num_rows() + reread.num_pruned(),
+            both.cache_hits + both.cache_misses);
+  std::remove(db.c_str());
+}
+
+TEST(Search, FullyCachedReplayStillCompactsADirtyDb) {
+  // A superseded duplicate line makes the DB dirty: the replay's compacting
+  // load rewrites it (new inode, the clean bytes back) though the search
+  // itself adds nothing and saves nothing.
+  const Grid g = small_grid();
+  const std::string db = tmp_path("replay_compact.db");
+  std::remove(db.c_str());
+  auto cfg = small_cfg();
+  cfg.cache_db = db;
+  core::search(g.space, cfg);
+  const std::string clean = slurp_db(db);
+  const std::size_t second_line = clean.find('\n') + 1;
+  const std::string dup =
+      clean.substr(second_line, clean.find('\n', second_line) + 1 - second_line);
+  {
+    std::ofstream out(db, std::ios::binary | std::ios::app);
+    out << dup;
+  }
+  const auto inode = file_inode(db);
+
+  obs::Registry::instance().reset();
+  obs::set_enabled(true);
+  const auto cached = core::search(g.space, cfg);
+  obs::set_enabled(false);
+  EXPECT_EQ(span_count("search.cache.save"), 0u);
+  EXPECT_EQ(counter("search.cache.compacted"), 1u);
+  EXPECT_EQ(counter("search.cache.superseded"), 1u);
+  obs::Registry::instance().reset();
+  EXPECT_EQ(cached.cache_misses, 0u);
+  EXPECT_NE(file_inode(db), inode);
+  EXPECT_EQ(slurp_db(db), clean);
   std::remove(db.c_str());
 }
 
@@ -379,12 +504,6 @@ core::ExplorationPoint cache_point(std::uint64_t k, double bias) {
   p.stats.period = 4;
   p.stats.num_clocks = 2;
   return p;
-}
-
-std::string slurp_db(const std::string& path) {
-  std::ifstream in(path, std::ios::binary);
-  return std::string((std::istreambuf_iterator<char>(in)),
-                     std::istreambuf_iterator<char>());
 }
 
 }  // namespace
