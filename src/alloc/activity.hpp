@@ -11,8 +11,8 @@
 // the register count beyond left-edge's result unless `allow_extra` is set.
 //
 // This is an extension beyond the paper (its allocation is activity-blind);
-// the ablation bench `bench_activity_binding` measures what it buys on top
-// of the multi-clock scheme.
+// the ablation `mcrtl experiment E15` measures what it buys on top of the
+// multi-clock scheme.
 #pragma once
 
 #include <vector>

@@ -4,9 +4,8 @@
 // the design on random computations, check every sampled output against
 // the behaviour's golden model, then estimate power and area from the same
 // run's Activity. measure() is that sequence, once. The explorer calls it
-// per design point, and so do `mcrtl synth`/`mcrtl table`, the paper
-// reproducers and the examples, so every table the project prints is
-// measured the same way.
+// per design point, and so do `mcrtl synth`/`table`/`experiment` and the
+// examples, so every table the project prints is measured the same way.
 //
 // The run is one time-sliced pass of the bit-sliced kernel
 // (Simulator::run_time_sliced): a single stream cut into 64 chunks, or a

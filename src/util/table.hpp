@@ -1,7 +1,8 @@
-// Plain-text table rendering for benchmark harness output.
+// Plain-text table rendering for the CLI's reports and the benches.
 //
-// Every bench binary reproduces one of the paper's tables; this helper keeps
-// their formatting identical (aligned columns, header rule, optional title).
+// `mcrtl table`/`mcrtl experiment` reproduce the paper's tables and figures;
+// this helper keeps their formatting identical (aligned columns, header
+// rule, optional title).
 #pragma once
 
 #include <string>

@@ -22,6 +22,9 @@
 //       early-abort, optional persistent result cache. Prints the
 //       per-behaviour Pareto front; --csv/--json write every surviving row
 //       (plus the pruned candidates) in a deterministic order.
+//   mcrtl experiment <id>
+//       Reproduce one of the paper's figures or an ablation (ids E5..E19 of
+//       DESIGN.md's experiment index); takes no command flags.
 //
 // Options:
 //   --clocks N       number of non-overlapping clocks (default 2)
@@ -101,6 +104,7 @@
 // A flag the command does not read is a usage error (exit 2) naming the
 // flag and the command; --trace-out, --metrics-out, --progress and
 // --fault-inject apply to every command.
+#include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <cstdio>
@@ -120,6 +124,7 @@
 #include "core/synthesizer.hpp"
 #include "dfg/dot.hpp"
 #include "dfg/textio.hpp"
+#include "experiments.hpp"
 #include "obs/obs.hpp"
 #include "power/attribution.hpp"
 #include "power/report.hpp"
@@ -192,7 +197,7 @@ class UsageError : public mcrtl::Error {
 int usage() {
   std::fprintf(stderr,
                "usage: mcrtl <list|synth|table|emit|emit-verilog|dot|explore"
-               "|search> [<benchmark>] "
+               "|search|experiment> [<benchmark>|<id>] "
                "[--dfg file] [--clocks N] [--width W]\n"
                "             [--style conv|gated|multi] [--method "
                "integrated|split] [--dff] [--isolation]\n"
@@ -266,6 +271,7 @@ const std::map<std::string, std::set<std::string>> kCommandFlags{
       "--seed", "--streams", "--jobs", "--budget-rungs", "--promote-frac",
       "--optimism", "--min-survivors", "--cache-db", "--csv", "--json",
       "--pareto-only"}},
+    {"experiment", {}},
 };
 
 bool is_global_flag(const std::string& flag) {
@@ -369,6 +375,17 @@ CliOptions parse_args(int argc, char** argv) {
       throw UsageError(a + " is not an option of '" + o.command + "'");
     }
   }
+  if (o.command == "experiment") {
+    const auto ids = cli::experiment_ids();
+    if (std::find(ids.begin(), ids.end(), o.benchmark) == ids.end()) {
+      std::string known;
+      for (const auto& id : ids) known += " " + id;
+      throw UsageError(
+          (o.benchmark.empty() ? std::string("no experiment id given")
+                               : "unknown experiment '" + o.benchmark + "'") +
+          " (one of" + known + ")");
+    }
+  }
   return o;
 }
 
@@ -459,32 +476,54 @@ std::string power_trace_csv(const sim::PowerProbe& probe) {
   return out.str();
 }
 
-/// Measure one design style on `stim` as a report record. With
-/// `print_structure` (synth) the VCD dump, the heatmap, the --power-*
-/// exports and the datapath description ride on the same run; cmd_table
-/// calls this concurrently without them.
-power::ExperimentRecord measure(const Loaded& l, const core::Stimulus& stim,
-                                const core::SynthesisOptions& opts,
-                                const CliOptions& o, bool print_structure) {
-  const auto syn = core::synthesize(*l.graph, *l.schedule, opts);
+/// The report record of one measured design style of `l`.
+power::ExperimentRecord record(const Loaded& l, std::size_t computations,
+                               const core::ExplorationPoint& p) {
+  power::ExperimentRecord rec;
+  rec.experiment = "cli";
+  rec.design = p.label;
+  rec.benchmark = l.name;
+  rec.width = l.graph->width();
+  rec.computations = computations;
+  rec.power = p.power;
+  rec.area = p.area;
+  rec.stats = p.stats;
+  return rec;
+}
+
+int cmd_list() {
+  for (const auto& name : suite::all_names()) {
+    const auto b = suite::by_name(name, 4);
+    std::printf("%-11s %3zu ops %2d steps  %s\n", name.c_str(),
+                b.graph->num_nodes(), b.schedule->num_steps(),
+                b.description.c_str());
+  }
+  return 0;
+}
+
+int cmd_synth(const CliOptions& o) {
+  const Loaded l = load(o);
+  const cli::Style style(*l.graph, *l.schedule, synth_options(o));
+  const rtl::Design& design = *style.syn.design;
+  // The VCD dump, the heatmap and the --power-* exports ride on the one
+  // measured run.
   core::MeasureHooks hooks;
   std::unique_ptr<sim::VcdTracer> vcd;
-  if (print_structure && !o.vcd_file.empty()) {
-    vcd = std::make_unique<sim::VcdTracer>(*syn.design);
+  if (!o.vcd_file.empty()) {
+    vcd = std::make_unique<sim::VcdTracer>(design);
     hooks.observer = [&](std::uint64_t step, const auto& nets) {
       vcd->record(step, nets);
     };
   }
   sim::PhaseHeatmap heatmap;
-  const bool want_heatmap = print_structure && obs::enabled();
-  if (want_heatmap) hooks.heatmap = &heatmap;
-  const auto m = core::measure(*syn.design, *l.graph, stim,
-                               power::TechLibrary::cmos08(), {}, hooks);
+  if (obs::enabled()) hooks.heatmap = &heatmap;
+  const auto m = style.measure(
+      core::uniform_stimulus(*l.graph, o.computations, o.seed), hooks);
   if (vcd) {
     write_file(o.vcd_file, vcd->render());
     std::printf("wrote %s\n", o.vcd_file.c_str());
   }
-  if (want_heatmap) {
+  if (hooks.heatmap) {
     std::printf("\nper-partition storage activity (write-toggles/clock-edges "
                 "per period step):\n%s",
                 sim::render_heatmap(heatmap).c_str());
@@ -493,22 +532,13 @@ power::ExperimentRecord measure(const Loaded& l, const core::Stimulus& stim,
                      static_cast<double>(heatmap.phase_total(p)));
     }
   }
-  power::ExperimentRecord rec;
-  rec.experiment = "cli";
-  rec.design = syn.design->style_name;
-  rec.benchmark = l.name;
-  rec.width = l.graph->width();
-  rec.computations = o.computations;
-  rec.power = m.point.power;
-  rec.area = m.point.area;
-  rec.stats = m.point.stats;
+  auto rec = record(l, o.computations, m.point);
 
   // The attribution columns are reported only when something asked for the
   // power profile: an explicit --power-* flag, or tracing (the per-domain
   // waveform is merged into the Chrome trace as counter tracks).
-  if (print_structure && (!o.power_trace_file.empty() ||
-                          !o.power_flame_file.empty() || o.power_top > 0 ||
-                          obs::enabled())) {
+  if (!o.power_trace_file.empty() || !o.power_flame_file.empty() ||
+      o.power_top > 0 || obs::enabled()) {
     power::publish_power_tracks(m.probe);  // no-op unless tracing is on
     rec.hotspot = m.point.hotspot;
     rec.hotspot_share = m.point.hotspot_share;
@@ -531,30 +561,10 @@ power::ExperimentRecord measure(const Loaded& l, const core::Stimulus& stim,
     }
   }
 
-  if (print_structure) {
-    std::printf("%s\n", rtl::describe_dpms(*syn.design).c_str());
-    const auto safety = rtl::check_timing_safety(*syn.design);
-    std::printf("timing safety: %s\n",
-                safety.safe ? "OK" : safety.violations[0].c_str());
-  }
-  return rec;
-}
-
-int cmd_list() {
-  for (const auto& name : suite::all_names()) {
-    const auto b = suite::by_name(name, 4);
-    std::printf("%-11s %3zu ops %2d steps  %s\n", name.c_str(),
-                b.graph->num_nodes(), b.schedule->num_steps(),
-                b.description.c_str());
-  }
-  return 0;
-}
-
-int cmd_synth(const CliOptions& o) {
-  const Loaded l = load(o);
-  const auto rec = measure(
-      l, core::uniform_stimulus(*l.graph, o.computations, o.seed),
-      synth_options(o), o, /*print_structure=*/true);
+  std::printf("%s\n", rtl::describe_dpms(design).c_str());
+  const auto safety = rtl::check_timing_safety(design);
+  std::printf("timing safety: %s\n",
+              safety.safe ? "OK" : safety.violations[0].c_str());
   std::printf("\npower: %s\narea:  %.0f lambda^2\nALUs %s | %d mem cells | "
               "%d mux inputs\n",
               rec.power.to_string().c_str(), rec.area.total,
@@ -610,7 +620,8 @@ int cmd_table(const CliOptions& o) {
     CliOptions ro = o;
     ro.style = styles[i].first;
     ro.clocks = styles[i].second;
-    recs[i] = measure(l, stim, synth_options(ro), ro, false);
+    const cli::Style style(*l.graph, *l.schedule, synth_options(ro));
+    recs[i] = record(l, o.computations, style.measure(stim).point);
   });
 
   std::string out;
@@ -921,6 +932,7 @@ int dispatch(const CliOptions& o) {
   if (o.command == "dot") return cmd_dot(o);
   if (o.command == "explore") return cmd_explore(o);
   if (o.command == "search") return cmd_search(o);
+  if (o.command == "experiment") return cli::run_experiment(o.benchmark);
   return usage();
 }
 
