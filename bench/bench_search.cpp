@@ -12,7 +12,9 @@
 //   * guided finds the exact exhaustive Pareto front, with every surviving
 //     row bit-identical to the exhaustive row (the correctness contract),
 //   * no exhaustive front member was pruned,
-//   * guided is >= 3x faster than exhaustive,
+//   * guided is >= 3x faster than exhaustive — the median over kPairs
+//     alternating (exhaustive, guided) pairs of the per-pair seconds ratio,
+//     both legs timed with obs collection off,
 //   * exhaustive simulates >= 3x the lane-steps guided does — the same
 //     floor on deterministic work, counted by an untimed, traced
 //     exhaustive pass after the timed legs,
@@ -20,9 +22,10 @@
 //     CSV export is byte-identical.
 //
 // Writes BENCH_search.json (cwd) — structural keys (grid size, survivor
-// and abort counts, the guided leg's work counters, the lane-step work
-// ratio, contract booleans) are exact-matched by bench_diff;
-// seconds/speedups are noisy keys. Run with jobs = 1 so every count in the
+// and abort counts, the guided leg's work counters from an untimed traced
+// guided pass, the lane-step work ratio, contract booleans) are
+// exact-matched by bench_diff; seconds/speedups, every timed pair
+// included, are noisy keys. Run with jobs = 1 so every count in the
 // JSON is machine-independent (determinism across jobs is test_search's
 // job, not this bench's).
 #include <chrono>
@@ -144,38 +147,60 @@ int main(int argc, char** argv) {
               cfg.computations);
   const auto wall0 = std::chrono::steady_clock::now();
 
-  // Leg 1 — exhaustive baseline: no rungs, no cache.
+  // Legs 1 and 2 — exhaustive (no rungs, no cache) and guided (cold
+  // cache), timed in alternating pairs with obs collection off: a pair
+  // shares the host's state, so the median of the per-pair ratios is far
+  // steadier than one reading of each leg.
+  constexpr int kPairs = 7;
   core::SearchConfig exh_cfg = cfg;
   exh_cfg.budget_rungs = 0;
-  auto t0 = std::chrono::steady_clock::now();
-  const auto exhaustive = core::search(space, exh_cfg);
-  const double exhaustive_s = seconds_since(t0);
-  std::printf("exhaustive: %zu rows in %.2fs (%zu full evaluations)\n",
-              exhaustive.rows.size(), exhaustive_s,
-              exhaustive.full_evaluations);
-
-  // Leg 2 — guided, cold cache. obs collection is on so the committed
-  // BENCH records the search.* counters the run produced.
   const char* cache_db = "bench_search_cache.db";
-  std::remove(cache_db);
   core::SearchConfig gcfg = cfg;
   gcfg.cache_db = cache_db;
+  std::vector<double> exh_samples, gui_samples, ratios;
+  core::SearchResult exhaustive, guided;
+  for (int pair = 0; pair < kPairs; ++pair) {
+    auto t0 = std::chrono::steady_clock::now();
+    auto exh = core::search(space, exh_cfg);
+    exh_samples.push_back(seconds_since(t0));
+    std::remove(cache_db);
+    t0 = std::chrono::steady_clock::now();
+    auto gui = core::search(space, gcfg);
+    gui_samples.push_back(seconds_since(t0));
+    ratios.push_back(exh_samples.back() / gui_samples.back());
+    std::printf("pair %d: exhaustive %zu rows in %.2fs, guided %zu rows + "
+                "%zu pruned in %.2fs (%.2fx)\n",
+                pair + 1, exh.rows.size(), exh_samples.back(),
+                gui.rows.size(), gui.pruned.size(), gui_samples.back(),
+                ratios.back());
+    if (pair == 0) {
+      exhaustive = std::move(exh);
+      guided = std::move(gui);
+    }
+  }
+  const double exhaustive_s = RunStats::from_samples(exh_samples).pct50;
+  const double guided_s = RunStats::from_samples(gui_samples).pct50;
+  const double speedup_guided = RunStats::from_samples(ratios).pct50;
+  std::printf("exhaustive: %zu full evaluations; guided: %zu full "
+              "evaluations, %zu aborted, %d rungs\n",
+              exhaustive.full_evaluations, guided.full_evaluations,
+              guided.aborted, guided.rungs_run);
+
+  // Untimed guided pass with obs collection on, so the committed BENCH
+  // records the search.* counters the run produced; it leaves the cache
+  // the replay reads.
+  std::remove(cache_db);
+  obs::Registry::instance().reset();
   obs::set_enabled(true);
-  t0 = std::chrono::steady_clock::now();
-  const auto guided = core::search(space, gcfg);
-  const double guided_s = seconds_since(t0);
+  core::search(space, gcfg);
   obs::set_enabled(false);
   const auto guided_counters = obs::Registry::instance().counters();
-  std::printf("guided:     %zu rows + %zu pruned in %.2fs "
-              "(%zu full evaluations, %zu aborted, %d rungs)\n",
-              guided.rows.size(), guided.pruned.size(), guided_s,
-              guided.full_evaluations, guided.aborted, guided.rungs_run);
 
   // Leg 3 — cached replay of the identical search, median of 3 reps.
   std::vector<double> cached_samples;
   core::SearchResult cached;
   for (int rep = 0; rep < 3; ++rep) {
-    t0 = std::chrono::steady_clock::now();
+    const auto t0 = std::chrono::steady_clock::now();
     auto res = core::search(space, gcfg);
     cached_samples.push_back(seconds_since(t0));
     if (rep == 0) cached = std::move(res);
@@ -276,10 +301,10 @@ int main(int argc, char** argv) {
   }
 
   // --- Performance gates ---------------------------------------------------
-  const double speedup_guided = exhaustive_s / guided_s;
   const double speedup_cached = guided_s / cached_s;
-  std::printf("guided speedup vs exhaustive: %.2fx (gate: >= 3x)\n",
-              speedup_guided);
+  std::printf("guided speedup vs exhaustive: %.2fx, median of %d pairs "
+              "(gate: >= 3x)\n",
+              speedup_guided, kPairs);
   std::printf("guided work vs exhaustive:    %.2fx (gate: >= 3x)\n",
               work_ratio);
   std::printf("cached speedup vs guided:     %.1fx (gate: >= 20x)\n",
@@ -319,6 +344,13 @@ int main(int argc, char** argv) {
      << ", \"rungs_run\": " << guided.rungs_run
      << ", \"front\": " << guided_front
      << ", \"guided_seconds\": " << guided_s << "}"
+     << ",\n  \"pairs\": [";
+  for (std::size_t i = 0; i < ratios.size(); ++i) {
+    js << (i == 0 ? "" : ",") << "\n    {\"exhaustive_seconds\": "
+       << exh_samples[i] << ", \"guided_seconds\": " << gui_samples[i]
+       << ", \"speedup\": " << ratios[i] << "}";
+  }
+  js << "\n  ]"
      << ",\n  \"cached\": {\"hits\": " << cached.cache_hits
      << ", \"misses\": " << cached.cache_misses
      << ", \"cached_seconds\": " << cached_s

@@ -37,6 +37,13 @@
 //  8. speedup — the aggregate lockstep pct50 over the bundle pct50 must be
 //     at least 4x.
 //
+// Legs three and four also time the time-sliced run with no probe attached,
+// interleaved with the probed run, for one more guard:
+//
+//  9. probe cost — the aggregate pct50 with the probe over the pct50
+//     without it must be at most 2.5x at S = 1 and 2x for the S = 2
+//     bundle.
+//
 // Timing is reported as percentiles over the reps (pct50/pct90/pct99 +
 // stddev, see util/stats.hpp) rather than best-of-N: the median is what
 // the speedup floor checks, the tail and spread make runner noise visible
@@ -117,6 +124,7 @@ struct TimeSlicedRow {
   std::string bench;
   int num_clocks = 0;
   RunStats sliced;  // run_time_sliced() with the probe attached
+  RunStats bare;    // run_time_sliced() without a probe
   RunStats scalar;  // run() with the probe attached
   double speedup() const { return scalar.pct50 / sliced.pct50; }
 };
@@ -125,9 +133,21 @@ struct BundleRow {
   std::string bench;
   int num_clocks = 0;
   RunStats sliced;    // bundle run_time_sliced() with the probe attached
+  RunStats bare;      // bundle run_time_sliced() without a probe
   RunStats lockstep;  // run_sliced() of the bundle with the probe attached
   double speedup() const { return lockstep.pct50 / sliced.pct50; }
 };
+
+/// The probe-cost guards: the aggregate pct50 with the probe over the
+/// aggregate pct50 without it, for one stream and for the 2-stream bundle.
+/// One stream reads 2.0-2.2x on a shared 4-vCPU host (the 64 per-group
+/// rows of every step cost more against a 4-bit kernel than the bundle's
+/// 32), so its ceiling sits at 2.5x until that gap closes (ROADMAP).
+constexpr double kProbeOverheadCeiling = 2.5;
+constexpr double kBundleProbeOverheadCeiling = 2.0;
+/// Reps of the time-sliced legs: a run takes about a millisecond, so more
+/// of them steady the probe-cost ratio.
+constexpr int kSlicedReps = 9;
 
 /// The probe's whole waveform as raw bits, step-major.
 std::vector<std::uint64_t> waveform_bits(const sim::PowerProbe& probe) {
@@ -299,7 +319,7 @@ int main() {
   // --- time-sliced leg: one stream cut into 64 chunks vs the scalar run --
   constexpr std::size_t kTimeSlicedComputations = 2000;
   std::vector<TimeSlicedRow> trows;
-  double total_ts_s = 0, total_scalar_s = 0;
+  double total_ts_s = 0, total_scalar_s = 0, total_ts_bare_s = 0;
   const auto tech = power::TechLibrary::cmos08();
   std::printf("\n=== time-sliced kernel: one %zu-computation stream, "
               "run_time_sliced vs scalar run, power probe attached ===\n\n",
@@ -320,8 +340,17 @@ int main() {
       row.num_clocks = n;
       sim::SimResult ts_res, sc_res;
       std::vector<std::uint64_t> ts_bits, sc_bits;
-      std::vector<double> ts_samples, sc_samples;
-      for (int rep = 0; rep < kReps; ++rep) {
+      std::vector<double> ts_samples, bare_samples, sc_samples;
+      auto time_bare = [&] {
+        sim::Simulator bare(*syn.design, sim::Simulator::Mode::BitSliced);
+        const auto t0 = std::chrono::steady_clock::now();
+        bare.run_time_sliced(stream, b.graph->inputs(), b.graph->outputs());
+        bare_samples.push_back(seconds_since(t0));
+      };
+      for (int rep = 0; rep < kSlicedReps; ++rep) {
+        // The probed and the bare run take turns going first, so neither
+        // always inherits the other's warm caches.
+        if (rep % 2 == 1) time_bare();
         sim::Simulator ts(*syn.design, sim::Simulator::Mode::BitSliced);
         sim::PowerProbe ts_probe(attr.energy_model());
         ts.set_power_probe(&ts_probe);
@@ -329,6 +358,7 @@ int main() {
         ts_res = ts.run_time_sliced(stream, b.graph->inputs(),
                                     b.graph->outputs());
         ts_samples.push_back(seconds_since(t0));
+        if (rep % 2 == 0) time_bare();
 
         sim::Simulator sc(*syn.design);
         sim::PowerProbe sc_probe(attr.energy_model());
@@ -342,6 +372,7 @@ int main() {
         }
       }
       row.sliced = RunStats::from_samples(std::move(ts_samples));
+      row.bare = RunStats::from_samples(std::move(bare_samples));
       row.scalar = RunStats::from_samples(std::move(sc_samples));
       if (!identical(ts_res, sc_res) || ts_bits != sc_bits) {
         std::fprintf(stderr,
@@ -351,6 +382,7 @@ int main() {
         ok = false;
       }
       total_ts_s += row.sliced.pct50;
+      total_ts_bare_s += row.bare.pct50;
       total_scalar_s += row.scalar.pct50;
       trows.push_back(row);
     }
@@ -363,12 +395,22 @@ int main() {
                  time_sliced_speedup, total_scalar_s, total_ts_s);
     ok = false;
   }
+  const double time_sliced_probe = total_ts_s / total_ts_bare_s;
+  if (time_sliced_probe > kProbeOverheadCeiling) {
+    std::fprintf(stderr,
+                 "FATAL: the probe costs %.2fx the time-sliced run it rides "
+                 "on, above the %.1fx ceiling (pct50 %.4fs with / %.4fs "
+                 "without)\n",
+                 time_sliced_probe, kProbeOverheadCeiling, total_ts_s,
+                 total_ts_bare_s);
+    ok = false;
+  }
 
   // --- bundle leg: 2 streams x 32 time chunks vs the lockstep pass -------
   constexpr std::size_t kBundleStreams = 2;
   constexpr std::size_t kBundleComputations = 1200;
   std::vector<BundleRow> brows;
-  double total_bundle_s = 0, total_lockstep_s = 0;
+  double total_bundle_s = 0, total_lockstep_s = 0, total_bundle_bare_s = 0;
   std::printf("\n=== time-sliced bundles: %zu streams x %zu computations, "
               "bundle run_time_sliced vs lockstep run_sliced, power probe "
               "attached ===\n\n",
@@ -389,8 +431,15 @@ int main() {
       row.num_clocks = n;
       std::vector<sim::SimResult> ts_res, ls_res;
       std::vector<std::uint64_t> ts_bits, ls_bits;
-      std::vector<double> ts_samples, ls_samples;
-      for (int rep = 0; rep < kReps; ++rep) {
+      std::vector<double> ts_samples, bare_samples, ls_samples;
+      auto time_bare = [&] {
+        sim::Simulator bare(*syn.design, sim::Simulator::Mode::BitSliced);
+        const auto t0 = std::chrono::steady_clock::now();
+        bare.run_time_sliced(bundle, b.graph->inputs(), b.graph->outputs());
+        bare_samples.push_back(seconds_since(t0));
+      };
+      for (int rep = 0; rep < kSlicedReps; ++rep) {
+        if (rep % 2 == 1) time_bare();
         sim::Simulator ts(*syn.design, sim::Simulator::Mode::BitSliced);
         sim::PowerProbe ts_probe(attr.energy_model());
         ts.set_power_probe(&ts_probe);
@@ -398,6 +447,7 @@ int main() {
         ts_res = ts.run_time_sliced(bundle, b.graph->inputs(),
                                     b.graph->outputs());
         ts_samples.push_back(seconds_since(t0));
+        if (rep % 2 == 0) time_bare();
 
         sim::Simulator ls(*syn.design, sim::Simulator::Mode::BitSliced);
         sim::PowerProbe ls_probe(attr.energy_model());
@@ -411,6 +461,7 @@ int main() {
         }
       }
       row.sliced = RunStats::from_samples(std::move(ts_samples));
+      row.bare = RunStats::from_samples(std::move(bare_samples));
       row.lockstep = RunStats::from_samples(std::move(ls_samples));
       bool same = ts_res.size() == ls_res.size() && ts_bits == ls_bits;
       for (std::size_t s = 0; same && s < ts_res.size(); ++s) {
@@ -424,6 +475,7 @@ int main() {
         ok = false;
       }
       total_bundle_s += row.sliced.pct50;
+      total_bundle_bare_s += row.bare.pct50;
       total_lockstep_s += row.lockstep.pct50;
       brows.push_back(row);
     }
@@ -434,6 +486,16 @@ int main() {
                  "FATAL: time-sliced bundle speedup %.2fx is below the 4x "
                  "floor (lockstep pct50 %.3fs / bundle pct50 %.3fs)\n",
                  bundle_speedup, total_lockstep_s, total_bundle_s);
+    ok = false;
+  }
+  const double bundle_probe = total_bundle_s / total_bundle_bare_s;
+  if (bundle_probe > kBundleProbeOverheadCeiling) {
+    std::fprintf(stderr,
+                 "FATAL: the probe costs %.2fx the time-sliced bundle it "
+                 "rides on, above the %.1fx ceiling (pct50 %.4fs with / "
+                 "%.4fs without)\n",
+                 bundle_probe, kBundleProbeOverheadCeiling, total_bundle_s,
+                 total_bundle_bare_s);
     ok = false;
   }
 
@@ -467,29 +529,37 @@ int main() {
               batch_speedup);
 
   std::printf("\n");
-  TextTable tt({"bench", "n", "time-sliced pct50", "scalar pct50",
-                "speedup"});
+  TextTable tt({"bench", "n", "time-sliced pct50", "no-probe pct50",
+                "scalar pct50", "speedup"});
   for (const auto& r : trows) {
     tt.add_row({r.bench, std::to_string(r.num_clocks),
                 format_fixed(r.sliced.pct50 * 1e3, 2) + "ms",
+                format_fixed(r.bare.pct50 * 1e3, 2) + "ms",
                 format_fixed(r.scalar.pct50 * 1e3, 2) + "ms",
                 format_fixed(r.speedup(), 2) + "x"});
   }
   std::fputs(tt.render().c_str(), stdout);
   std::printf("\ntime-sliced speedup (aggregate): %.2fx (floor 4x)\n",
               time_sliced_speedup);
+  std::printf("probe cost at S = 1 (aggregate): %.2fx (ceiling %.1fx)\n",
+              time_sliced_probe, kProbeOverheadCeiling);
 
   std::printf("\n");
-  TextTable bt({"bench", "n", "bundle pct50", "lockstep pct50", "speedup"});
+  TextTable bt({"bench", "n", "bundle pct50", "no-probe pct50",
+                "lockstep pct50", "speedup"});
   for (const auto& r : brows) {
     bt.add_row({r.bench, std::to_string(r.num_clocks),
                 format_fixed(r.sliced.pct50 * 1e3, 2) + "ms",
+                format_fixed(r.bare.pct50 * 1e3, 2) + "ms",
                 format_fixed(r.lockstep.pct50 * 1e3, 2) + "ms",
                 format_fixed(r.speedup(), 2) + "x"});
   }
   std::fputs(bt.render().c_str(), stdout);
   std::printf("\ntime-sliced bundle speedup (aggregate): %.2fx (floor 4x)\n",
               bundle_speedup);
+  std::printf("probe cost for the S = 2 bundle (aggregate): %.2fx (ceiling "
+              "%.1fx)\n",
+              bundle_probe, kBundleProbeOverheadCeiling);
 
   {
     std::ofstream js("BENCH_sim.json");
@@ -541,15 +611,20 @@ int main() {
     js << "  ]},\n  \"time_sliced\": {\"computations\": "
        << kTimeSlicedComputations
        << ", \"speedup\": " << time_sliced_speedup
-       << ", \"speedup_floor\": 4.0,\n  \"configs\": [\n";
+       << ", \"speedup_floor\": 4.0,\n  \"probe_overhead\": "
+       << time_sliced_probe << ", \"probe_overhead_ceiling\": "
+       << kProbeOverheadCeiling << ",\n  \"configs\": [\n";
     for (std::size_t i = 0; i < trows.size(); ++i) {
       const auto& r = trows[i];
       js << "    {\"bench\": \"" << r.bench
          << "\", \"num_clocks\": " << r.num_clocks
          << ", \"sliced_seconds\": " << r.sliced.pct50
+         << ", \"bare_seconds\": " << r.bare.pct50
          << ", \"scalar_seconds\": " << r.scalar.pct50
          << ",\n     \"sliced_timing\": {";
       emit_timing(js, r.sliced);
+      js << "}, \"bare_timing\": {";
+      emit_timing(js, r.bare);
       js << "}, \"scalar_timing\": {";
       emit_timing(js, r.scalar);
       js << "},\n     \"speedup\": " << r.speedup() << "}"
@@ -558,15 +633,20 @@ int main() {
     js << "  ]},\n  \"bundle_sliced\": {\"streams\": " << kBundleStreams
        << ", \"computations\": " << kBundleComputations
        << ", \"speedup\": " << bundle_speedup
-       << ", \"speedup_floor\": 4.0,\n  \"configs\": [\n";
+       << ", \"speedup_floor\": 4.0,\n  \"probe_overhead\": " << bundle_probe
+       << ", \"probe_overhead_ceiling\": " << kBundleProbeOverheadCeiling
+       << ",\n  \"configs\": [\n";
     for (std::size_t i = 0; i < brows.size(); ++i) {
       const auto& r = brows[i];
       js << "    {\"bench\": \"" << r.bench
          << "\", \"num_clocks\": " << r.num_clocks
          << ", \"sliced_seconds\": " << r.sliced.pct50
+         << ", \"bare_seconds\": " << r.bare.pct50
          << ", \"lockstep_seconds\": " << r.lockstep.pct50
          << ",\n     \"sliced_timing\": {";
       emit_timing(js, r.sliced);
+      js << "}, \"bare_timing\": {";
+      emit_timing(js, r.bare);
       js << "}, \"lockstep_timing\": {";
       emit_timing(js, r.lockstep);
       js << "},\n     \"speedup\": " << r.speedup() << "}"
@@ -578,7 +658,8 @@ int main() {
           "batch speedup (pct50) >= 8x; time-sliced results and waveform "
           "bit-identical to scalar; time-sliced speedup (pct50) >= 4x; "
           "time-sliced bundle results and waveform bit-identical to "
-          "lockstep; bundle speedup (pct50) >= 4x\"\n}\n";
+          "lockstep; bundle speedup (pct50) >= 4x; probe cost (pct50 with "
+          "/ without) <= 2.5x at S = 1 and <= 2x for the S = 2 bundle\"\n}\n";
   }
   std::printf(
       "\nwrote BENCH_sim.json (%zu + %zu + %zu + %zu configs), guard %s\n",

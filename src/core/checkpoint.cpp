@@ -106,7 +106,7 @@ std::uint64_t measurement_fingerprint(const dfg::Graph& graph,
                                       std::uint64_t seed, std::size_t streams,
                                       const power::PowerParams& params) {
   std::ostringstream os;
-  os << "mcrtl-explorer-v2\n" << dfg::serialize_dfg(graph, &sched) << '\n'
+  os << "mcrtl-explorer-v3\n" << dfg::serialize_dfg(graph, &sched) << '\n'
      << computations << ' ' << seed << ' ' << streams << ' '
      << encode_double(params.vdd) << ' ' << encode_double(params.f_master)
      << ' ' << encode_double(params.leakage_mw_per_mlambda2) << ' '

@@ -50,7 +50,10 @@ class JournalMismatchError : public Error {
 /// sweep. The checkpoint fingerprint builds on it; the search layer's
 /// result cache keys each point on measurement_fingerprint ⊕
 /// config_hash(options), which is why a cached row stays valid across
-/// overlapping sweeps.
+/// overlapping sweeps. Its salt names the measurement's definition: v3 is
+/// the class-weighted power probe, whose crest differs from v2's in the
+/// last bits, so journals and caches of older measurements go stale and
+/// are measured again instead of replayed.
 std::uint64_t measurement_fingerprint(const dfg::Graph& graph,
                                       const dfg::Schedule& sched,
                                       std::size_t computations,

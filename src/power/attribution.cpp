@@ -54,6 +54,12 @@ Attribution::Attribution(const rtl::Design& design, const TechLibrary& tech,
     const int part = nl.comp(net.driver).partition;
     model_.net_domain[i] = part > 0 ? static_cast<std::uint32_t>(part) : 0;
   }
+  model_.net_controller.assign(nl.num_nets(), 0);
+  for (const auto& c : nl.components()) {
+    if (c.kind == CompKind::ControlSource || c.kind == CompKind::Constant) {
+      model_.net_controller[c.output.index()] = 1;
+    }
+  }
 
   model_.storage_clock_fj.assign(nl.num_components(), 0.0);
   model_.storage_domain.assign(nl.num_components(), 0);

@@ -25,8 +25,10 @@
 //    exactly one row.
 //
 // For time-resolved views, `energy_model()` exports the same weights as a
-// sim::EnergyModel, which a sim::PowerProbe folds into per-step, per-domain
-// energies while the simulator runs (see sim/power_probe.hpp) — the probe's
+// sim::EnergyModel, plus which nets the controller or a constant drives,
+// and a sim::PowerProbe weighs each step's per-class event counts into
+// per-domain energies while the simulator runs (see sim/power_probe.hpp) —
+// the probe's
 // whole-run totals agree with attribute() on the same Activity to FP
 // rounding. `publish_power_tracks()` turns a probe's waveform into obs
 // counter tracks so the per-domain power shows up as counter series in the

@@ -324,7 +324,7 @@ SimResult Simulator::run_scalar(const InputStream& stream,
       // 5. combinational wave from the new storage outputs.
       settle(act, true);
       ++act.steps;
-      if (probe_) probe_->end_step(t);
+      if (probe_) probe_->end_step();
       if (observer_) observer_(act.steps, net_value_);
       // Sample primary outputs at the end of schedule step T.
       if (t == T) {

@@ -36,7 +36,17 @@
 // pulses are controller-driven and therefore identical across lanes — they
 // are counted once per master period and scaled by each lane's counted
 // computations.
+//
+// An attached PowerProbe counts integer events per energy class
+// (sim/power_probe.hpp). Lockstep passes give it one aggregate row per
+// step; a time-sliced pass keeps one row per group of lanes at the same
+// step: a bit-sliced per-lane counter per data class, sized by a static
+// per-step bound, is weighed into the group rows of the probe's record
+// when the step closes, after the controller classes' row, which is the
+// same for every step t of every period and is weighed once per pass.
 #include <algorithm>
+#include <array>
+#include <bit>
 #include <cstring>
 #include <initializer_list>
 
@@ -81,11 +91,16 @@ inline std::uint64_t lanes_total(const std::uint64_t* planes, unsigned k) {
   return total;
 }
 
-/// Bit i of `b` (0..255) moved to bit 0 of byte i.
-inline std::uint64_t spread_bits_to_bytes(std::uint64_t b) {
-  const std::uint64_t x = (b * 0x0101010101010101ULL) & 0x8040201008040201ULL;
-  return (((x + 0x7F7F7F7F7F7F7F7FULL) | x) & 0x8080808080808080ULL) >> 7;
-}
+/// Entry b: bit i of `b` (0..255) moved to bit 0 of byte i.
+constexpr auto kSpreadBytes = [] {
+  std::array<std::uint64_t, 256> t{};
+  for (unsigned b = 0; b < 256; ++b) {
+    for (unsigned i = 0; i < 8; ++i) {
+      t[b] |= std::uint64_t{(b >> i) & 1} << (8 * i);
+    }
+  }
+  return t;
+}();
 
 /// The bit-sliced per-lane toggle counts of one write
 /// (slice_popcount_planes); k == 0 when no counted lane toggled.
@@ -139,10 +154,10 @@ class SlicedKernel {
  public:
   /// `local_comps` computations per lane; lane l belongs to stream
   /// l % `streams`, and the `streams` lanes of one chunk form a group.
-  /// `time_sliced` gives an attached PowerProbe exact per-group rows
-  /// (stitched by results()) instead of one aggregate row across lanes —
-  /// the same thing when there is one group. Per-stream heatmaps go to
-  /// `heatmaps` (nullptr = not collected).
+  /// `time_sliced` gives an attached PowerProbe one row per group and step
+  /// (put at the group's place in time) instead of one aggregate row across
+  /// lanes — the same thing when there is one group. Per-stream heatmaps go
+  /// to `heatmaps` (nullptr = not collected).
   SlicedKernel(Simulator& sim, std::vector<SliceLane> lanes,
                std::size_t local_comps, std::size_t streams, bool time_sliced,
                std::vector<PhaseHeatmap>* heatmaps)
@@ -172,15 +187,11 @@ class SlicedKernel {
         storage_counters_(nl_.num_components() * depth_, 0),
         uniform_(nl_.num_nets(), 0),
         uniform_scalar_(nl_.num_nets(), 0),
-        // A component holds at most one entry per group at a time (each
-        // entry claims lanes no earlier one did), one in all without a
-        // per-group probe.
-        slots_(per_group_probe_ ? groups_ : 1),
-        queue_(tab_.comb_order.size() * slots_),
+        queue_(tab_.comb_order.size()),
         bucket_end_(tab_.depth()),
         queued_(nl_.num_components(), 0) {
     for (std::size_t l = 0; l < bucket_end_.size(); ++l) {
-      bucket_end_[l] = queue_.data() + tab_.level_offset[l] * slots_;
+      bucket_end_[l] = queue_.data() + tab_.level_offset[l];
     }
     for (const auto& net : nl_.nets()) {
       const CompKind k = nl_.comp(net.driver).kind;
@@ -202,32 +213,14 @@ class SlicedKernel {
         count_mask_[g - lane.first] |= std::uint64_t{1} << l;
       }
     }
-    if (per_group_probe_) {
-      // Field masks of the groups (lanes k·S .. k·S+S-1): each field's top
-      // lane, and its other lanes.
-      for (std::size_t g = 0; g < groups_; ++g) {
-        const std::size_t lo = g * streams_;
-        group_top_ |= std::uint64_t{1} << (lo + streams_ - 1);
-        group_rest_ |= ((std::uint64_t{1} << (streams_ - 1)) - 1) << lo;
-      }
-      const EnergyModel& m = sim.probe_->model();
-      domains_ = static_cast<std::size_t>(m.num_domains) + 1;
-      group_row_.assign(domains_ * 64, 0.0);
-      eval_gen_.assign(nl_.num_components(), 0);
-      comp_changed_.assign(nl_.num_components(), 0);
-      comp_sums_.resize(nl_.num_components());
-      waveform_.resize(computations_ *
-                       static_cast<std::size_t>(design_.clocks.period()) *
-                       domains_);
-    }
+    if (per_group_probe_) init_group_probe(*sim.probe_);
   }
 
   /// Simulate every lane for `local_comps` computations.
   void simulate(const std::vector<dfg::ValueId>& input_order,
                 const std::vector<dfg::ValueId>& output_order);
   /// One SimResult per stream: its lanes' counted records concatenated in
-  /// lane (= time) order, plus the per-stream heatmaps and, for a
-  /// time-sliced pass, the stitched probe waveform.
+  /// lane (= time) order, plus the per-stream heatmaps.
   std::vector<SimResult> results();
 
  private:
@@ -245,66 +238,47 @@ class SlicedKernel {
     return uniform_scalar_[net.index()];
   }
 
-  // The worklist holds (component, lanes) entries, whole groups at a time.
-  // A component is queued for a group at the first write that changes one
-  // of its inputs in any lane of that group, so the entries carrying group
-  // k are in exactly the order a lockstep run of the group's S streams
-  // (for S = 1, the scalar kernel) would pop them. It is evaluated once, at
-  // its first entry; each entry then publishes the write for its own
-  // groups — which puts every group's probe additions in the lockstep event
-  // order. Without a per-group probe the order is irrelevant and every
-  // component gets a single all-lanes entry.
-  struct Entry {
-    CompId cid;
-    std::uint64_t lanes;
-  };
-  /// `lanes` widened to every group it touches: a carry out of each
-  /// field's lower lanes, ORed with its top lane, marks the nonzero fields
-  /// on their top lane; subtracting the field's bottom lane fills it.
-  std::uint64_t whole_groups(std::uint64_t lanes) const {
-    const std::uint64_t top =
-        (((lanes & group_rest_) + group_rest_) | lanes) & group_top_;
-    return top | (top - (top >> (streams_ - 1)));
-  }
-  void mark_fanout_dirty(NetId net, std::uint64_t lanes) {
-    if (!per_group_probe_) {
-      lanes = lane_mask_;
-    } else if (streams_ > 1) {
-      lanes = whole_groups(lanes);
-    }
+  // The worklist holds one all-lanes entry per queued component: a
+  // component is queued at the first write that changes one of its inputs
+  // in any lane. The probe counts integer toggles per energy class, so the
+  // order in which lanes meet their events does not matter.
+  void mark_fanout_dirty(NetId net) {
     for (CompId cid : tab_.fanout[net.index()]) {
-      const std::uint64_t fresh = lanes & ~queued_[cid.index()];
-      if (fresh == 0) continue;
-      queued_[cid.index()] |= fresh;
-      enqueue({cid, fresh});
+      if (queued_[cid.index()] != 0) continue;
+      queued_[cid.index()] = 1;
+      enqueue(cid);
     }
   }
   void mark_all_dirty() {
     for (CompId cid : tab_.comb_order) {
       if (queued_[cid.index()] != 0) continue;
-      queued_[cid.index()] = lane_mask_;
-      enqueue({cid, lane_mask_});
+      queued_[cid.index()] = 1;
+      enqueue(cid);
     }
   }
-  void enqueue(Entry e) {
-    const auto l = static_cast<std::size_t>(tab_.level[e.cid.index()]);
-    *bucket_end_[l]++ = e;
+  void enqueue(CompId cid) {
+    const auto l = static_cast<std::size_t>(tab_.level[cid.index()]);
+    *bucket_end_[l]++ = cid;
     ++pending_;
   }
 
   /// Count one write's toggles — `diff`, `w` planes masked to the counted
   /// lanes, not all zero — into `counters` and leave the per-lane sums the
   /// probe reads in `sums` (k == 0 when no probe needs them). Plain totals
-  /// take w popcounts; vertical counters add the bit-sliced per-lane sums.
+  /// take the popcounts of the planes (of the sums, when a probe needs
+  /// those anyway); vertical counters add the bit-sliced per-lane sums.
   void count_toggles(const std::uint64_t* diff, unsigned w,
                      std::initializer_list<std::uint64_t*> counters,
                      LaneSums& sums) {
     if (totals_) {
       std::uint64_t total = 0;
-      for (unsigned b = 0; b < w; ++b) total += popcount64(diff[b]);
+      if (sim_.probe_ != nullptr) {
+        sums.k = slice_popcount_planes(diff, w, sums.p);
+        total = lanes_total(sums.p, sums.k);
+      } else {
+        for (unsigned b = 0; b < w; ++b) total += popcount64(diff[b]);
+      }
       for (std::uint64_t* c : counters) *c += total;
-      sums.k = sim_.probe_ != nullptr ? slice_popcount_planes(diff, w, sums.p)
-                                      : 0;
       return;
     }
     sums.k = slice_popcount_planes(diff, w, sums.p);
@@ -339,87 +313,45 @@ class SlicedKernel {
     return any;
   }
 
-  /// Fold a write's counted toggles of `lanes` into the attached probe:
-  /// one add of fj × (the group's toggle count) per group, as a lockstep
-  /// run of the group's streams adds fj × (its total across lanes).
-  void probe_net(NetId net, const LaneSums& s, std::uint64_t lanes) {
+  /// Count a write's counted toggles into the attached probe: their total
+  /// across lanes for an aggregate row, else into the per-lane counter of
+  /// the net's (data) energy class, weighed when the step closes.
+  void probe_net(NetId net, const LaneSums& s) {
     if (s.k == 0 || sim_.probe_ == nullptr) return;
     if (!per_group_probe_) {
       sim_.probe_->add_net(net.index(), lanes_total(s.p, s.k));
       return;
     }
-    const EnergyModel& m = sim_.probe_->model();
-    const double fj = m.net_fj[net.index()];
-    double* row = group_row_.data() + m.net_domain[net.index()] * 64;
-    // Spread the bit-sliced sums into one count byte per lane, eight lanes
-    // per word, then add fj x count to every group's row; fj x 0 adds
-    // nothing. With one lane per group the loop vectorizes.
-    std::uint64_t words[8] = {};
-    for (unsigned j = 0; j < s.k; ++j) {
-      const std::uint64_t p = s.p[j] & lanes;
-      for (unsigned g = 0; g < 8; ++g) {
-        words[g] |= spread_bits_to_bytes((p >> (8 * g)) & 0xFF) << j;
-      }
-    }
-    std::uint8_t cnt[64];
-    for (unsigned g = 0; g < 8; ++g) {
-      for (unsigned i = 0; i < 8; ++i) {
-        cnt[8 * g + i] = static_cast<std::uint8_t>(words[g] >> (8 * i));
-      }
-    }
-    if (streams_ == 1) {
-      for (unsigned l = 0; l < 64; ++l) {
-        row[l] += fj * static_cast<double>(cnt[l]);
-      }
-      return;
-    }
-    for (std::size_t g = 0; g < groups_; ++g) {
-      unsigned total = 0;
-      for (std::size_t l = g * streams_; l < (g + 1) * streams_; ++l) {
-        total += cnt[l];
-      }
-      row[g] += fj * static_cast<double>(total);
-    }
-  }
-  /// Add `events` controller-driven events of `fj` each in `domain` to
-  /// every group — fj × events, the lockstep kernel's product.
-  void probe_every_group(std::uint32_t domain, double fj,
-                         std::uint64_t events) {
-    const double e = fj * static_cast<double>(events);
-    double* row = group_row_.data() + static_cast<std::size_t>(domain) * 64;
-    for (unsigned g = 0; g < 64; ++g) row[g] += e;
+    const std::uint32_t c = sim_.probe_->net_class(net.index());
+    const DataClass& dc = classes_[c - first_data_];
+    MCRTL_CHECK_MSG(slice_counter_add(class_counters_.data() + dc.offset,
+                                      dc.depth, s.p, s.k),
+                    "bit-sliced class counter overflow");
+    touched_[c / 64] |= std::uint64_t{1} << (c % 64);
   }
 
   /// The generic write of every control/input/preamble write: commit,
   /// probe, dirty the fanout.
   void write_net(NetId net, const std::uint64_t* val, std::uint64_t count) {
     LaneSums sums;
-    const std::uint64_t changed = commit(net, val, count, sums);
-    if (changed == 0) return;
-    probe_net(net, sums, lane_mask_);
-    mark_fanout_dirty(net, changed);
+    if (commit(net, val, count, sums) == 0) return;
+    probe_net(net, sums);
+    mark_fanout_dirty(net);
   }
 
   /// Write a controller line or constant: the same word in every lane.
   void write_broadcast(NetId net, std::uint64_t value, std::uint64_t count) {
     std::uint64_t buf[64];
     slice_broadcast(value, width(net), buf);
-    const std::uint64_t old = uniform_scalar_[net.index()];
     uniform_scalar_[net.index()] = truncate(value, width(net));
     LaneSums sums;
-    const std::uint64_t changed = commit(net, buf, count, sums);
-    if (changed == 0) return;
-    if (per_group_probe_ && sums.k != 0) {
-      // Every lane flips the same bits: one constant add per group of its
-      // lanes' total, flips × S.
-      const EnergyModel& m = sim_.probe_->model();
-      probe_every_group(
-          m.net_domain[net.index()], m.net_fj[net.index()],
-          popcount64(old ^ uniform_scalar_[net.index()]) * streams_);
-    } else {
-      probe_net(net, sums, lane_mask_);
+    if (commit(net, buf, count, sums) == 0) return;
+    // A controller class is weighed from the static per-step schedule.
+    if (!per_group_probe_ ||
+        sim_.probe_->net_class(net.index()) >= first_data_) {
+      probe_net(net, sums);
     }
-    mark_fanout_dirty(net, changed);
+    mark_fanout_dirty(net);
   }
 
   void eval_op_sliced(dfg::Op op, const std::uint64_t* a,
@@ -431,19 +363,20 @@ class SlicedKernel {
   void settle(std::uint64_t count);
   /// Present local computation `comp`'s inputs in every lane.
   void apply_inputs(std::size_t comp, std::uint64_t count);
-  /// Move the open rows of the counted groups to their place in the
-  /// stitched waveform and start the next step's rows at zero.
-  void close_group_rows(std::uint64_t count) {
-    for (std::size_t g = 0; g < groups_; ++g) {
-      if (((count >> (g * streams_)) & 1) == 0) continue;
-      double* dst = group_dst_[g];
-      for (std::size_t d = 0; d < domains_; ++d) {
-        dst[d] = group_row_[d * 64 + g];
-      }
-      group_dst_[g] = dst + domains_;
-    }
-    std::fill(group_row_.begin(), group_row_.end(), 0.0);
-  }
+  /// Size one bit-sliced per-lane counter per data class of `probe`, deep
+  /// enough for any step: a net is written at most twice per step, each
+  /// write flipping at most its width. Weigh the controller classes' row
+  /// of every period step.
+  void init_group_probe(PowerProbe& probe);
+  /// Move per-lane counts out of a data class counter of `depth` planes
+  /// into `cnt`, clearing the counter.
+  static void unpack_counts(std::uint64_t* counter, unsigned depth,
+                            std::int32_t cnt[64]);
+  /// Close step t (1..P) of local computation `comp` for the per-group
+  /// probe: weigh the controller classes once and add fj × (the group's
+  /// count) of every touched data class to the group rows, which are the
+  /// step's rows of the probe's record.
+  void close_group_rows(std::size_t comp, int t);
   /// `computations` counted master periods' controller-driven records —
   /// clock events, phase pulses, steps — with zeroed toggle counts.
   Activity periods_activity(std::uint64_t computations) const;
@@ -472,8 +405,6 @@ class SlicedKernel {
   const bool per_group_probe_;
   std::vector<PhaseHeatmap>* const heatmaps_;
   std::vector<std::uint64_t> count_mask_;  // by local computation
-  std::uint64_t group_top_ = 0;   // top lane of every group
-  std::uint64_t group_rest_ = 0;  // the other lanes of every group
 
   std::vector<std::uint64_t> net_counters_;      // num_nets x depth_
   std::vector<std::uint64_t> storage_counters_;  // num_comps x depth_
@@ -483,29 +414,32 @@ class SlicedKernel {
   std::vector<std::uint64_t> capture_buf_;       // D planes, read-before-write
 
   // The worklist, bucketed by level in one array: level L's entries fill
-  // queue_[level_offset[L]·slots_ .. bucket_end_[L]) in enqueue order.
-  const std::size_t slots_;                     // entries per component
-  std::vector<Entry> queue_;
-  std::vector<Entry*> bucket_end_;              // by level
+  // queue_[level_offset[L] .. bucket_end_[L]) in enqueue order.
+  std::vector<CompId> queue_;
+  std::vector<CompId*> bucket_end_;             // by level
   std::size_t pending_ = 0;
-  std::vector<std::uint64_t> queued_;           // by CompId: lanes queued
-  std::uint32_t gen_ = 0;                       // settle generation
-  // Per-group probe only: the write of a component evaluated at its first
-  // entry, published by its later entries.
-  std::vector<std::uint32_t> eval_gen_;         // by CompId: last evaluated
-  std::vector<std::uint64_t> comp_changed_;     // by CompId: changed lanes
-  std::vector<LaneSums> comp_sums_;             // by CompId: counted toggles
+  std::vector<std::uint8_t> queued_;            // by CompId
 
   // Sampled outputs, one table per stream (moved into its SimResult): row
-  // g for computation g, written by whichever lane counts it. Per-group
-  // probe state: the open rows of the current step (domain-major, 64 group
-  // slots per domain), the stitched waveform (rows of counted steps in
-  // stream order) and each group's next row in it.
+  // g for computation g, written by whichever lane counts it.
   std::vector<WordTable> samples_;
+
+  // Per-group probe state. Data class c (c >= first_data_) counts into
+  // class_counters_[offset .. offset + depth); touched_ flags the classes
+  // counted in the open step. While a step closes, a domain's group slots
+  // in the record are valid once row_init_ says so, else they hold the
+  // step's controller row.
+  struct DataClass {
+    std::size_t offset = 0;
+    unsigned depth = 0;
+  };
+  std::size_t first_data_ = 0;
+  std::vector<DataClass> classes_;
+  std::vector<std::uint64_t> class_counters_;
+  std::vector<std::uint64_t> touched_;
   std::size_t domains_ = 0;
-  std::vector<double> group_row_;
-  std::vector<double> waveform_;
-  double* group_dst_[64] = {};
+  std::vector<double> ctrl_rows_;  // P × domains_: each step's controller row
+  std::vector<std::uint8_t> row_init_;
 
   std::vector<std::pair<NetId, unsigned>> sliced_in_ports_;  // (net, width)
   /// A run of consecutive input ports whose widths sum to <= 64, packed by
@@ -519,6 +453,157 @@ class SlicedKernel {
   std::vector<unsigned> in_bit_offset_;  // port's bit offset within its chunk
   std::uint64_t plane_evals_ = 0;
 };
+
+void SlicedKernel::init_group_probe(PowerProbe& probe) {
+  domains_ = static_cast<std::size_t>(probe.num_domains()) + 1;
+  row_init_.resize(domains_);
+  first_data_ = probe.num_controller_classes();
+  std::vector<std::uint64_t> bound(probe.num_classes() - first_data_, 0);
+  for (const auto& net : nl_.nets()) {
+    const std::uint32_t c = probe.net_class(net.id.index());
+    if (c >= first_data_) {
+      bound[c - first_data_] += 2 * std::uint64_t{width(net.id)};
+    } else {
+      // Controller classes are weighed from the static schedule, which
+      // only the controller and the constants drive.
+      MCRTL_CHECK_MSG(uniform_[net.id.index()] != 0,
+                      "energy model puts datapath net '"
+                          << net.name << "' in a controller class");
+    }
+  }
+  // Controller-driven events are the same in every lane and every period:
+  // weigh each step's once, for a group of S lanes.
+  const int P = design_.clocks.period();
+  ctrl_rows_.resize(static_cast<std::size_t>(P) * domains_);
+  std::vector<std::uint64_t> line(nl_.num_nets(), 0);
+  const auto lines = tab_.lines_at(P);
+  for (std::size_t i = 0; i < lines.size(); ++i) {
+    line[tab_.line_net[i].index()] = lines[i];
+  }
+  for (int t = 1; t <= P; ++t) {
+    const auto ts = static_cast<std::size_t>(t);
+    for (const auto& w : tab_.step_writes[ts]) {
+      const std::uint64_t value = truncate(w.value, width(w.net));
+      if (probe.net_class(w.net.index()) < first_data_) {
+        probe.add_net(w.net.index(),
+                      popcount64(line[w.net.index()] ^ value) * streams_);
+      }
+      line[w.net.index()] = value;
+    }
+    probe.add_phase_pulse(tab_.phase_by_step[ts], streams_);
+    for (CompId cid : tab_.edge_clock_events[ts]) {
+      probe.add_storage_clock(cid.index(), streams_);
+    }
+    probe.weigh_counts(ctrl_rows_.data() + (ts - 1) * domains_, first_data_);
+  }
+  classes_.resize(bound.size());
+  std::size_t offset = 0;
+  for (std::size_t i = 0; i < bound.size(); ++i) {
+    classes_[i].offset = offset;
+    classes_[i].depth =
+        std::max(1u, static_cast<unsigned>(std::bit_width(bound[i])));
+    offset += classes_[i].depth;
+  }
+  class_counters_.assign(offset, 0);
+  touched_.assign((probe.num_classes() + 63) / 64, 0);
+}
+
+void SlicedKernel::close_group_rows(std::size_t comp, int t) {
+  PowerProbe& probe = *sim_.probe_;
+  // Step t's rows in the record: domain-major, G group slots per domain,
+  // then the slots' totals.
+  const std::size_t G = groups_;
+  double* const rows = probe.sliced_block(comp) +
+                       static_cast<std::size_t>(t - 1) * (domains_ + 1) * G;
+  const double* const ctrl_row =
+      ctrl_rows_.data() + static_cast<std::size_t>(t - 1) * domains_;
+  std::fill(row_init_.begin(), row_init_.end(), 0);
+  for (std::size_t w = 0; w < touched_.size(); ++w) {
+    for (std::uint64_t bits = touched_[w]; bits != 0; bits &= bits - 1) {
+      const std::size_t c =
+          w * 64 + static_cast<unsigned>(std::countr_zero(bits));
+      const DataClass& dc = classes_[c - first_data_];
+      std::int32_t cnt[64];
+      unpack_counts(class_counters_.data() + dc.offset, dc.depth, cnt);
+      if (streams_ > 1) {
+        for (std::size_t g = 0; g < G; ++g) {
+          std::int32_t total = 0;
+          for (std::size_t l = g * streams_; l < (g + 1) * streams_; ++l) {
+            total += cnt[l];
+          }
+          cnt[g] = total;
+        }
+      }
+      // fj × count in every group slot, after the controller classes of
+      // the domain and the data classes before this one.
+      const double fj = probe.class_fj(c);
+      const std::uint32_t d = probe.class_domain(c);
+      double* const row = rows + d * G;
+      if (row_init_[d] == 0) {
+        row_init_[d] = 1;
+        const double base = ctrl_row[d];
+        for (std::size_t g = 0; g < G; ++g) {
+          row[g] = base + fj * static_cast<double>(cnt[g]);
+        }
+      } else {
+        for (std::size_t g = 0; g < G; ++g) {
+          row[g] += fj * static_cast<double>(cnt[g]);
+        }
+      }
+    }
+    touched_[w] = 0;
+  }
+  for (std::size_t d = 0; d < domains_; ++d) {
+    if (row_init_[d] == 0) std::fill(rows + d * G, rows + d * G + G, ctrl_row[d]);
+  }
+  // Every slot's total in domain order (0.0 + x == x).
+  double* const totals = rows + domains_ * G;
+  std::copy(rows, rows + G, totals);
+  for (std::size_t d = 1; d < domains_; ++d) {
+    for (std::size_t g = 0; g < G; ++g) totals[g] += rows[d * G + g];
+  }
+}
+
+void SlicedKernel::unpack_counts(std::uint64_t* counter, unsigned depth,
+                                 std::int32_t cnt[64]) {
+  // Each plane's bits spread into one count byte per lane, eight lanes per
+  // word, eight planes at a time. The counts of a step rarely need more
+  // than four planes, so that case runs a fixed four.
+  std::uint8_t bytes[64];
+  auto spread = [&](const std::uint64_t* planes, unsigned n) {
+    std::uint64_t words[8] = {};
+    for (unsigned j = 0; j < n; ++j) {
+      for (unsigned g = 0; g < 8; ++g) {
+        words[g] |= kSpreadBytes[(planes[j] >> (8 * g)) & 0xFF] << j;
+      }
+    }
+    if constexpr (std::endian::native == std::endian::little) {
+      std::memcpy(bytes, words, sizeof bytes);
+    } else {
+      for (unsigned g = 0; g < 8; ++g) {
+        for (unsigned i = 0; i < 8; ++i) {
+          bytes[8 * g + i] = static_cast<std::uint8_t>(words[g] >> (8 * i));
+        }
+      }
+    }
+  };
+  std::uint64_t high = 0;
+  for (unsigned j = 4; j < depth; ++j) high |= counter[j];
+  if (high == 0) {
+    std::uint64_t planes[4] = {};
+    std::copy(counter, counter + std::min(depth, 4u), planes);
+    std::fill(counter, counter + std::min(depth, 4u), 0);
+    spread(planes, 4);
+    for (unsigned l = 0; l < 64; ++l) cnt[l] = bytes[l];
+    return;
+  }
+  std::fill(cnt, cnt + 64, 0);
+  for (unsigned base = 0; base < depth; base += 8) {
+    spread(counter + base, std::min(depth - base, 8u));
+    for (unsigned l = 0; l < 64; ++l) cnt[l] += std::int32_t{bytes[l]} << base;
+  }
+  std::fill(counter, counter + depth, 0);
+}
 
 void SlicedKernel::eval_op_sliced(dfg::Op op, const std::uint64_t* a,
                                   const std::uint64_t* b, unsigned w,
@@ -676,41 +761,22 @@ void SlicedKernel::settle(std::uint64_t count) {
   ++sim_.kernel_stats_.settles;
   sim_.kernel_stats_.oblivious_evals += tab_.comb_order.size();
   if (pending_ == 0) return;
-  ++gen_;
   std::uint64_t out[64];
   // Evaluating level L only enqueues deeper levels, so a level's fill is
   // final when the sweep reaches it.
   for (std::size_t l = 0; l < bucket_end_.size(); ++l) {
-    Entry* const bucket = queue_.data() + tab_.level_offset[l] * slots_;
+    CompId* const bucket = queue_.data() + tab_.level_offset[l];
     const auto n = static_cast<std::size_t>(bucket_end_[l] - bucket);
     for (std::size_t i = 0; i < n; ++i) {
-      const Entry e = bucket[i];
-      const std::size_t ci = e.cid.index();
-      const rtl::Component& c = comps_[ci];
+      const rtl::Component& c = comps_[bucket[i].index()];
       // Every enqueue of this level happened before the level started.
-      queued_[ci] = 0;
-      if (!per_group_probe_) {  // one all-lanes entry per component
-        ++sim_.kernel_stats_.evals;
-        plane_evals_ += c.width;
-        LaneSums sums;
-        const std::uint64_t changed =
-            commit(c.output, eval_comp(c, out), count, sums);
-        if (changed == 0) continue;
-        probe_net(c.output, sums, lane_mask_);
-        mark_fanout_dirty(c.output, changed);
-        continue;
-      }
-      if (eval_gen_[ci] != gen_) {
-        eval_gen_[ci] = gen_;
-        ++sim_.kernel_stats_.evals;
-        plane_evals_ += c.width;
-        comp_changed_[ci] =
-            commit(c.output, eval_comp(c, out), count, comp_sums_[ci]);
-      }
-      const std::uint64_t changed = comp_changed_[ci] & e.lanes;
-      if (changed == 0) continue;
-      probe_net(c.output, comp_sums_[ci], e.lanes);
-      mark_fanout_dirty(c.output, changed);
+      queued_[bucket[i].index()] = 0;
+      ++sim_.kernel_stats_.evals;
+      plane_evals_ += c.width;
+      LaneSums sums;
+      if (commit(c.output, eval_comp(c, out), count, sums) == 0) continue;
+      probe_net(c.output, sums);
+      mark_fanout_dirty(c.output);
     }
     pending_ -= n;
     bucket_end_[l] = bucket;
@@ -826,8 +892,20 @@ void SlicedKernel::simulate(const std::vector<dfg::ValueId>& input_order,
     heat_counters_.assign(static_cast<std::size_t>(nphases) * P * depth_, 0);
   }
 
+  // One probe record per pass: per-group rows fill the record in the
+  // kernel's own layout, an aggregate row is appended per step.
   PowerProbe* const probe = sim_.probe_;
-  if (probe) probe->reset();  // one probe record per pass
+  if (per_group_probe_) {
+    // Group g is chunk g: its lanes count computations [g·per, (g+1)·per).
+    std::vector<std::size_t> first(groups_);
+    for (std::size_t g = 0; g < groups_; ++g) {
+      first[g] = lanes_[g * streams_].first;
+    }
+    probe->open_sliced(computations_, lanes_.front().count_end,
+                       std::move(first), local_comps_);
+  } else if (probe) {
+    probe->reset();
+  }
 
   // ---- preamble (uncounted), mirroring the scalar run() exactly ----------
   {
@@ -867,13 +945,6 @@ void SlicedKernel::simulate(const std::vector<dfg::ValueId>& input_order,
                          std::to_string(local_comps_) + " computations");
     }
     const std::uint64_t count = count_mask_[comp];
-    if (per_group_probe_) {
-      for (std::size_t g = 0; g < groups_; ++g) {
-        group_dst_[g] = waveform_.data() +
-                        (lanes_[g * streams_].first + comp) *
-                            static_cast<std::size_t>(P) * domains_;
-      }
-    }
     for (int t = 1; t <= P; ++t) {
       for (const auto& w : tab_.step_writes[static_cast<std::size_t>(t)]) {
         write_broadcast(w.net, w.value, count);
@@ -887,17 +958,9 @@ void SlicedKernel::simulate(const std::vector<dfg::ValueId>& input_order,
       const auto clocked = tab_.edge_clock_events[static_cast<std::size_t>(t)];
       // Phase pulses and clock delivery are controller-driven and identical
       // in every lane; their counts come from the per-period schedule at
-      // the end, so only the probe sees them here.
-      if (per_group_probe_) {
-        const EnergyModel& m = probe->model();
-        probe_every_group(static_cast<std::uint32_t>(phase),
-                          m.phase_pulse_fj[static_cast<std::size_t>(phase)],
-                          streams_);
-        for (CompId cid : clocked) {
-          probe_every_group(m.storage_domain[cid.index()],
-                            m.storage_clock_fj[cid.index()], streams_);
-        }
-      } else if (probe) {
+      // the end, so only an aggregate probe row sees them here (group rows
+      // weigh them from the schedule).
+      if (probe && !per_group_probe_) {
         probe->add_phase_pulse(phase, n_);
         for (CompId cid : clocked) probe->add_storage_clock(cid.index(), n_);
       }
@@ -945,14 +1008,14 @@ void SlicedKernel::simulate(const std::vector<dfg::ValueId>& input_order,
           }
         }
         for (unsigned b = 0; b < c.width; ++b) q[b] ^= diff[b];
-        probe_net(c.output, sums, lane_mask_);
-        mark_fanout_dirty(c.output, any);
+        probe_net(c.output, sums);
+        mark_fanout_dirty(c.output);
       }
       settle(count);
       if (per_group_probe_) {
-        close_group_rows(count);
+        close_group_rows(comp, t);
       } else if (probe) {
-        probe->end_step(t);
+        probe->end_step();
       }
       if (t == T) {
         // Each counted lane writes its sample straight to its computation's
@@ -1097,7 +1160,6 @@ std::vector<SimResult> SlicedKernel::results() {
              });
     }
   }
-  if (per_group_probe_) sim_.probe_->assign_steps(std::move(waveform_));
   return results;
 }
 

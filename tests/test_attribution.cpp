@@ -66,7 +66,7 @@ TEST(AttributionTest, ConservesTogglesAndEnergyAcrossSuite) {
   const TechLibrary tech = TechLibrary::cmos08();
   for (const char* name : {"facet", "hal", "biquad", "bandpass"}) {
     const auto b = suite::by_name(name, 4);
-    for (const auto [style, clocks] :
+    for (const auto& [style, clocks] :
          {std::pair{DesignStyle::ConventionalGated, 1},
           std::pair{DesignStyle::MultiClock, 3}}) {
       SCOPED_TRACE(std::string(name) + " clocks=" + std::to_string(clocks));

@@ -48,7 +48,9 @@ TEST(ClockSchemeTest, EveryPhaseFiresEveryNthStep) {
     int prev = -100;
     for (int t = 1; t <= 30; ++t) {
       if (cs.pulses_in_step(p, t)) {
-        if (prev > 0) EXPECT_EQ(t - prev, 3);
+        if (prev > 0) {
+          EXPECT_EQ(t - prev, 3);
+        }
         prev = t;
       }
     }

@@ -17,11 +17,14 @@
 #include <fstream>
 #include <map>
 #include <set>
+#include <sstream>
 #include <string>
 #include <vector>
 
+#include "core/checkpoint.hpp"
 #include "core/record.hpp"
 #include "core/search.hpp"
+#include "dfg/textio.hpp"
 #include "obs/obs.hpp"
 #include "sim/simulator.hpp"
 #include "sim/stimulus.hpp"
@@ -51,9 +54,11 @@ Grid small_grid() {
   g.benches.push_back(suite::facet(3));
   g.benches.push_back(suite::motivating(4));
   g.space.behaviours.push_back(core::SearchBehaviour{
-      "facet/w3", g.benches[0].graph.get(), g.benches[0].schedule.get()});
-  g.space.behaviours.push_back(core::SearchBehaviour{
-      "motivating/w4", g.benches[1].graph.get(), g.benches[1].schedule.get()});
+      "facet/w3", g.benches[0].graph.get(), g.benches[0].schedule.get(), ""});
+  g.space.behaviours.push_back(core::SearchBehaviour{"motivating/w4",
+                                                     g.benches[1].graph.get(),
+                                                     g.benches[1].schedule.get(),
+                                                     ""});
   core::cross_variants(g.space, core::search_variants(3));
   return g;
 }
@@ -579,6 +584,77 @@ TEST(ResultCache, CompactionNeverRewritesAnAllCorruptFile) {
   std::remove(db.c_str());
 }
 
+/// measurement_fingerprint()'s preimage under salt `salt`: the salt line,
+/// the serialized behaviour, then the measurement knobs.
+std::uint64_t salted_fingerprint(const std::string& salt,
+                                 const dfg::Graph& graph,
+                                 const dfg::Schedule& sched,
+                                 const core::SearchConfig& cfg) {
+  using core::record::encode_double;
+  const power::PowerParams& params = cfg.power_params;
+  std::ostringstream os;
+  os << salt << '\n' << dfg::serialize_dfg(graph, &sched) << '\n'
+     << cfg.computations << ' ' << cfg.seed << ' ' << cfg.streams << ' '
+     << encode_double(params.vdd) << ' ' << encode_double(params.f_master)
+     << ' ' << encode_double(params.leakage_mw_per_mlambda2) << ' '
+     << params.include_controller_fsm << '\n';
+  return core::record::fnv1a64(os.str());
+}
+
+TEST(Search, RowsCachedUnderThePreviousMeasurementSaltAreRecomputed) {
+  // The class-weighted power probe moved the last bits of crest, so rows
+  // measured before it ("mcrtl-explorer-v2") must miss and be measured
+  // again rather than replay the old bits.
+  Grid g;
+  g.benches.push_back(suite::motivating(4));
+  g.space.behaviours.push_back(core::SearchBehaviour{"motivating/w4",
+                                                     g.benches[0].graph.get(),
+                                                     g.benches[0].schedule.get(),
+                                                     ""});
+  core::cross_variants(g.space, core::search_variants(3));
+  const dfg::Graph& graph = *g.benches[0].graph;
+  const dfg::Schedule& sched = *g.benches[0].schedule;
+  auto cfg = small_cfg();
+  const std::uint64_t current = core::measurement_fingerprint(
+      graph, sched, cfg.computations, cfg.seed, cfg.streams,
+      cfg.power_params);
+  // The preimage above is the fingerprint's: with the current salt it
+  // reproduces it, so the old salt gives the parent's keys.
+  ASSERT_EQ(salted_fingerprint("mcrtl-explorer-v3", graph, sched, cfg),
+            current);
+  const std::uint64_t previous =
+      salted_fingerprint("mcrtl-explorer-v2", graph, sched, cfg);
+  ASSERT_NE(previous, current);
+
+  const std::string db = tmp_path("previous_salt.db");
+  std::remove(db.c_str());
+  cfg.cache_db = db;
+  const auto fresh = core::search(g.space, cfg);
+  // Re-key every cached row to the previous salt, with a crest no
+  // measurement produces.
+  core::ResultCache now, before;
+  now.load(db);
+  std::size_t rekeyed = 0;
+  for (const auto& c : g.space.candidates) {
+    const std::uint64_t h = core::config_hash(c.options);
+    if (const core::ExplorationPoint* p = now.find_row(current ^ h)) {
+      core::ExplorationPoint stale = *p;
+      stale.crest = 1e9;
+      before.put_row(previous ^ h, stale);
+      ++rekeyed;
+    }
+  }
+  ASSERT_GT(rekeyed, 0u);
+  ASSERT_TRUE(before.save(db));
+
+  const auto rerun = core::search(g.space, cfg);
+  EXPECT_EQ(rerun.cache_hits, 0u);
+  EXPECT_EQ(rerun.cache_misses, fresh.cache_misses);
+  for (const auto& row : rerun.rows) EXPECT_NE(row.point.crest, 1e9);
+  EXPECT_EQ(result_signature(rerun), result_signature(fresh));
+  std::remove(db.c_str());
+}
+
 TEST(Search, PrunedMarkersDoNotLeakIntoADifferentSweep) {
   const Grid g = small_grid();
   const std::string db = tmp_path("sweepfp.db");
@@ -609,8 +685,10 @@ TEST(Search, PrunedMarkersDoNotLeakIntoADifferentSweep) {
 TEST(Search, DuplicateCandidatesEvaluateOnceAndFanOut) {
   Grid g;
   g.benches.push_back(suite::motivating(4));
-  g.space.behaviours.push_back(core::SearchBehaviour{
-      "motivating/w4", g.benches[0].graph.get(), g.benches[0].schedule.get()});
+  g.space.behaviours.push_back(core::SearchBehaviour{"motivating/w4",
+                                                     g.benches[0].graph.get(),
+                                                     g.benches[0].schedule.get(),
+                                                     ""});
   core::SynthesisOptions opts;
   opts.style = core::DesignStyle::MultiClock;
   opts.num_clocks = 2;

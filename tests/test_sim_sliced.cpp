@@ -707,6 +707,90 @@ TEST(TimeSlicedBundleTest, MatchesLockstepOnFuzzGraphs) {
   }
 }
 
+/// A random graph of `nodes` 64-bit operations over four inputs and its
+/// ASAP schedule.
+struct WideFuzz {
+  dfg::Graph graph;
+  dfg::Schedule sched;
+  WideFuzz(std::uint64_t seed, unsigned nodes)
+      : graph([&] {
+          Rng grng(seed);
+          dfg::RandomGraphConfig gcfg;
+          gcfg.num_inputs = 4;
+          gcfg.num_nodes = nodes;
+          gcfg.width = 64;
+          return dfg::random_graph(grng, gcfg);
+        }()),
+        sched(dfg::schedule_asap(graph)) {}
+};
+
+/// A lower bound on the most toggles one data energy class of `probe`
+/// takes in one step of a scalar run of `stream`: the bits that differ
+/// between consecutive step ends.
+std::uint64_t max_class_step_count(const rtl::Design& design,
+                                   const dfg::Graph& graph,
+                                   const InputStream& stream,
+                                   const PowerProbe& probe) {
+  Simulator ev(design);
+  std::vector<std::uint64_t> prev;
+  std::uint64_t most = 0;
+  ev.set_observer([&](std::uint64_t, const std::vector<std::uint64_t>& nets) {
+    if (!prev.empty()) {
+      std::vector<std::uint64_t> per_class(probe.num_classes(), 0);
+      for (std::size_t i = 0; i < nets.size(); ++i) {
+        per_class[probe.net_class(i)] += hamming(prev[i], nets[i]);
+      }
+      for (std::size_t c = probe.num_controller_classes(); c < per_class.size();
+           ++c) {
+        most = std::max(most, per_class[c]);
+      }
+    }
+    prev = nets;
+  });
+  ev.run(stream, graph.inputs(), graph.outputs());
+  return most;
+}
+
+TEST(TimeSlicedTest, ClassCountsAbove255PerLaneStayExact) {
+  // 24 random 64-bit operations under one gated clock: a data class takes
+  // more than 255 toggles in one step of one lane, past a byte of counter.
+  const WideFuzz f(5302, 24);
+  core::SynthesisOptions opts;
+  opts.style = DesignStyle::ConventionalGated;
+  const auto syn = core::synthesize(f.graph, f.sched, opts);
+  const power::Attribution attr(*syn.design, power::TechLibrary::cmos08());
+  const PowerProbe probe(attr.energy_model());
+  Rng rng(5302);
+  const auto stream = uniform_stream(rng, f.graph.inputs().size(), 130, 64);
+  ASSERT_GT(max_class_step_count(*syn.design, f.graph, stream, probe), 255u);
+  EXPECT_TRUE(differential_check_time_sliced(*syn.design, f.graph, stream,
+                                             "gated, 64-bit"));
+  differential_check_bundle(
+      *syn.design, f.graph,
+      uniform_streams(5303, 2, f.graph.inputs().size(), 130, 64),
+      "gated, 64-bit, S=2");
+}
+
+TEST(TimeSlicedTest, MoreThan64EnergyClassesStayExact) {
+  // 60 random 64-bit operations under three clocks: more energy classes
+  // than one 64-bit word of the touched-class set holds.
+  const WideFuzz f(5301, 60);
+  core::SynthesisOptions opts;
+  opts.style = DesignStyle::MultiClock;
+  opts.num_clocks = 3;
+  const auto syn = core::synthesize(f.graph, f.sched, opts);
+  const power::Attribution attr(*syn.design, power::TechLibrary::cmos08());
+  ASSERT_GT(PowerProbe(attr.energy_model()).num_classes(), 64u);
+  Rng rng(5301);
+  const auto stream = uniform_stream(rng, f.graph.inputs().size(), 130, 64);
+  EXPECT_TRUE(differential_check_time_sliced(*syn.design, f.graph, stream,
+                                             "3 clocks, 64-bit"));
+  differential_check_bundle(
+      *syn.design, f.graph,
+      uniform_streams(5304, 2, f.graph.inputs().size(), 130, 64),
+      "3 clocks, 64-bit, S=2");
+}
+
 TEST(TimeSlicedBundleTest, TakesTheBundlePathOnSuiteDesigns) {
   const auto b = suite::by_name("biquad", 4);
   core::SynthesisOptions opts;

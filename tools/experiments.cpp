@@ -808,8 +808,9 @@ int power_profile() {
   profile(b, core::DesignStyle::MultiClock, 2);
   profile(b, core::DesignStyle::MultiClock, 3);
   std::printf("each master cycle only one partition's DPM switches, so the "
-              "multi-clock profiles spread work across the period\n"
-              "instead of surging every cycle.\n");
+              "multi-clock profiles lower the mean energy per cycle;\n"
+              "the peak falls less than the mean, so the crest factor "
+              "rises: the profile gets lower, not flatter.\n");
   return 0;
 }
 
