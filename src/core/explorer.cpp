@@ -5,7 +5,6 @@
 #include <exception>
 #include <memory>
 #include <optional>
-#include <thread>
 #include <unordered_map>
 
 #include "core/checkpoint.hpp"
@@ -219,35 +218,21 @@ ExplorationResult explore(const dfg::Graph& graph, const dfg::Schedule& sched,
   stim.golden.assign(
       num_streams,
       sim::GoldenOutputs(cfg.computations, interp.num_outputs()));
-  std::vector<char> prepared(num_streams, 0);
   auto prepare_stream = [&](std::size_t s) {
     Rng rng(seeds[s]);
     sim::fill_uniform(rng, stim.streams[s], graph.width());
     sim::fill_golden_outputs(interp, stim.streams[s], stim.golden[s]);
-    prepared[s] = 1;
   };
   if (pool) {
-    try {
-      pool->parallel_for_index(num_streams, prepare_stream);
-    } catch (...) {
-      // As for the points below: with quarantine on, a stream whose task
-      // the pool never ran (a `pool.task` fault) is prepared inline.
-      if (!cfg.quarantine) throw;
-    }
-  }
-  for (std::size_t s = 0; s < num_streams; ++s) {
-    if (!prepared[s]) prepare_stream(s);
+    pool->parallel_for_index(num_streams, prepare_stream);
+  } else {
+    for (std::size_t s = 0; s < num_streams; ++s) prepare_stream(s);
   }
 
   ExplorationResult result;
   result.points.resize(configs.size());
   result.replayed_points = replayed_count;
   std::vector<std::unique_ptr<FailedPoint>> failed(configs.size());
-  // Slots that completed (successfully, by replay, or by quarantine).
-  // Written by at most one worker per slot; read only after the join (or an
-  // abandoned pool run, whose parallel_for_index still completes every
-  // submitted task before rethrowing).
-  std::vector<char> done(configs.size(), 0);
 
   // Single-pass evaluation: measure() runs one RTL simulation per point and
   // feeds both the equivalence check (sampled outputs vs. the golden
@@ -270,47 +255,35 @@ ExplorationResult explore(const dfg::Graph& graph, const dfg::Schedule& sched,
     result.points[i] = std::move(p);
   };
 
-  // One slot, end to end: replay or evaluate with the retry/backoff loop,
-  // then journal and report. Only on_point exceptions (caller code) and —
-  // with quarantine off — exhausted evaluation failures escape.
+  // Journal a slot measured in this run (a replayed one is already there).
+  auto journal_point = [&](std::size_t i) {
+    if (!journal) return;
+    if (journal->append(i, result.points[i])) {
+      obs::count("explore.journal.appended");
+    } else {
+      obs::count("explore.journal.errors");
+    }
+  };
+
+  // One slot, end to end: replay, or evaluate once and journal; then
+  // report. A point is a deterministic simulation, so a failure is final:
+  // only on_point exceptions (caller code) and — with quarantine off —
+  // evaluation failures escape.
   auto run_point = [&](std::size_t i) {
     if (replayed[i]) {
       result.points[i] = std::move(*replayed[i]);
-      done[i] = 1;
-      if (cfg.on_point) cfg.on_point(result.points[i]);
-      return;
-    }
-    const int max_attempts = 1 + std::max(0, cfg.max_retries);
-    for (int attempt = 1;; ++attempt) {
+    } else {
       try {
         fault::inject("explore.point", configs[i].second);
         eval_point(i);
-        break;
       } catch (const std::exception& e) {
-        if (attempt < max_attempts) {
-          obs::count("explore.retries");
-          if (cfg.retry_backoff_ms > 0) {
-            std::this_thread::sleep_for(std::chrono::duration<double,
-                                                              std::milli>(
-                cfg.retry_backoff_ms * static_cast<double>(1ll << (attempt - 1))));
-          }
-          continue;
-        }
         if (!cfg.quarantine) throw;
         failed[i] = std::make_unique<FailedPoint>(
-            FailedPoint{configs[i].first, configs[i].second, e.what(), attempt});
-        done[i] = 1;
+            FailedPoint{configs[i].first, configs[i].second, e.what()});
         obs::count("explore.quarantined");
         return;
       }
-    }
-    done[i] = 1;
-    if (journal) {
-      if (journal->append(i, result.points[i])) {
-        obs::count("explore.journal.appended");
-      } else {
-        obs::count("explore.journal.errors");
-      }
+      journal_point(i);
     }
     if (cfg.on_point) cfg.on_point(result.points[i]);
   };
@@ -325,32 +298,20 @@ ExplorationResult explore(const dfg::Graph& graph, const dfg::Schedule& sched,
     const std::size_t c = canonical[i];
     if (replayed[i]) {
       result.points[i] = std::move(*replayed[i]);
-      done[i] = 1;
-      if (cfg.on_point) cfg.on_point(result.points[i]);
-      return;
-    }
-    if (failed[c]) {
+    } else if (failed[c]) {
       failed[i] = std::make_unique<FailedPoint>(*failed[c]);
       failed[i]->label = configs[i].second;
       failed[i]->options = configs[i].first;
-      done[i] = 1;
       obs::count("explore.deduped");
       obs::count("explore.quarantined");
       return;
-    }
-    if (!done[c]) return;  // canonical never settled (pool fault path)
-    ExplorationPoint p = result.points[c];
-    p.options = configs[i].first;
-    p.label = configs[i].second;
-    result.points[i] = std::move(p);
-    done[i] = 1;
-    obs::count("explore.deduped");
-    if (journal) {
-      if (journal->append(i, result.points[i])) {
-        obs::count("explore.journal.appended");
-      } else {
-        obs::count("explore.journal.errors");
-      }
+    } else {
+      ExplorationPoint p = result.points[c];
+      p.options = configs[i].first;
+      p.label = configs[i].second;
+      result.points[i] = std::move(p);
+      obs::count("explore.deduped");
+      journal_point(i);
     }
     if (cfg.on_point) cfg.on_point(result.points[i]);
   };
@@ -392,32 +353,16 @@ ExplorationResult explore(const dfg::Graph& graph, const dfg::Schedule& sched,
     // so errors are collected per configuration here and the earliest
     // enumerated failure is rethrown — exactly what a serial run reports.
     std::vector<std::exception_ptr> errors(configs.size());
-    try {
-      pool->parallel_for_index(order.size(), [&](std::size_t k) {
-        const std::size_t i = order[k];
-        try {
-          run_point(i);
-        } catch (...) {
-          errors[i] = std::current_exception();
-        }
-      });
-    } catch (...) {
-      // Only the pool infrastructure itself can throw here (run_point
-      // catches everything): e.g. the `pool.task` injection site firing
-      // before a task body ran. With quarantine on, those slots are still
-      // un-done and re-run inline below; otherwise the historical contract
-      // is to propagate.
-      if (!cfg.quarantine) throw;
-    }
+    pool->parallel_for_index(order.size(), [&](std::size_t k) {
+      const std::size_t i = order[k];
+      try {
+        run_point(i);
+      } catch (...) {
+        errors[i] = std::current_exception();
+      }
+    });
     for (const auto& e : errors) {
       if (e) std::rethrow_exception(e);
-    }
-    if (cfg.quarantine) {
-      // Degraded mode: any slot the pool never executed (task-level fault)
-      // runs inline on this thread — slower, but the sweep completes.
-      for (std::size_t i = 0; i < configs.size(); ++i) {
-        if (canonical[i] == i && !done[i]) run_point(i);
-      }
     }
   }
   for (std::size_t i = 0; i < configs.size(); ++i) {

@@ -99,10 +99,10 @@ struct ExplorerConfig {
   /// Optional progress hook, called once per evaluated point *before* the
   /// final sort (i.e. in no particular order). With jobs > 1 it is invoked
   /// concurrently from worker threads; the callback must be thread-safe.
-  /// Exceptions thrown here propagate out of explore() like any evaluation
-  /// failure (they are never retried or quarantined — the hook is caller
-  /// code, not a design point). Points replayed from the checkpoint
-  /// journal are reported through the hook like freshly evaluated ones.
+  /// Exceptions thrown here propagate out of explore() even with quarantine
+  /// on (the hook is caller code, not a design point). Points replayed from
+  /// the checkpoint journal are reported through the hook like freshly
+  /// evaluated ones.
   std::function<void(const ExplorationPoint&)> on_point;
 
   // ---- crash safety / fault isolation (see DESIGN.md §9) -------------------
@@ -114,41 +114,34 @@ struct ExplorerConfig {
   /// throws JournalMismatchError; an unreadable journal degrades to a
   /// fresh sweep.
   std::string checkpoint_file;
-  /// Extra evaluation attempts after a failed one (0 = fail on first
-  /// error). Retries target transient faults; a deterministic failure will
-  /// fail every attempt and then throw or be quarantined.
-  int max_retries = 0;
-  /// Backoff before the first retry in milliseconds, doubled per further
-  /// attempt. 0 = retry immediately.
-  double retry_backoff_ms = 0.0;
-  /// Fault isolation: instead of aborting the sweep, record a
-  /// configuration whose attempts are exhausted in
-  /// ExplorationResult::failed_points and keep going. Off by default — the
-  /// historical contract (the earliest enumerated failure is thrown) is
-  /// unchanged unless requested.
+  /// Fault isolation: instead of aborting the sweep, record a failing
+  /// configuration in ExplorationResult::failed_points and keep going.
+  /// Every point is evaluated exactly once: a point is a deterministic
+  /// simulation, so a failure would recur on any retry. Off by default —
+  /// the historical contract (the earliest enumerated failure is thrown)
+  /// is unchanged unless requested.
   bool quarantine = false;
   /// Per-point deadline in seconds (0 = none), enforced cooperatively
   /// inside the simulation loop (sim::Simulator::set_deadline). An expired
   /// point fails with mcrtl::TimeoutError and follows the normal
-  /// retry/quarantine path.
+  /// quarantine path.
   double point_timeout_s = 0.0;
   /// Evaluate exactly these (options, label) pairs instead of the built-in
   /// enumeration (empty = the historical enumeration over the knobs
   /// above). This is how the search layer runs its full-depth survivor
   /// re-simulation through the ordinary explorer pipeline — journal,
-  /// retry/quarantine and determinism contracts included. Labels should be
+  /// quarantine and determinism contracts included. Labels should be
   /// distinct; configurations need not be (identical ones are deduplicated
   /// and the measurement fanned out, see explore()).
   std::vector<std::pair<SynthesisOptions, std::string>> explicit_configs;
 };
 
-/// A configuration that exhausted its attempts under
+/// A configuration whose evaluation failed under
 /// ExplorerConfig::quarantine.
 struct FailedPoint {
   SynthesisOptions options;
   std::string label;
-  std::string error;  ///< what() of the last attempt's failure
-  int attempts = 0;
+  std::string error;  ///< what() of the failure
 };
 
 /// Result of an exploration.
@@ -203,9 +196,8 @@ std::size_t num_configurations(const ExplorerConfig& cfg);
 /// CSV/JSON report derived from it) is byte-identical to an uninterrupted
 /// run, for any jobs value on either side of the interruption. With
 /// `cfg.quarantine` set, failing configurations (including per-point
-/// deadline expiries and thread-pool task faults, which degrade to an
-/// inline re-run) are collected into `failed_points` instead of aborting
-/// the sweep.
+/// deadline expiries) are collected into `failed_points` instead of
+/// aborting the sweep.
 ExplorationResult explore(const dfg::Graph& graph, const dfg::Schedule& sched,
                           const ExplorerConfig& cfg = {});
 

@@ -264,7 +264,7 @@ class Simulator {
   /// computation of their lanes) and throws mcrtl::TimeoutError when the
   /// deadline has passed — the hook behind the explorer's --point-timeout,
   /// turning a pathologically slow configuration into an ordinary
-  /// retryable/quarantinable failure instead of a hung sweep.
+  /// quarantinable failure instead of a hung sweep.
   void set_deadline(std::chrono::steady_clock::time_point deadline) {
     deadline_ = deadline;
     has_deadline_ = true;

@@ -35,7 +35,7 @@ class SynthesisError : public Error {
 
 /// Thrown when a cooperative deadline expires (e.g. the explorer's
 /// per-point --point-timeout, checked inside the simulation loop). A
-/// deadline expiry is retryable/quarantinable like any other point failure.
+/// deadline expiry is quarantinable like any other point failure.
 class TimeoutError : public Error {
  public:
   explicit TimeoutError(const std::string& what) : Error(what) {}

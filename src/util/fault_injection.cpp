@@ -1,21 +1,12 @@
 #include "util/fault_injection.hpp"
 
-#include <cstdlib>
+#include "util/strings.hpp"
 
 namespace mcrtl::fault {
 
 namespace {
 
 std::atomic<bool> g_enabled{false};
-
-std::uint64_t fnv1a64(const std::string& s) {
-  std::uint64_t h = 1469598103934665603ull;
-  for (unsigned char c : s) {
-    h ^= c;
-    h *= 1099511628211ull;
-  }
-  return h;
-}
 
 }  // namespace
 
@@ -38,7 +29,6 @@ const std::vector<const char*>& Injector::known_sites() {
       "sim.run",           // sim/simulator.cpp Simulator::run
       "journal.load",      // core/checkpoint.cpp CheckpointJournal::load
       "journal.append",    // core/checkpoint.cpp CheckpointJournal::append
-      "pool.task",         // util/thread_pool.hpp parallel_for_index task
       "explore.point",     // core/explorer.cpp, detail = configuration label
   };
   return sites;
@@ -46,9 +36,7 @@ const std::vector<const char*>& Injector::known_sites() {
 
 void Injector::arm(const std::string& site, ArmSpec spec) {
   std::lock_guard<std::mutex> lk(m_);
-  SiteState& st = state_[site];
-  st.rng = Rng(spec.seed ^ fnv1a64(site));
-  st.spec = std::move(spec);
+  state_[site].spec = std::move(spec);
 }
 
 void Injector::disarm(const std::string& site) {
@@ -100,9 +88,6 @@ void Injector::on_site(const char* site, const std::string& detail) {
           case ArmSpec::Mode::Observe: break;
           case ArmSpec::Mode::Always: fail = true; break;
           case ArmSpec::Mode::FirstK: fail = matching <= spec.k; break;
-          case ArmSpec::Mode::Probability:
-            fail = st.rng.next_bool(spec.probability);
-            break;
         }
       }
     }
@@ -111,7 +96,7 @@ void Injector::on_site(const char* site, const std::string& detail) {
 }
 
 bool arm_from_spec(const std::string& spec) {
-  // site:mode[:arg[:seed]][:match=SUB]
+  // site:mode[:K][:match=SUB]
   std::vector<std::string> parts;
   std::size_t pos = 0;
   while (pos <= spec.size()) {
@@ -142,16 +127,10 @@ bool arm_from_spec(const std::string& spec) {
   } else if (mode == "always" && parts.size() == 2) {
     arm.mode = ArmSpec::Mode::Always;
   } else if (mode == "first" && parts.size() == 3) {
+    const auto k = parse_number(parts[2], std::uint64_t{1}, ~std::uint64_t{0});
+    if (!k) return false;
     arm.mode = ArmSpec::Mode::FirstK;
-    arm.k = std::strtoull(parts[2].c_str(), nullptr, 10);
-    if (arm.k == 0) return false;
-  } else if (mode == "p" && (parts.size() == 3 || parts.size() == 4)) {
-    arm.mode = ArmSpec::Mode::Probability;
-    arm.probability = std::strtod(parts[2].c_str(), nullptr);
-    if (arm.probability < 0.0 || arm.probability > 1.0) return false;
-    if (parts.size() == 4) {
-      arm.seed = std::strtoull(parts[3].c_str(), nullptr, 10);
-    }
+    arm.k = *k;
   } else {
     return false;
   }

@@ -1,13 +1,12 @@
 // Deterministic fault injection for robustness testing.
 //
-// The explorer's crash-safety machinery (checkpoint journal, per-point
-// retry, quarantine — see core/explorer.hpp) is only trustworthy if its
-// failure paths are actually exercised, so the pipeline carries named
-// *injection sites* at the places real faults occur: allocation, RTL
-// construction, simulation, journal I/O and the thread pool. A site is one
-// call — `fault::inject("rtl.build")` — that the Injector can arm to throw
-// an `InjectedFault` on a deterministic schedule (always, the first K hits,
-// or a seeded per-site Bernoulli draw), optionally filtered to hits whose
+// The explorer's crash-safety machinery (checkpoint journal, quarantine —
+// see core/explorer.hpp) is only trustworthy if its failure paths are
+// actually exercised, so the pipeline carries named *injection sites* at
+// the places real faults occur: allocation, RTL construction, simulation
+// and journal I/O. A site is one call — `fault::inject("rtl.build")` — that
+// the Injector can arm to throw an `InjectedFault` on a deterministic
+// schedule (always, or the first K hits), optionally filtered to hits whose
 // detail string matches a substring (e.g. one configuration label of an
 // exploration sweep).
 //
@@ -16,11 +15,9 @@
 // created, no mutex taken, so a disabled run leaves the Injector's site
 // table completely empty (asserted by tests/test_fault_injection.cpp).
 //
-// Determinism: Always/FirstK decide from the site's hit counter alone, so
+// Determinism: every mode decides from the site's hit counter alone, so
 // the *number* of failures is reproducible for any thread count (which
-// worker observes them may vary). Probability mode draws from a per-site
-// xoshiro stream seeded by (spec.seed, site name), reproducible for serial
-// runs.
+// worker observes them may vary).
 #pragma once
 
 #include <atomic>
@@ -33,12 +30,11 @@
 #include <vector>
 
 #include "util/error.hpp"
-#include "util/rng.hpp"
 
 namespace mcrtl::fault {
 
 /// Thrown by an armed site. Derives from mcrtl::Error so it flows through
-/// the same retry/quarantine handling as a genuine pipeline failure.
+/// the same quarantine handling as a genuine pipeline failure.
 class InjectedFault : public Error {
  public:
   InjectedFault(const std::string& site, std::uint64_t hit)
@@ -61,15 +57,12 @@ void set_enabled(bool on);
 /// How an armed site decides whether a hit fails.
 struct ArmSpec {
   enum class Mode {
-    Observe,      ///< count hits, never fail (reachability probes)
-    Always,       ///< every matching hit fails
-    FirstK,       ///< matching hits 1..k fail, later ones succeed
-    Probability,  ///< each matching hit fails with probability p
+    Observe,  ///< count hits, never fail (reachability probes)
+    Always,   ///< every matching hit fails
+    FirstK,   ///< matching hits 1..k fail, later ones succeed
   };
   Mode mode = Mode::Observe;
-  std::uint64_t k = 0;       ///< FirstK threshold
-  double probability = 0.0;  ///< Probability draw
-  std::uint64_t seed = 1;    ///< Probability stream seed (combined with site)
+  std::uint64_t k = 0;  ///< FirstK threshold
   /// If non-empty, only hits whose detail string contains this substring
   /// can fail (all hits are still counted).
   std::string match;
@@ -109,16 +102,15 @@ class Injector {
     std::uint64_t hits = 0;
     std::uint64_t matching_hits = 0;  ///< hits passing the spec's match filter
     std::optional<ArmSpec> spec;
-    Rng rng{1};  ///< Probability stream; re-seeded when armed
   };
   mutable std::mutex m_;
   std::map<std::string, SiteState> state_;
 };
 
 /// Arm a site from a CLI spec string:
-///   "site:always"  "site:first:K"  "site:p:0.25[:seed]"  "site:observe"
-/// each optionally suffixed with ":match=SUBSTRING". Returns false on a
-/// malformed spec or an unknown site.
+///   "site:always"  "site:first:K"  "site:observe"
+/// each optionally suffixed with ":match=SUBSTRING"; K is a decimal in
+/// 1..2^64-1. Returns false on a malformed spec or an unknown site.
 bool arm_from_spec(const std::string& spec);
 
 /// A site. Disabled cost: one relaxed atomic load.

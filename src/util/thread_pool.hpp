@@ -27,8 +27,6 @@
 #include <thread>
 #include <vector>
 
-#include "util/fault_injection.hpp"
-
 namespace mcrtl {
 
 class ThreadPool {
@@ -91,12 +89,6 @@ class ThreadPool {
       // task has run, so the reference outlives all uses.
       submit([join, &fn, i] {
         try {
-          // Injection site for the pool infrastructure itself: an armed
-          // fault fires before fn runs, surfaces through the normal
-          // lowest-index rethrow, and leaves fn(i) never executed — which
-          // fault-isolating callers (core::explore) detect and re-run
-          // inline.
-          fault::inject("pool.task");
           fn(i);
         } catch (...) {
           std::lock_guard<std::mutex> lk(join->m);

@@ -349,10 +349,9 @@ TEST(CheckpointTest, StaleJournalIsRejected) {
                core::JournalMismatchError);
 
   // Execution knobs do NOT invalidate it: resuming on another thread count
-  // (or with retries configured) is the whole point.
+  // (or with quarantine on) is the whole point.
   auto execution_only = cfg;
   execution_only.jobs = 8;
-  execution_only.max_retries = 3;
   execution_only.quarantine = true;
   const auto r = core::explore(*b.graph, *b.schedule, execution_only);
   EXPECT_EQ(r.replayed_points, r.points.size());
@@ -409,7 +408,7 @@ TEST(CheckpointTest, FingerprintSeparatesConfigsButNotJobs) {
                                                        *b.schedule);
   auto jobs_only = cfg;
   jobs_only.jobs = 16;
-  jobs_only.max_retries = 2;
+  jobs_only.quarantine = true;
   jobs_only.point_timeout_s = 5.0;
   EXPECT_EQ(fp, core::CheckpointJournal::fingerprint(jobs_only, *b.graph,
                                                      *b.schedule));

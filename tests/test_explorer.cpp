@@ -397,7 +397,6 @@ TEST(ExplorerTest, ExpiredPointDeadlineIsQuarantinedAsTimeout) {
     ASSERT_EQ(r.failed_points.size(), num_configurations(cfg));
     for (const auto& f : r.failed_points) {
       EXPECT_NE(f.error.find("deadline"), std::string::npos) << f.error;
-      EXPECT_EQ(f.attempts, 1);
     }
   }
 }

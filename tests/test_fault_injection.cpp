@@ -7,10 +7,10 @@
 //      contract).
 //   2. Every registered site is actually reachable from the public API —
 //      a site nobody hits is a robustness test that silently tests nothing.
-//   3. Injected failures follow the real failure paths: retries recover
-//      transient faults bit-identically, exhausted faults land in
-//      ExplorationResult::failed_points under quarantine, and nothing ever
-//      aborts the sweep.
+//   3. Injected failures follow the real failure paths: a failing point
+//      lands in ExplorationResult::failed_points under quarantine, journal
+//      I/O faults cost the journal but never the sweep's result, and
+//      nothing ever aborts the sweep.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -20,7 +20,6 @@
 #include "core/explorer.hpp"
 #include "suite/benchmarks.hpp"
 #include "util/fault_injection.hpp"
-#include "util/thread_pool.hpp"
 
 using namespace mcrtl;
 
@@ -81,8 +80,6 @@ TEST_F(FaultInjectionTest, DisabledRunLeavesRegistryEmpty) {
   cfg.checkpoint_file = journal.path;
   const auto r = core::explore(*b.graph, *b.schedule, cfg);
   EXPECT_FALSE(r.points.empty());
-  ThreadPool pool(2);
-  pool.parallel_for_index(4, [](std::size_t) {});
   EXPECT_TRUE(fault::Injector::instance().sites().empty());
 }
 
@@ -94,34 +91,9 @@ TEST_F(FaultInjectionTest, EverySiteIsReachable) {
   cfg.include_split = true;  // covers alloc.split alongside alloc.integrated
   cfg.checkpoint_file = journal.path;
   core::explore(*b.graph, *b.schedule, cfg);
-  // explore() never builds a pool for jobs = 1; drive the site directly
-  // (ThreadPool's serial fallbacks skip the task wrapper, so this needs
-  // real workers and more than one task).
-  ThreadPool pool(2);
-  pool.parallel_for_index(4, [](std::size_t) {});
   auto& inj = fault::Injector::instance();
   for (const char* site : fault::Injector::known_sites()) {
     EXPECT_GT(inj.hits(site), 0u) << "unreached injection site: " << site;
-  }
-}
-
-TEST_F(FaultInjectionTest, TransientFaultRetriesToIdenticalResult) {
-  const auto b = suite::by_name("facet", 4);
-  const auto baseline = core::explore(*b.graph, *b.schedule, small_config());
-
-  fault::set_enabled(true);
-  // One transient failure at each pipeline stage; two retries available.
-  for (const char* site : {"explore.point", "sim.run", "rtl.build"}) {
-    fault::Injector::instance().reset();
-    fault::ArmSpec spec;
-    spec.mode = fault::ArmSpec::Mode::FirstK;
-    spec.k = 1;
-    fault::Injector::instance().arm(site, spec);
-    auto cfg = small_config();
-    cfg.max_retries = 2;
-    const auto r = core::explore(*b.graph, *b.schedule, cfg);
-    EXPECT_TRUE(r.failed_points.empty()) << site;
-    expect_identical(baseline, r);
   }
 }
 
@@ -136,14 +108,12 @@ TEST_F(FaultInjectionTest, ExhaustedFaultIsQuarantinedNotFatal) {
     spec.mode = fault::ArmSpec::Mode::Always;
     fault::Injector::instance().arm(site, spec);
     auto cfg = small_config();
-    cfg.max_retries = 1;
     cfg.quarantine = true;
     core::ExplorationResult r;
     ASSERT_NO_THROW(r = core::explore(*b.graph, *b.schedule, cfg)) << site;
     EXPECT_FALSE(r.failed_points.empty()) << site;
     EXPECT_EQ(r.points.size() + r.failed_points.size(), total) << site;
     for (const auto& f : r.failed_points) {
-      EXPECT_EQ(f.attempts, 2) << site;
       EXPECT_NE(f.error.find("injected fault"), std::string::npos) << site;
     }
   }
@@ -184,74 +154,58 @@ TEST_F(FaultInjectionTest, MatchFilterQuarantinesOnlyThatConfiguration) {
   }
 }
 
-TEST_F(FaultInjectionTest, PoolTaskFaultDegradesToInlineCompletion) {
+TEST_F(FaultInjectionTest, JournalFaultsCostTheJournalNeverTheResult) {
   const auto b = suite::by_name("facet", 4);
   const auto baseline = core::explore(*b.graph, *b.schedule, small_config());
-
-  fault::set_enabled(true);
-  fault::ArmSpec spec;
-  spec.mode = fault::ArmSpec::Mode::Always;
-  fault::Injector::instance().arm("pool.task", spec);
-  auto cfg = small_config();
-  cfg.jobs = 8;  // clamped to the core count; serial on a 1-core host
-  cfg.quarantine = true;
-  // A task-level fault means the evaluation never ran — it is *not* a bad
-  // design point, so explore() re-runs the un-executed slots inline and
-  // the sweep still produces the complete, identical result.
-  const auto r = core::explore(*b.graph, *b.schedule, cfg);
-  EXPECT_TRUE(r.failed_points.empty());
-  expect_identical(baseline, r);
-}
-
-TEST_F(FaultInjectionTest, PoolTaskFaultInTheStreamPreambleDegradesInline) {
-  // A Monte-Carlo sweep prepares its streams (stimulus, golden outputs) as
-  // pool tasks before the points. A task the pool never ran must be
-  // prepared inline, like a point, and the sweep must match a serial one.
-  const auto b = suite::by_name("facet", 4);
-  auto base = small_config();
-  base.streams = 8;
-  const auto baseline = core::explore(*b.graph, *b.schedule, base);
-
-  fault::set_enabled(true);
-  fault::ArmSpec spec;
-  spec.mode = fault::ArmSpec::Mode::Always;
-  fault::Injector::instance().arm("pool.task", spec);
-  auto cfg = base;
-  cfg.jobs = 4;  // clamped to the core count; serial on a 1-core host
-  cfg.quarantine = true;
-  const auto r = core::explore(*b.graph, *b.schedule, cfg);
-  EXPECT_TRUE(r.failed_points.empty());
-  expect_identical(baseline, r);
-  for (std::size_t i = 0; i < r.points.size(); ++i) {
-    EXPECT_EQ(baseline.points[i].power_stddev, r.points[i].power_stddev);
-    EXPECT_EQ(baseline.points[i].power_ci95, r.points[i].power_ci95);
-  }
-}
-
-TEST_F(FaultInjectionTest, ProbabilityModeIsDeterministic) {
-  const auto b = suite::by_name("facet", 4);
-  fault::set_enabled(true);
-  auto run = [&] {
-    fault::Injector::instance().reset();
-    EXPECT_TRUE(fault::arm_from_spec("explore.point:p:0.5:42"));
+  auto& inj = fault::Injector::instance();
+  auto sweep = [&](const std::string& journal, const char* spec) {
+    inj.reset();
+    fault::set_enabled(spec != nullptr);
+    if (spec) {
+      EXPECT_TRUE(fault::arm_from_spec(spec)) << spec;
+    }
     auto cfg = small_config();
-    cfg.quarantine = true;
-    return core::explore(*b.graph, *b.schedule, cfg);
+    cfg.checkpoint_file = journal;
+    const auto r = core::explore(*b.graph, *b.schedule, cfg);
+    expect_identical(baseline, r);
+    return r;
   };
-  core::ExplorationResult a, b1;
-  { SCOPED_TRACE("first"); a = run(); }
-  { SCOPED_TRACE("second"); b1 = run(); }
-  ASSERT_EQ(a.failed_points.size(), b1.failed_points.size());
-  for (std::size_t i = 0; i < a.failed_points.size(); ++i) {
-    EXPECT_EQ(a.failed_points[i].label, b1.failed_points[i].label);
+  {
+    // One failed write is absorbed by the append's own retry: every point
+    // still reaches the journal.
+    SCOPED_TRACE("journal.append:first:1");
+    TempPath journal("fi_append_once.journal");
+    EXPECT_EQ(sweep(journal.path, "journal.append:first:1").replayed_points,
+              0u);
+    EXPECT_EQ(inj.hits("journal.append"), baseline.points.size() + 1);
+    EXPECT_EQ(sweep(journal.path, nullptr).replayed_points,
+              baseline.points.size());
+  }
+  {
+    // A write that fails on the retry too stops journaling for the rest of
+    // the sweep, which still completes: the re-run has nothing to replay.
+    SCOPED_TRACE("journal.append:always");
+    TempPath journal("fi_append_always.journal");
+    sweep(journal.path, "journal.append:always");
+    EXPECT_EQ(inj.hits("journal.append"), 2u);
+    EXPECT_EQ(sweep(journal.path, nullptr).replayed_points, 0u);
+  }
+  {
+    // An unreadable journal falls back to a fresh sweep, even when the
+    // file on disk is valid.
+    SCOPED_TRACE("journal.load:always");
+    TempPath journal("fi_load_always.journal");
+    sweep(journal.path, nullptr);
+    EXPECT_EQ(sweep(journal.path, "journal.load:always").replayed_points, 0u);
+    EXPECT_EQ(inj.hits("journal.load"), 1u);
   }
 }
 
 TEST_F(FaultInjectionTest, ArmFromSpecParsesAndValidates) {
   EXPECT_TRUE(fault::arm_from_spec("sim.run:always"));
   EXPECT_TRUE(fault::arm_from_spec("rtl.build:first:3"));
-  EXPECT_TRUE(fault::arm_from_spec("journal.append:p:0.25"));
-  EXPECT_TRUE(fault::arm_from_spec("journal.load:p:0.25:7"));
+  EXPECT_TRUE(fault::arm_from_spec("journal.append:first:18446744073709551615"));
+  EXPECT_TRUE(fault::arm_from_spec("journal.load:first:1:match=x"));
   EXPECT_TRUE(fault::arm_from_spec("explore.point:observe"));
   EXPECT_TRUE(fault::arm_from_spec("explore.point:always:match=2 clk"));
 
@@ -260,7 +214,13 @@ TEST_F(FaultInjectionTest, ArmFromSpecParsesAndValidates) {
   EXPECT_FALSE(fault::arm_from_spec("no.such.site:always"));
   EXPECT_FALSE(fault::arm_from_spec("sim.run:bogus"));
   EXPECT_FALSE(fault::arm_from_spec("sim.run:first:notanumber"));
-  EXPECT_FALSE(fault::arm_from_spec("sim.run:p:1.5"));
+  EXPECT_FALSE(fault::arm_from_spec("sim.run:first:3x"));
+  EXPECT_FALSE(fault::arm_from_spec("sim.run:first:-1"));
+  EXPECT_FALSE(fault::arm_from_spec("sim.run:first:0"));
+  EXPECT_FALSE(fault::arm_from_spec("sim.run:first:18446744073709551616"));
+  EXPECT_FALSE(fault::arm_from_spec("sim.run:first:"));
+  EXPECT_FALSE(fault::arm_from_spec("sim.run:p:0.5"));
+  EXPECT_FALSE(fault::arm_from_spec("pool.task:always"));
 }
 
 TEST_F(FaultInjectionTest, HitCountsAndResetBehave) {

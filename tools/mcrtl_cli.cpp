@@ -50,16 +50,12 @@
 //                    reports). A journal from a different configuration is
 //                    rejected.
 //   --point-timeout S (explore) per-point simulation deadline in seconds;
-//                    an expired point is retried/quarantined like a failure
-//   --retries N      (explore) extra attempts per failing point (default 0)
-//   --backoff MS     (explore) delay before the first retry, doubled per
-//                    further attempt (default 0)
-//   --no-quarantine  (explore) abort the sweep on the first exhausted
-//                    failure instead of recording it and continuing
+//                    an expired point is quarantined like any failure
+//   --no-quarantine  (explore) abort the sweep on the first failing point
+//                    instead of recording it and continuing
 //   --fault-inject S arm a fault-injection site (testing): SPEC is
-//                    site:always | site:first:K | site:p:P[:seed] |
-//                    site:observe, each optionally :match=SUBSTR;
-//                    repeatable
+//                    site:always | site:first:K | site:observe, each
+//                    optionally :match=SUBSTR; repeatable
 //   --vcd FILE       (synth) dump a VCD waveform of the measured run
 //   --power-trace-out FILE (synth) write the per-clock-domain energy
 //                    waveform (fJ per master cycle, one column per domain)
@@ -96,9 +92,8 @@
 // a count or a value outside the flag's range is a usage error (exit 2)
 // that names the flag. Ranges: --clocks 1..16; --width and each --widths
 // entry 1..64; --computations 1..10000000; --seed any 64-bit unsigned;
-// --streams 1..64; --jobs 0..1024 (0 = all cores); --retries 0..100;
-// --backoff 0..60000; --point-timeout 0..86400; --power-top 0..100000;
-// --budget-rungs 0..16; --promote-frac and --optimism 0.001..1;
+// --streams 1..64; --jobs 0..1024 (0 = all cores); --point-timeout
+// 0..86400; --power-top 0..100000; --budget-rungs 0..16; --promote-frac and --optimism 0.001..1;
 // --min-survivors 0..100000; each --limits entry 0..1024.
 //
 // A flag the command does not read is a usage error (exit 2) naming the
@@ -161,8 +156,6 @@ struct CliOptions {
   int jobs = 0;  // 0: auto (hardware concurrency)
   std::string checkpoint_file;
   double point_timeout_s = 0.0;
-  int retries = 0;
-  double backoff_ms = 0.0;
   bool no_quarantine = false;
   std::vector<std::string> fault_specs;
   std::string vcd_file;
@@ -204,8 +197,7 @@ int usage() {
                "             [--computations N] [--seed N] [--streams N] "
                "[--csv file] [--json file] [--jobs N]\n"
                "             [--checkpoint file] [--point-timeout s] "
-               "[--retries N] [--backoff ms]\n"
-               "             [--no-quarantine] [--fault-inject spec]\n"
+               "[--no-quarantine] [--fault-inject spec]\n"
                "             [--vcd file] [--power-trace-out file] "
                "[--power-top K] [--power-flame file]\n"
                "             [--trace-out file] "
@@ -265,7 +257,7 @@ const std::map<std::string, std::set<std::string>> kCommandFlags{
     {"explore",
      {"--dfg", "--width", "--clocks", "--dff", "--computations", "--seed",
       "--streams", "--jobs", "--csv", "--json", "--checkpoint",
-      "--point-timeout", "--retries", "--backoff", "--no-quarantine"}},
+      "--point-timeout", "--no-quarantine"}},
     {"search",
      {"--width", "--widths", "--limits", "--clocks", "--computations",
       "--seed", "--streams", "--jobs", "--budget-rungs", "--promote-frac",
@@ -324,10 +316,6 @@ CliOptions parse_args(int argc, char** argv) {
       o.checkpoint_file = value();
     } else if (a == "--point-timeout") {
       o.point_timeout_s = number(0.0, 86400.0);
-    } else if (a == "--retries") {
-      o.retries = number(0, 100);
-    } else if (a == "--backoff") {
-      o.backoff_ms = number(0.0, 60000.0);
     } else if (a == "--no-quarantine") {
       o.no_quarantine = true;
     } else if (a == "--fault-inject") {
@@ -703,8 +691,6 @@ int cmd_explore(const CliOptions& o) {
   cfg.jobs = o.jobs;
   cfg.checkpoint_file = o.checkpoint_file;
   cfg.point_timeout_s = o.point_timeout_s;
-  cfg.max_retries = o.retries;
-  cfg.retry_backoff_ms = o.backoff_ms;
   // The CLI sweep is fault-isolated by default: one bad configuration is
   // reported in the "failed" table below rather than killing a long run.
   cfg.quarantine = !o.no_quarantine;
@@ -777,10 +763,8 @@ int cmd_explore(const CliOptions& o) {
   if (!r.failed_points.empty()) {
     std::printf("\n%zu configuration(s) failed and were quarantined:\n",
                 r.failed_points.size());
-    TextTable ft({"configuration", "attempts", "error"});
-    for (const auto& f : r.failed_points) {
-      ft.add_row({f.label, std::to_string(f.attempts), f.error});
-    }
+    TextTable ft({"configuration", "error"});
+    for (const auto& f : r.failed_points) ft.add_row({f.label, f.error});
     std::fputs(ft.render().c_str(), stdout);
   }
   if (!r.points.empty()) {
