@@ -31,7 +31,6 @@
 #include <chrono>
 #include <cstdint>
 #include <cstdio>
-#include <cstring>
 #include <fstream>
 #include <map>
 #include <string>
@@ -80,22 +79,19 @@ std::string row_key(const core::SearchRow& r) {
 }  // namespace
 
 int main(int argc, char** argv) {
-  // --quick shrinks the grid for local iteration; the committed
-  // BENCH_search.json must come from a full run (>= 4000 candidates).
-  bool quick = false;
-  for (int i = 1; i < argc; ++i) {
-    if (std::strcmp(argv[i], "--quick") == 0) quick = true;
+  // The bench takes no options: every run is the full grid, with every
+  // gate on.
+  if (argc > 1) {
+    std::fprintf(stderr, "bench_search: unknown option %s\nusage: "
+                         "bench_search\n", argv[1]);
+    return 2;
   }
 
   // Behaviour grid: 3 benchmarks x 6 widths x 4 schedules x 58 variants
-  // = 4176 candidates (quick: 2 x 2 x 2 x 58 = 232).
-  const std::vector<std::string> names =
-      quick ? std::vector<std::string>{"facet", "motivating"}
-            : std::vector<std::string>{"facet", "hal", "motivating"};
-  const std::vector<int> widths = quick ? std::vector<int>{3, 4}
-                                        : std::vector<int>{3, 4, 5, 6, 7, 8};
-  const std::vector<int> limits =
-      quick ? std::vector<int>{0, 2} : std::vector<int>{0, 1, 2, 3};
+  // = 4176 candidates.
+  const std::vector<std::string> names{"facet", "hal", "motivating"};
+  const std::vector<int> widths{3, 4, 5, 6, 7, 8};
+  const std::vector<int> limits{0, 1, 2, 3};
 
   std::vector<std::unique_ptr<dfg::Graph>> graphs;
   std::vector<std::unique_ptr<dfg::Schedule>> schedules;
@@ -125,14 +121,14 @@ int main(int argc, char** argv) {
     }
   }
   core::cross_variants(space, core::search_variants(4));
-  if (!quick && space.candidates.size() < 4000) {
+  if (space.candidates.size() < 4000) {
     std::fprintf(stderr, "FATAL: grid has %zu candidates, need >= 4000\n",
                  space.candidates.size());
     return 1;
   }
 
   core::SearchConfig cfg;
-  cfg.computations = quick ? 400 : 1200;
+  cfg.computations = 1200;
   cfg.seed = 7;
   cfg.streams = 2;
   cfg.jobs = 1;  // machine-independent counts; see header comment
@@ -309,25 +305,24 @@ int main(int argc, char** argv) {
               work_ratio);
   std::printf("cached speedup vs guided:     %.1fx (gate: >= 20x)\n",
               speedup_cached);
-  if (!quick && speedup_guided < 3.0) {
+  if (speedup_guided < 3.0) {
     std::fprintf(stderr, "FATAL: guided speedup %.2fx below the 3x gate\n",
                  speedup_guided);
     ok = false;
   }
-  if (!quick && work_ratio < 3.0) {
+  if (work_ratio < 3.0) {
     std::fprintf(stderr, "FATAL: guided work ratio %.2fx below the 3x gate\n",
                  work_ratio);
     ok = false;
   }
-  if (!quick && speedup_cached < 20.0) {
+  if (speedup_cached < 20.0) {
     std::fprintf(stderr, "FATAL: cached speedup %.1fx below the 20x gate\n",
                  speedup_cached);
     ok = false;
   }
 
   std::ofstream js("BENCH_search.json");
-  js << "{\n  \"quick\": " << (quick ? "true" : "false")
-     << ",\n  \"candidates\": " << space.candidates.size()
+  js << "{\n  \"candidates\": " << space.candidates.size()
      << ",\n  \"behaviours\": " << space.behaviours.size()
      << ",\n  \"computations\": " << cfg.computations
      << ",\n  \"budget_rungs\": " << cfg.budget_rungs

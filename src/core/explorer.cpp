@@ -136,10 +136,12 @@ ExplorationResult explore(const dfg::Graph& graph, const dfg::Schedule& sched,
 
   // Checkpoint replay: restore journalled points into their slots before
   // anything is scheduled. A stale journal (different configuration) is a
-  // hard error; an unreadable one degrades to a fresh sweep.
+  // hard error; an unreadable one degrades to a fresh sweep that journals
+  // nothing, so the file is left as it was for the next run to replay.
   std::vector<std::optional<ExplorationPoint>> replayed(configs.size());
   std::size_t replayed_count = 0;
   std::uint64_t journal_fp = 0;
+  bool journal_unreadable = false;
   if (!cfg.checkpoint_file.empty()) {
     journal_fp = CheckpointJournal::fingerprint(cfg, graph, sched);
     {
@@ -153,6 +155,7 @@ ExplorationResult explore(const dfg::Graph& graph, const dfg::Schedule& sched,
         throw;
       } catch (const std::exception&) {
         obs::count("explore.journal.errors");
+        journal_unreadable = true;
       }
     }
     if (replayed_count > 0) {
@@ -163,7 +166,8 @@ ExplorationResult explore(const dfg::Graph& graph, const dfg::Schedule& sched,
   // and only an append needs a torn tail cut first: a full replay leaves
   // the file alone.
   std::unique_ptr<CheckpointJournal> journal;
-  if (!cfg.checkpoint_file.empty() && replayed_count < configs.size()) {
+  if (!cfg.checkpoint_file.empty() && !journal_unreadable &&
+      replayed_count < configs.size()) {
     journal = std::make_unique<CheckpointJournal>(cfg.checkpoint_file,
                                                   journal_fp);
   }

@@ -31,8 +31,8 @@
 // Determinism: instrumentation only observes (it reads clocks and
 // accumulates into side tables); it never feeds back into any algorithm or
 // RNG. Synthesis/exploration results are bit-identical with collection on
-// or off, for any thread count — asserted by tests/test_obs.cpp and by
-// bench_explorer_report on every run.
+// or off, for any thread count — asserted by tests/test_obs.cpp over the
+// four paper benchmarks.
 #pragma once
 
 #include <array>

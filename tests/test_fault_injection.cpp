@@ -15,6 +15,8 @@
 
 #include <algorithm>
 #include <cstdio>
+#include <fstream>
+#include <sstream>
 #include <string>
 
 #include "core/explorer.hpp"
@@ -67,6 +69,13 @@ struct TempPath {
   }
   ~TempPath() { std::remove(path.c_str()); }
 };
+
+std::string slurp(const std::string& path) {
+  std::ifstream in(path, std::ios::binary);
+  std::ostringstream os;
+  os << in.rdbuf();
+  return os.str();
+}
 
 }  // namespace
 
@@ -192,12 +201,17 @@ TEST_F(FaultInjectionTest, JournalFaultsCostTheJournalNeverTheResult) {
   }
   {
     // An unreadable journal falls back to a fresh sweep, even when the
-    // file on disk is valid.
+    // file on disk is valid. That sweep journals nothing: the file keeps
+    // its bytes, and the next run replays every point from it.
     SCOPED_TRACE("journal.load:always");
     TempPath journal("fi_load_always.journal");
     sweep(journal.path, nullptr);
+    const std::string before = slurp(journal.path);
     EXPECT_EQ(sweep(journal.path, "journal.load:always").replayed_points, 0u);
     EXPECT_EQ(inj.hits("journal.load"), 1u);
+    EXPECT_EQ(slurp(journal.path), before);
+    EXPECT_EQ(sweep(journal.path, nullptr).replayed_points,
+              baseline.points.size());
   }
 }
 

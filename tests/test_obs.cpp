@@ -55,6 +55,9 @@ void expect_identical(const core::ExplorationResult& a,
     EXPECT_EQ(a.points[i].area.total, b.points[i].area.total);
     EXPECT_EQ(a.points[i].stats.num_memory_cells,
               b.points[i].stats.num_memory_cells);
+    EXPECT_EQ(a.points[i].hotspot, b.points[i].hotspot);
+    EXPECT_EQ(a.points[i].hotspot_share, b.points[i].hotspot_share);
+    EXPECT_EQ(a.points[i].crest, b.points[i].crest);
   }
 }
 
@@ -228,24 +231,30 @@ TEST_F(ObsTest, MetricsJsonIsValidAndCarriesPipelineCounters) {
 }
 
 // The determinism contract of ISSUE 2: results are bit-identical with
-// tracing on vs. off, for serial and parallel runs alike.
+// tracing on vs. off, for serial and parallel runs alike, on each of the
+// paper's four benchmarks.
 TEST_F(ObsTest, TracingDoesNotPerturbExplorationResults) {
-  const auto b = suite::by_name("facet", 4);
+  for (const char* name : {"facet", "hal", "biquad", "bandpass"}) {
+    SCOPED_TRACE(name);
+    const auto b = suite::by_name(name, 4);
 
-  ASSERT_FALSE(obs::enabled());
-  const auto off_serial = core::explore(*b.graph, *b.schedule, small_config(1));
-  const auto off_parallel =
-      core::explore(*b.graph, *b.schedule, small_config(4));
+    ASSERT_FALSE(obs::enabled());
+    const auto off_serial =
+        core::explore(*b.graph, *b.schedule, small_config(1));
+    const auto off_parallel =
+        core::explore(*b.graph, *b.schedule, small_config(4));
 
-  obs::set_enabled(true);
-  const auto on_serial = core::explore(*b.graph, *b.schedule, small_config(1));
-  const auto on_parallel =
-      core::explore(*b.graph, *b.schedule, small_config(4));
-  obs::set_enabled(false);
+    obs::set_enabled(true);
+    const auto on_serial =
+        core::explore(*b.graph, *b.schedule, small_config(1));
+    const auto on_parallel =
+        core::explore(*b.graph, *b.schedule, small_config(4));
+    obs::set_enabled(false);
 
-  expect_identical(off_serial, off_parallel);
-  expect_identical(off_serial, on_serial);
-  expect_identical(off_serial, on_parallel);
+    expect_identical(off_serial, off_parallel);
+    expect_identical(off_serial, on_serial);
+    expect_identical(off_serial, on_parallel);
+  }
   EXPECT_GT(obs::Registry::instance().num_spans(), 0u);
 }
 

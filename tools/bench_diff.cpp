@@ -1,7 +1,7 @@
 // bench_diff: compare a freshly produced BENCH_*.json against a committed
 // baseline and fail on drift.
 //
-//   bench_diff <baseline.json> <fresh.json> [--tolerance R]
+//   bench_diff <baseline.json> <fresh.json>
 //
 // Both files are flattened to dotted key paths (arrays by index) with a
 // minimal recursive-descent scanner — the BENCH files are machine-written
@@ -11,15 +11,17 @@
 //  * noisy keys — wall-clock and derived throughput numbers (leaf name
 //    contains "seconds", "pct", "stddev", "speedup", "per_sec", "_ms",
 //    "mean", "overhead", "min", "max"). These must agree within a RATIO of
-//    --tolerance (default 3x, generous because CI runners are shared);
-//    readings where either side is under 100us are skipped as pure noise.
+//    kTolerance (6x, generous because CI runners are shared); readings
+//    where both sides are under 5 ms are skipped as pure noise.
 //  * structural keys — everything else (config counts, eval counts, guard
 //    booleans, point totals). These must match EXACTLY: they are
 //    deterministic outputs of the benches, and any change means the bench
 //    or the kernel changed behaviour, not the machine.
 //
 // A key present on one side only is an error (schema drift). Exit code 0
-// when clean, 1 on any violation; every violation is printed.
+// when clean, 1 on any violation (every violation is printed), 2 on a usage
+// error or an unreadable file.
+#include <algorithm>
 #include <cctype>
 #include <cstdio>
 #include <cstdlib>
@@ -31,6 +33,9 @@
 #include <vector>
 
 namespace {
+
+/// Largest ratio two readings of a wall-clock key may differ by.
+constexpr double kTolerance = 6.0;
 
 struct Flat {
   std::map<std::string, double> nums;     // numbers and booleans (0/1)
@@ -216,32 +221,19 @@ bool is_informational(const std::string& path) {
 }  // namespace
 
 int main(int argc, char** argv) {
-  const char* base_file = nullptr;
-  const char* fresh_file = nullptr;
-  double tolerance = 3.0;
-  for (int i = 1; i < argc; ++i) {
-    if (std::strcmp(argv[i], "--tolerance") == 0 && i + 1 < argc) {
-      tolerance = std::atof(argv[++i]);
-    } else if (!base_file) {
-      base_file = argv[i];
-    } else if (!fresh_file) {
-      fresh_file = argv[i];
-    } else {
-      std::fprintf(stderr,
-                   "usage: bench_diff <baseline.json> <fresh.json> "
-                   "[--tolerance R]\n");
-      return 2;
-    }
+  char** const end = argv + argc;
+  char** const flag = std::find_if(
+      argv + 1, end, [](const char* arg) { return arg[0] == '-'; });
+  if (flag != end) {
+    std::fprintf(stderr, "bench_diff: unknown option %s\n", *flag);
   }
-  if (!base_file || !fresh_file || tolerance < 1.0) {
-    std::fprintf(stderr,
-                 "usage: bench_diff <baseline.json> <fresh.json> "
-                 "[--tolerance R>=1]\n");
+  if (flag != end || argc != 3) {
+    std::fprintf(stderr, "usage: bench_diff <baseline.json> <fresh.json>\n");
     return 2;
   }
 
   Flat base, fresh;
-  if (!load(base_file, base) || !load(fresh_file, fresh)) return 2;
+  if (!load(argv[1], base) || !load(argv[2], fresh)) return 2;
 
   int violations = 0;
   std::size_t compared_noisy = 0, compared_exact = 0, skipped_tiny = 0,
@@ -302,9 +294,9 @@ int main(int argc, char** argv) {
         worst_ratio = ratio;
         worst_key = k;
       }
-      if (ratio > tolerance) {
+      if (ratio > kTolerance) {
         std::printf("DRIFT %s: %g -> %g (%.2fx, tolerance %.2fx)\n", k.c_str(),
-                    bv, fv, ratio, tolerance);
+                    bv, fv, ratio, kTolerance);
         ++violations;
       }
     } else {
@@ -320,7 +312,7 @@ int main(int argc, char** argv) {
       "bench_diff: %zu exact keys, %zu noisy keys within %.2fx "
       "(worst %.2fx at %s), %zu tiny + %zu spread readings skipped, "
       "%d violation(s)\n",
-      compared_exact, compared_noisy, tolerance, worst_ratio,
+      compared_exact, compared_noisy, kTolerance, worst_ratio,
       worst_key.empty() ? "-" : worst_key.c_str(), skipped_tiny, skipped_info,
       violations);
   return violations == 0 ? 0 : 1;
