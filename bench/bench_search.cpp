@@ -25,8 +25,8 @@
 // and abort counts, the guided leg's work counters from an untimed traced
 // guided pass, the lane-step work ratio, contract booleans) are
 // exact-matched by bench_diff; seconds/speedups, every timed pair
-// included, are noisy keys. Run with jobs = 1 so every count in the
-// JSON is machine-independent (determinism across jobs is test_search's
+// included, are noisy keys; the "host" stamp (host.hpp) is not compared.
+// Run with jobs = 1 so every count in the JSON is machine-independent (determinism across jobs is test_search's
 // job, not this bench's).
 #include <chrono>
 #include <cstdint>
@@ -39,6 +39,7 @@
 
 #include "core/search.hpp"
 #include "dfg/schedule.hpp"
+#include "host.hpp"
 #include "obs/obs.hpp"
 #include "suite/benchmarks.hpp"
 #include "util/stats.hpp"
@@ -322,7 +323,8 @@ int main(int argc, char** argv) {
   }
 
   std::ofstream js("BENCH_search.json");
-  js << "{\n  \"candidates\": " << space.candidates.size()
+  js << "{\n  " << bench::host_json()
+     << ",\n  \"candidates\": " << space.candidates.size()
      << ",\n  \"behaviours\": " << space.behaviours.size()
      << ",\n  \"computations\": " << cfg.computations
      << ",\n  \"budget_rungs\": " << cfg.budget_rungs

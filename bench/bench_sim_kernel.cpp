@@ -30,7 +30,10 @@
 // A fourth leg benchmarks time-sliced bundles: two 1200-computation
 // streams through the bundle run_time_sliced() (2 streams x 32 chunks)
 // against the lockstep run_sliced() of the same bundle, both with a
-// PowerProbe attached, with two more guards:
+// PowerProbe attached. The bundle counts two plain per-stream toggle
+// totals and its probe folds each lane pair before it unpacks a class
+// count; the lockstep pass keeps per-lane vertical counters. Two more
+// guards:
 //
 //  7. identity — per-stream outputs and Activity, and every aggregate
 //     waveform entry (as raw double bits), must match the lockstep run;
@@ -49,7 +52,8 @@
 // the speedup floor checks, the tail and spread make runner noise visible
 // in BENCH_sim.json instead of silently erased.
 //
-// Exit code is nonzero if any guard fails. Writes BENCH_sim.json (cwd).
+// Exit code is nonzero if any guard fails. Writes BENCH_sim.json (cwd),
+// stamped with the host it ran on (host.hpp).
 #include <algorithm>
 #include <chrono>
 #include <cstdio>
@@ -59,6 +63,7 @@
 #include <vector>
 
 #include "core/synthesizer.hpp"
+#include "host.hpp"
 #include "power/attribution.hpp"
 #include "sim/simulator.hpp"
 #include "sim/stimulus.hpp"
@@ -563,7 +568,8 @@ int main() {
 
   {
     std::ofstream js("BENCH_sim.json");
-    js << "{\n  \"computations\": " << kComputations
+    js << "{\n  " << bench::host_json()
+       << ",\n  \"computations\": " << kComputations
        << ",\n  \"configs\": [\n";
     for (std::size_t i = 0; i < rows.size(); ++i) {
       const auto& r = rows[i];

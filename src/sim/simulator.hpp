@@ -62,7 +62,9 @@
 //    stitched back together in time order — bit-identical to the scalar
 //    run(), probe waveform included. Its bundle form cuts each of S streams
 //    into ⌊64/S⌋ chunks and is bit-identical to run_sliced() of the bundle,
-//    aggregate probe waveform included (DESIGN.md §7).
+//    aggregate probe waveform included (DESIGN.md §7). Up to five streams,
+//    a time-sliced pass counts plain per-stream toggle totals (masked
+//    popcounts) instead of vertical counters.
 //
 // Because every combinational component is a pure function of its input
 // nets and write_net() only counts transitions on real value changes, the

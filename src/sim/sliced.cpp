@@ -21,14 +21,17 @@
 //    of every count; each stream's lanes are stitched back into one
 //    SimResult. With one chunk per stream this is the lockstep layout.
 //
-// Per-lane toggle exactness is the contract: lane s of the result must be
-// bit-identical to an independent EventDriven run. Toggle counts therefore
-// cannot be folded into one popcount per plane — instead each changed write
-// compresses its (count-masked) XOR-diff planes into a bit-sliced per-lane
-// sum (slice_popcount_planes, a carry-save adder network) and adds that into
-// a per-net "vertical" counter whose planes are again bit-sliced across
-// lanes (slice_counter_add). At the end of the run one transpose64 per
-// counter unpacks exact per-lane totals (or a popcount per plane sums them).
+// Per-stream toggle exactness is the contract: stream s of the result must
+// be bit-identical to an independent EventDriven run. A time-sliced pass of
+// at most kMaxTotalsStreams streams keeps one plain 64-bit total per stream
+// in each counter: a counted write adds, per stream, the popcounts of its
+// (count-masked) XOR-diff planes under the stream's lane mask — or of the
+// bit-sliced per-lane sums (slice_popcount_planes) when a probe needs those
+// anyway. Larger bundles and the lockstep run_sliced() keep a per-net
+// "vertical" counter whose planes are bit-sliced across lanes: each write
+// adds its per-lane sums (slice_counter_add), and at the end of the run one
+// transpose64 per counter unpacks exact per-lane totals (or a popcount per
+// plane sums them for one stream).
 //
 // The kernel reads the design's compiled tables (rtl::DesignTables): the
 // levelized fanout index, the tabulated controller deltas and the static
@@ -66,6 +69,24 @@ namespace {
 // Vertical-counter depth: per-lane toggle totals up to 2^48. A run would
 // need ~2^42 master cycles to overflow a 64-bit-wide net.
 constexpr unsigned kCounterPlanes = 48;
+
+/// Largest time-sliced bundle whose counters hold plain per-stream totals
+/// (S masked popcounts per write) instead of vertical counters (one
+/// carry-save add per write, one transpose64 per counter at the end): the
+/// measured crossover on the suite's designs (DESIGN.md §7).
+constexpr std::size_t kMaxTotalsStreams = 5;
+
+constexpr std::uint64_t kEvenLanes = 0x5555555555555555;
+
+/// Bit 2g of `x` moved to bit g for g < 32 (the odd bits must be zero):
+/// the even lanes of a plane packed into its low half.
+constexpr std::uint64_t pack_even_lanes(std::uint64_t x) {
+  x = (x | (x >> 1)) & 0x3333333333333333;
+  x = (x | (x >> 2)) & 0x0F0F0F0F0F0F0F0F;
+  x = (x | (x >> 4)) & 0x00FF00FF00FF00FF;
+  x = (x | (x >> 8)) & 0x0000FFFF0000FFFF;
+  return (x | (x >> 16)) & 0x00000000FFFFFFFF;
+}
 
 /// Counter depth that holds any per-lane toggle total of a pass of `steps`
 /// steps over `comps` components: a net is written at most twice per step
@@ -174,8 +195,8 @@ class SlicedKernel {
         computations_(lanes_.back().count_end),
         streams_(streams),
         groups_(n_ / streams),
-        totals_(time_sliced && streams == 1),
-        depth_(totals_ ? 1
+        totals_(time_sliced && streams <= kMaxTotalsStreams),
+        words_(totals_ ? static_cast<unsigned>(streams)
                        : counter_depth(static_cast<std::uint64_t>(local_comps) *
                                            static_cast<std::uint64_t>(
                                                design_.clocks.period()),
@@ -183,8 +204,8 @@ class SlicedKernel {
         time_sliced_(time_sliced),
         per_group_probe_(time_sliced && groups_ > 1 && sim.probe_ != nullptr),
         heatmaps_(heatmaps),
-        net_counters_(nl_.num_nets() * depth_, 0),
-        storage_counters_(nl_.num_components() * depth_, 0),
+        net_counters_(nl_.num_nets() * words_, 0),
+        storage_counters_(nl_.num_components() * words_, 0),
         uniform_(nl_.num_nets(), 0),
         uniform_scalar_(nl_.num_nets(), 0),
         queue_(tab_.comb_order.size()),
@@ -212,6 +233,7 @@ class SlicedKernel {
       for (std::size_t g = lane.count_begin; g < lane.count_end; ++g) {
         count_mask_[g - lane.first] |= std::uint64_t{1} << l;
       }
+      if (totals_) stream_mask_[l % streams_] |= std::uint64_t{1} << l;
     }
     if (per_group_probe_) init_group_probe(*sim.probe_);
   }
@@ -265,25 +287,34 @@ class SlicedKernel {
   /// Count one write's toggles — `diff`, `w` planes masked to the counted
   /// lanes, not all zero — into `counters` and leave the per-lane sums the
   /// probe reads in `sums` (k == 0 when no probe needs them). Plain totals
-  /// take the popcounts of the planes (of the sums, when a probe needs
-  /// those anyway); vertical counters add the bit-sliced per-lane sums.
+  /// take each stream's masked popcounts of the planes (of the sums, when a
+  /// probe needs those anyway); vertical counters add the bit-sliced
+  /// per-lane sums.
   void count_toggles(const std::uint64_t* diff, unsigned w,
                      std::initializer_list<std::uint64_t*> counters,
                      LaneSums& sums) {
     if (totals_) {
-      std::uint64_t total = 0;
       if (sim_.probe_ != nullptr) {
         sums.k = slice_popcount_planes(diff, w, sums.p);
-        total = lanes_total(sums.p, sums.k);
-      } else {
-        for (unsigned b = 0; b < w; ++b) total += popcount64(diff[b]);
       }
-      for (std::uint64_t* c : counters) *c += total;
+      for (std::size_t s = 0; s < streams_; ++s) {
+        const std::uint64_t m = stream_mask_[s];
+        std::uint64_t total = 0;
+        if (sim_.probe_ != nullptr) {
+          for (unsigned j = 0; j < sums.k; ++j) {
+            total += static_cast<std::uint64_t>(popcount64(sums.p[j] & m))
+                     << j;
+          }
+        } else {
+          for (unsigned b = 0; b < w; ++b) total += popcount64(diff[b] & m);
+        }
+        for (std::uint64_t* c : counters) c[s] += total;
+      }
       return;
     }
     sums.k = slice_popcount_planes(diff, w, sums.p);
     for (std::uint64_t* c : counters) {
-      MCRTL_CHECK_MSG(slice_counter_add(c, depth_, sums.p, sums.k),
+      MCRTL_CHECK_MSG(slice_counter_add(c, words_, sums.p, sums.k),
                       "bit-sliced toggle counter overflow");
     }
   }
@@ -307,7 +338,7 @@ class SlicedKernel {
     }
     sums.k = 0;
     if ((any & count) != 0) {
-      count_toggles(diff, w, {net_counters_.data() + net.index() * depth_},
+      count_toggles(diff, w, {net_counters_.data() + net.index() * words_},
                     sums);
     }
     return any;
@@ -368,10 +399,18 @@ class SlicedKernel {
   /// write flipping at most its width. Weigh the controller classes' row
   /// of every period step.
   void init_group_probe(PowerProbe& probe);
-  /// Move per-lane counts out of a data class counter of `depth` planes
-  /// into `cnt`, clearing the counter.
+  /// Move a data class counter of `depth` planes into `sum` (room for
+  /// depth + 1 planes) as 32 pair totals: lane pair g's sum is lane g of
+  /// `sum`, clearing the counter. Returns the depth of `sum` (one more
+  /// plane when a pair's total carries into it).
+  static unsigned fold_pairs(std::uint64_t* counter, unsigned depth,
+                             std::uint64_t* sum);
+  /// Move the counts of the first `kLanes` lanes (a multiple of 8) out of
+  /// a bit-sliced per-lane counter of `depth` planes into `cnt`, clearing
+  /// the counter.
+  template <unsigned kLanes>
   static void unpack_counts(std::uint64_t* counter, unsigned depth,
-                            std::int32_t cnt[64]);
+                            std::int32_t* cnt);
   /// Close step t (1..P) of local computation `comp` for the per-group
   /// probe: weigh the controller classes once and add fj × (the group's
   /// count) of every touched data class to the group rows, which are the
@@ -396,19 +435,20 @@ class SlicedKernel {
   const std::size_t computations_;
   const std::size_t streams_;  // S: lanes per group
   const std::size_t groups_;   // chunks per stream
-  // One stream needs only its toggle totals across lanes: then every
-  // counter is a plain total (depth 1), else a bit-sliced per-lane
-  // vertical counter of depth_ planes.
+  // A small time-sliced bundle needs only each stream's toggle totals:
+  // then every counter is S plain totals, else a bit-sliced per-lane
+  // vertical counter. words_ is the counter's size either way.
   const bool totals_;
-  const unsigned depth_;
+  const unsigned words_;
+  std::uint64_t stream_mask_[kMaxTotalsStreams] = {};  // lanes of stream s
   const bool time_sliced_;
   const bool per_group_probe_;
   std::vector<PhaseHeatmap>* const heatmaps_;
   std::vector<std::uint64_t> count_mask_;  // by local computation
 
-  std::vector<std::uint64_t> net_counters_;      // num_nets x depth_
-  std::vector<std::uint64_t> storage_counters_;  // num_comps x depth_
-  std::vector<std::uint64_t> heat_counters_;     // (phase x step) vertical
+  std::vector<std::uint64_t> net_counters_;      // num_nets x words_
+  std::vector<std::uint64_t> storage_counters_;  // num_comps x words_
+  std::vector<std::uint64_t> heat_counters_;     // (phase x step) x words_
   std::vector<std::uint8_t> uniform_;            // by NetId
   std::vector<std::uint64_t> uniform_scalar_;    // by NetId, uniform nets only
   std::vector<std::uint64_t> capture_buf_;       // D planes, read-before-write
@@ -523,15 +563,22 @@ void SlicedKernel::close_group_rows(std::size_t comp, int t) {
       const std::size_t c =
           w * 64 + static_cast<unsigned>(std::countr_zero(bits));
       const DataClass& dc = classes_[c - first_data_];
+      std::uint64_t* const counter = class_counters_.data() + dc.offset;
       std::int32_t cnt[64];
-      unpack_counts(class_counters_.data() + dc.offset, dc.depth, cnt);
-      if (streams_ > 1) {
-        for (std::size_t g = 0; g < G; ++g) {
-          std::int32_t total = 0;
-          for (std::size_t l = g * streams_; l < (g + 1) * streams_; ++l) {
-            total += cnt[l];
+      if (streams_ == 2) {
+        // One bit-sliced add folds each lane pair into one group count.
+        std::uint64_t sum[65];
+        unpack_counts<32>(sum, fold_pairs(counter, dc.depth, sum), cnt);
+      } else {
+        unpack_counts<64>(counter, dc.depth, cnt);
+        if (streams_ > 1) {
+          for (std::size_t g = 0; g < G; ++g) {
+            std::int32_t total = 0;
+            for (std::size_t l = g * streams_; l < (g + 1) * streams_; ++l) {
+              total += cnt[l];
+            }
+            cnt[g] = total;
           }
-          cnt[g] = total;
         }
       }
       // fj × count in every group slot, after the controller classes of
@@ -564,23 +611,39 @@ void SlicedKernel::close_group_rows(std::size_t comp, int t) {
   }
 }
 
+unsigned SlicedKernel::fold_pairs(std::uint64_t* counter, unsigned depth,
+                                  std::uint64_t* sum) {
+  std::uint64_t carry = 0;
+  for (unsigned j = 0; j < depth; ++j) {
+    const std::uint64_t x = counter[j] & kEvenLanes;
+    const std::uint64_t y = (counter[j] >> 1) & kEvenLanes;
+    counter[j] = 0;
+    sum[j] = pack_even_lanes(x ^ y ^ carry);
+    carry = (x & y) | (carry & (x ^ y));
+  }
+  sum[depth] = pack_even_lanes(carry);
+  return carry != 0 ? depth + 1 : depth;
+}
+
+template <unsigned kLanes>
 void SlicedKernel::unpack_counts(std::uint64_t* counter, unsigned depth,
-                                 std::int32_t cnt[64]) {
+                                 std::int32_t* cnt) {
   // Each plane's bits spread into one count byte per lane, eight lanes per
   // word, eight planes at a time. The counts of a step rarely need more
   // than four planes, so that case runs a fixed four.
-  std::uint8_t bytes[64];
+  constexpr unsigned kWords = kLanes / 8;
+  std::uint8_t bytes[kLanes];
   auto spread = [&](const std::uint64_t* planes, unsigned n) {
-    std::uint64_t words[8] = {};
+    std::uint64_t words[kWords] = {};
     for (unsigned j = 0; j < n; ++j) {
-      for (unsigned g = 0; g < 8; ++g) {
+      for (unsigned g = 0; g < kWords; ++g) {
         words[g] |= kSpreadBytes[(planes[j] >> (8 * g)) & 0xFF] << j;
       }
     }
     if constexpr (std::endian::native == std::endian::little) {
       std::memcpy(bytes, words, sizeof bytes);
     } else {
-      for (unsigned g = 0; g < 8; ++g) {
+      for (unsigned g = 0; g < kWords; ++g) {
         for (unsigned i = 0; i < 8; ++i) {
           bytes[8 * g + i] = static_cast<std::uint8_t>(words[g] >> (8 * i));
         }
@@ -594,13 +657,15 @@ void SlicedKernel::unpack_counts(std::uint64_t* counter, unsigned depth,
     std::copy(counter, counter + std::min(depth, 4u), planes);
     std::fill(counter, counter + std::min(depth, 4u), 0);
     spread(planes, 4);
-    for (unsigned l = 0; l < 64; ++l) cnt[l] = bytes[l];
+    for (unsigned l = 0; l < kLanes; ++l) cnt[l] = bytes[l];
     return;
   }
-  std::fill(cnt, cnt + 64, 0);
+  std::fill(cnt, cnt + kLanes, 0);
   for (unsigned base = 0; base < depth; base += 8) {
     spread(counter + base, std::min(depth - base, 8u));
-    for (unsigned l = 0; l < 64; ++l) cnt[l] += std::int32_t{bytes[l]} << base;
+    for (unsigned l = 0; l < kLanes; ++l) {
+      cnt[l] += std::int32_t{bytes[l]} << base;
+    }
   }
   std::fill(counter, counter + depth, 0);
 }
@@ -889,7 +954,7 @@ void SlicedKernel::simulate(const std::vector<dfg::ValueId>& input_order,
 
   const bool heat = heatmaps_ != nullptr;
   if (heat) {
-    heat_counters_.assign(static_cast<std::size_t>(nphases) * P * depth_, 0);
+    heat_counters_.assign(static_cast<std::size_t>(nphases) * P * words_, 0);
   }
 
   // One probe record per pass: per-group rows fill the record in the
@@ -996,12 +1061,12 @@ void SlicedKernel::simulate(const std::vector<dfg::ValueId>& input_order,
         LaneSums sums;
         if ((any & count) != 0) {
           std::uint64_t* const storage =
-              storage_counters_.data() + cid.index() * depth_;
+              storage_counters_.data() + cid.index() * words_;
           std::uint64_t* const net =
-              net_counters_.data() + c.output.index() * depth_;
+              net_counters_.data() + c.output.index() * words_;
           if (heat) {
             count_toggles(counted, c.width,
-                          {storage, net, heat_counters_.data() + cell * depth_},
+                          {storage, net, heat_counters_.data() + cell * words_},
                           sums);
           } else {
             count_toggles(counted, c.width, {storage, net}, sums);
@@ -1070,6 +1135,7 @@ void SlicedKernel::simulate(const std::vector<dfg::ValueId>& input_order,
       obs::count("sim.time_sliced.bundle_runs");
       obs::count("sim.time_sliced.bundle_streams", streams_);
     }
+    if (totals_) obs::count("sim.time_sliced.stream_totals");
     if (time_sliced_ && sim_.computation_budget_ > 0) {
       obs::count("sim.time_sliced.budgeted_runs");
     }
@@ -1115,33 +1181,33 @@ std::vector<SimResult> SlicedKernel::results() {
     results[s].activity = periods_activity(computations_);
     results[s].outputs = std::move(samples_[s]);
   }
-  // Per-stream totals of a counter: a plain total as is, one stream's
+  // Per-stream totals of a counter: plain totals as they are, one stream's
   // vertical counter by popcounts, otherwise one transpose64 unpacks every
   // lane's total.
   std::uint64_t lanes[64];
   auto unpack = [&](const std::uint64_t* counter, auto&& add) {
     if (totals_) {
-      add(0, *counter);
+      for (std::size_t s = 0; s < streams_; ++s) add(s, counter[s]);
       return;
     }
     if (streams_ == 1) {
-      add(0, lanes_total(counter, depth_));
+      add(0, lanes_total(counter, words_));
       return;
     }
     std::fill(lanes, lanes + 64, 0);
-    std::copy(counter, counter + depth_, lanes);
+    std::copy(counter, counter + words_, lanes);
     transpose64(lanes);  // counter planes -> per-lane totals
     for (std::size_t l = 0; l < n_; ++l) add(l % streams_, lanes[l]);
   };
   for (std::size_t i = 0; i < nl_.num_nets(); ++i) {
-    unpack(net_counters_.data() + i * depth_,
+    unpack(net_counters_.data() + i * words_,
            [&](std::size_t s, std::uint64_t v) {
              results[s].activity.net_toggles[i] += v;
            });
   }
   for (CompId cid : tab_.storage_by_phase.items) {
     const std::size_t i = cid.index();
-    unpack(storage_counters_.data() + i * depth_,
+    unpack(storage_counters_.data() + i * words_,
            [&](std::size_t s, std::uint64_t v) {
              results[s].activity.storage_write_toggles[i] += v;
            });
@@ -1154,7 +1220,7 @@ std::vector<SimResult> SlicedKernel::results() {
     }
     for (std::size_t cell = 0; cell < hms.front().write_toggles.size();
          ++cell) {
-      unpack(heat_counters_.data() + cell * depth_,
+      unpack(heat_counters_.data() + cell * words_,
              [&](std::size_t s, std::uint64_t v) {
                hms[s].write_toggles[cell] += v;
              });

@@ -650,7 +650,8 @@ void differential_check_bundle(const rtl::Design& design,
   expect_identical_waveforms(ts_probe, ls_probe, what);
 }
 
-const std::size_t kBundleSizes[] = {2, 3, 5, 8, 16, 32, 33, 64};
+// 5 and 6 straddle the largest bundle that counts plain per-stream totals.
+const std::size_t kBundleSizes[] = {2, 3, 4, 5, 6, 8, 16, 32, 33, 64};
 
 TEST(TimeSlicedBundleTest, MatchesLockstepOnEverySuiteConfiguration) {
   // Every suite behaviour x width x bundle size x length; the design
@@ -765,10 +766,13 @@ TEST(TimeSlicedTest, ClassCountsAbove255PerLaneStayExact) {
   ASSERT_GT(max_class_step_count(*syn.design, f.graph, stream, probe), 255u);
   EXPECT_TRUE(differential_check_time_sliced(*syn.design, f.graph, stream,
                                              "gated, 64-bit"));
-  differential_check_bundle(
-      *syn.design, f.graph,
-      uniform_streams(5303, 2, f.graph.inputs().size(), 130, 64),
-      "gated, 64-bit, S=2");
+  // S = 2 folds lane pairs before it unpacks; 3 and 4 sum lanes after.
+  for (std::size_t S : {2u, 3u, 4u}) {
+    differential_check_bundle(
+        *syn.design, f.graph,
+        uniform_streams(5301 + S, S, f.graph.inputs().size(), 130, 64),
+        "gated, 64-bit, S=" + std::to_string(S));
+  }
 }
 
 TEST(TimeSlicedTest, MoreThan64EnergyClassesStayExact) {
@@ -785,10 +789,12 @@ TEST(TimeSlicedTest, MoreThan64EnergyClassesStayExact) {
   const auto stream = uniform_stream(rng, f.graph.inputs().size(), 130, 64);
   EXPECT_TRUE(differential_check_time_sliced(*syn.design, f.graph, stream,
                                              "3 clocks, 64-bit"));
-  differential_check_bundle(
-      *syn.design, f.graph,
-      uniform_streams(5304, 2, f.graph.inputs().size(), 130, 64),
-      "3 clocks, 64-bit, S=2");
+  for (std::size_t S : {2u, 3u, 4u}) {
+    differential_check_bundle(
+        *syn.design, f.graph,
+        uniform_streams(5302 + S, S, f.graph.inputs().size(), 130, 64),
+        "3 clocks, 64-bit, S=" + std::to_string(S));
+  }
 }
 
 TEST(TimeSlicedBundleTest, TakesTheBundlePathOnSuiteDesigns) {
@@ -808,6 +814,42 @@ TEST(TimeSlicedBundleTest, TakesTheBundlePathOnSuiteDesigns) {
   EXPECT_EQ(counters.at("sim.time_sliced.lanes"), 64u);
   EXPECT_EQ(counters.count("sim.time_sliced.fallbacks"), 0u);
   EXPECT_EQ(counters.count("sim.sliced.runs"), 0u);
+}
+
+TEST(TimeSlicedBundleTest, SmallBundlesCountPlainPerStreamTotals) {
+  // Up to five streams, each counter holds one plain total per stream;
+  // larger bundles and the lockstep pass keep per-lane vertical counters.
+  // Five is the measured crossover (DESIGN.md §7).
+  constexpr std::size_t kMaxTotalsStreams = 5;
+  const auto b = suite::by_name("hal", 4);
+  core::SynthesisOptions opts;
+  opts.style = DesignStyle::MultiClock;
+  opts.num_clocks = 2;
+  const auto syn = core::synthesize(*b.graph, *b.schedule, opts);
+  const auto in = b.graph->inputs();
+  const auto out = b.graph->outputs();
+  const power::Attribution attr(*syn.design, power::TechLibrary::cmos08());
+  auto totals_runs = [&](std::size_t S) {
+    const auto streams = uniform_streams(60 + S, S, in.size(), 100, 4);
+    Simulator ts(*syn.design, Simulator::Mode::BitSliced);
+    PowerProbe probe(attr.energy_model());
+    ts.set_power_probe(&probe);
+    const auto counters =
+        counters_of([&] { ts.run_time_sliced(streams, in, out); });
+    const auto it = counters.find("sim.time_sliced.stream_totals");
+    return it == counters.end() ? 0 : it->second;
+  };
+  for (std::size_t S = 2; S <= kMaxTotalsStreams; ++S) {
+    EXPECT_EQ(totals_runs(S), 1u) << "S=" << S;
+  }
+  EXPECT_EQ(totals_runs(kMaxTotalsStreams + 1), 0u);
+  EXPECT_EQ(totals_runs(Simulator::kMaxStreams), 0u);
+  const auto streams = uniform_streams(61, 2, in.size(), 100, 4);
+  const auto lockstep = counters_of([&] {
+    Simulator ls(*syn.design, Simulator::Mode::BitSliced);
+    ls.run_sliced(streams, in, out);
+  });
+  EXPECT_EQ(lockstep.count("sim.time_sliced.stream_totals"), 0u);
 }
 
 TEST(TimeSlicedBundleTest, BudgetMatchesBudgetedScalarRun) {
@@ -864,7 +906,7 @@ TEST(TimeSlicedBundleTest, NonSliceableDesignRunsLockstep) {
   const rtl::Design& d = *chain.design;
   const std::vector<dfg::ValueId> in{chain.in_value};
   const std::vector<dfg::ValueId> out{chain.out_value};
-  for (std::size_t S : {2u, 8u}) {
+  for (std::size_t S : {2u, 4u, 8u}) {
     const auto streams = uniform_streams(40 + S, S, 1, 200, 4);
     Simulator ls(d, Simulator::Mode::BitSliced);
     const auto ref = ls.run_sliced(streams, in, out);

@@ -18,6 +18,9 @@
 //    deterministic outputs of the benches, and any change means the bench
 //    or the kernel changed behaviour, not the machine.
 //
+// The "host" object (nproc, CPU model, build type) says where the timings
+// were taken; it must be present on both sides but is never compared.
+//
 // A key present on one side only is an error (schema drift). Exit code 0
 // when clean, 1 on any violation (every violation is printed), 2 on a usage
 // error or an unreadable file.
@@ -211,6 +214,9 @@ bool is_noisy(const std::string& path) {
   return false;
 }
 
+/// The host stamp describes the machine, not the bench's behaviour.
+bool is_host(const std::string& path) { return path.rfind("host.", 0) == 0; }
+
 /// A rep-to-rep spread estimated from a handful of samples can swing by
 /// orders of magnitude on a shared runner without any code change; it is
 /// recorded for humans, never gated on.
@@ -259,7 +265,7 @@ int main(int argc, char** argv) {
     if (it == fresh.strs.end()) {
       std::printf("MISSING in fresh: %s\n", k.c_str());
       ++violations;
-    } else if (it->second != v && !is_noisy(k)) {
+    } else if (it->second != v && !is_noisy(k) && !is_host(k)) {
       std::printf("STRING DIFF %s: \"%s\" -> \"%s\"\n", k.c_str(), v.c_str(),
                   it->second.c_str());
       ++violations;
@@ -269,6 +275,7 @@ int main(int argc, char** argv) {
   for (const auto& [k, bv] : base.nums) {
     auto it = fresh.nums.find(k);
     if (it == fresh.nums.end()) continue;
+    if (is_host(k)) continue;
     const double fv = it->second;
     if (is_noisy(k)) {
       // Wall readings in the single-millisecond band are dominated by
