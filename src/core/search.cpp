@@ -542,7 +542,11 @@ SearchResult search(const SearchSpace& space, const SearchConfig& cfg) {
     // Consecutive active candidates of one behaviour whose options share an
     // allocation (allocation_hash: they differ only in how the design is
     // built, e.g. isolation or interconnect) form a run. A run allocates
-    // once and builds each candidate's design from that allocation.
+    // once and builds each candidate's design from that allocation. Run
+    // members that also share a simulation_hash differ only in the
+    // interconnect and record the same Activity: the first one is built
+    // and simulated, and a later one retags that design to its own
+    // interconnect (set_interconnect) and weighs the same prefix with it.
     std::vector<std::size_t> run_begin;  // into `active`, plus the end
     std::uint64_t prev_akey = 0;
     for (std::size_t k = 0; k < active.size(); ++k) {
@@ -557,26 +561,47 @@ SearchResult search(const SearchSpace& space, const SearchConfig& cfg) {
     run_begin.push_back(active.size());
     const std::size_t runs = run_begin.size() - 1;
     auto eval_run = [&](std::size_t run) {
-      std::unique_ptr<Synthesized> base;
+      // The run's simulated designs with their prefix Activity; the first
+      // owns the allocation the others are built from.
+      struct Prefix {
+        std::uint64_t sim_key = 0;
+        Synthesized syn;
+        sim::Activity activity;
+      };
+      std::vector<Prefix> prefixes;
       for (std::size_t k = run_begin[run]; k < run_begin[run + 1]; ++k) {
         obs::Span pspan("search.prefix");
         const std::size_t i = active[k];
         const auto& cand = space.candidates[i];
         const auto& bh = space.behaviours[cand.behaviour];
-        auto syn = base ? synthesize(*base, cand.options)
-                        : synthesize(*bh.graph, *bh.sched, cand.options);
-        sim::Simulator simulator(*syn.design, sim::Simulator::Mode::BitSliced);
-        simulator.set_computation_budget(budget);
-        // No output order: the prefix only ranks, so it samples no outputs.
-        const auto res = simulator.run_time_sliced(
-            prefix_stream[cand.behaviour], bh.graph->inputs(), {});
-        est[i].power =
-            power::estimate_power(*syn.design, res.activity, tech,
-                                  cfg.power_params)
-                .total;
-        est[i].area = power::estimate_area(*syn.design, tech).total;
-        est[i].period = static_cast<double>(syn.design->stats.period);
-        if (!base) base = std::make_unique<Synthesized>(std::move(syn));
+        const std::uint64_t sim_key = simulation_hash(cand.options);
+        auto p = std::find_if(
+            prefixes.begin(), prefixes.end(),
+            [&](const Prefix& q) { return q.sim_key == sim_key; });
+        if (p != prefixes.end()) {
+          set_interconnect(*p->syn.design, cand.options.interconnect);
+          obs::count("search.prefix.shared");
+        } else {
+          auto syn = prefixes.empty()
+                         ? synthesize(*bh.graph, *bh.sched, cand.options)
+                         : synthesize(prefixes.front().syn, cand.options);
+          sim::Simulator simulator(*syn.design,
+                                   sim::Simulator::Mode::BitSliced);
+          simulator.set_computation_budget(budget);
+          // No output order: the prefix only ranks, so it samples no
+          // outputs.
+          auto res = simulator.run_time_sliced(prefix_stream[cand.behaviour],
+                                               bh.graph->inputs(), {});
+          prefixes.push_back(
+              Prefix{sim_key, std::move(syn), std::move(res.activity)});
+          p = prefixes.end() - 1;
+        }
+        const rtl::Design& design = *p->syn.design;
+        est[i].power = power::estimate_power(design, p->activity, tech,
+                                             cfg.power_params)
+                           .total;
+        est[i].area = power::estimate_area(design, tech).total;
+        est[i].period = static_cast<double>(design.stats.period);
       }
     };
     if (jobs <= 1 || runs == 1) {

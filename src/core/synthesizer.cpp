@@ -55,6 +55,12 @@ std::uint64_t allocation_hash(const SynthesisOptions& opts) {
   return config_hash(a);
 }
 
+std::uint64_t simulation_hash(const SynthesisOptions& opts) {
+  SynthesisOptions a = opts;
+  a.interconnect = rtl::BuildOptions::Interconnect::Mux;
+  return config_hash(a);
+}
+
 namespace {
 /// The build half of synthesize(): everything rtl::build_design() needs
 /// from the options.
@@ -144,6 +150,18 @@ Synthesized synthesize(const dfg::Graph& graph, const dfg::Schedule& sched,
   out.design = std::make_unique<rtl::Design>(
       rtl::build_design(*out.alloc.binding, build_options(opts)));
   return out;
+}
+
+void set_interconnect(rtl::Design& design,
+                      rtl::BuildOptions::Interconnect ic) {
+  const rtl::CompKind kind = ic == rtl::BuildOptions::Interconnect::TristateBus
+                                 ? rtl::CompKind::Bus
+                                 : rtl::CompKind::Mux;
+  for (const auto& c : design.netlist.components()) {
+    if (c.kind == rtl::CompKind::Mux || c.kind == rtl::CompKind::Bus) {
+      design.netlist.comp_mut(c.id).kind = kind;
+    }
+  }
 }
 
 Synthesized synthesize(const Synthesized& base, const SynthesisOptions& opts) {

@@ -70,6 +70,21 @@ std::uint64_t config_hash(const SynthesisOptions& opts);
 /// gating) and share one allocation of a given graph and schedule.
 std::uint64_t allocation_hash(const SynthesisOptions& opts);
 
+/// Hash of the SynthesisOptions fields that change how a design simulates.
+/// Options with equal hashes differ only in the interconnect, which builds
+/// a Bus where the other builds a Mux, with the same inputs, select and
+/// output: every kernel evaluates the two alike, so for one graph, schedule
+/// and stimulus both designs record the same Activity, and only their
+/// capacitances (power, area) differ.
+std::uint64_t simulation_hash(const SynthesisOptions& opts);
+
+/// Retag every multi-source selector of `design` as the kind `ic` builds
+/// (Mux or Bus). Between designs whose options share a simulation_hash()
+/// that is the whole difference but for their names, so the retagged
+/// design simulates and estimates power and area exactly like the other.
+void set_interconnect(rtl::Design& design,
+                      rtl::BuildOptions::Interconnect ic);
+
 /// Synthesize `graph` (scheduled by `sched`) in the requested style.
 Synthesized synthesize(const dfg::Graph& graph, const dfg::Schedule& sched,
                        const SynthesisOptions& opts);

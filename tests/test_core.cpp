@@ -11,8 +11,12 @@
 #include "core/partition.hpp"
 #include "core/search.hpp"
 #include "core/synthesizer.hpp"
+#include "power/estimator.hpp"
+#include "sim/simulator.hpp"
+#include "sim/stimulus.hpp"
 #include "suite/benchmarks.hpp"
 #include "util/error.hpp"
+#include "util/rng.hpp"
 #include "vhdl/verilog.hpp"
 
 namespace mcrtl::core {
@@ -328,6 +332,79 @@ TEST(SynthesizeTest, AllocationHashIgnoresOnlyBuildOptions) {
     change(c);
     EXPECT_NE(allocation_hash(a), allocation_hash(c));
   }
+}
+
+TEST(SynthesizeTest, SimulationHashIgnoresOnlyTheInterconnect) {
+  SynthesisOptions a;
+  a.style = DesignStyle::MultiClock;
+  a.num_clocks = 3;
+  SynthesisOptions bus = a;
+  bus.interconnect = rtl::BuildOptions::Interconnect::TristateBus;
+  EXPECT_EQ(simulation_hash(a), simulation_hash(bus));
+  EXPECT_NE(config_hash(a), config_hash(bus));
+  for (auto change : std::vector<void (*)(SynthesisOptions&)>{
+           [](SynthesisOptions& o) { o.operand_isolation = true; },
+           [](SynthesisOptions& o) { o.latched_control = false; },
+           [](SynthesisOptions& o) { o.num_clocks = 2; },
+           [](SynthesisOptions& o) { o.method = AllocMethod::Split; },
+           [](SynthesisOptions& o) { o.use_latches = false; },
+           [](SynthesisOptions& o) {
+             o.style = DesignStyle::ConventionalGated;
+           }}) {
+    SynthesisOptions c = a;
+    change(c);
+    EXPECT_NE(simulation_hash(a), simulation_hash(c));
+  }
+}
+
+TEST(SynthesizeTest, EqualSimulationHashesShareOneSimulation) {
+  // The search's prefix rungs simulate one design per simulation_hash and
+  // retag it (set_interconnect) for every other option set sharing it:
+  // the designs must toggle alike, and the retagged design must measure
+  // like the one synthesize() builds, whose power differs.
+  const auto tech = power::TechLibrary::cmos08();
+  std::size_t shared = 0;
+  for (const char* name : {"facet", "hal", "motivating", "biquad"}) {
+    const auto b = suite::by_name(name, 4);
+    Rng rng(3);
+    const auto stream = sim::uniform_stream(rng, b.graph->inputs().size(), 120,
+                                            b.graph->width());
+    std::map<std::uint64_t, std::pair<SynthesisOptions, sim::Activity>> first;
+    for (const auto& [opts, label] : search_variants(4)) {
+      const auto syn = synthesize(*b.graph, *b.schedule, opts);
+      sim::Simulator simulator(*syn.design, sim::Simulator::Mode::BitSliced);
+      const auto act =
+          simulator.run_time_sliced(stream, b.graph->inputs(), {}).activity;
+      const auto [it, fresh] =
+          first.emplace(simulation_hash(opts), std::make_pair(opts, act));
+      if (fresh) continue;
+      ++shared;
+      SCOPED_TRACE(std::string(name) + "/" + label);
+      const sim::Activity& ref = it->second.second;
+      EXPECT_EQ(act.net_toggles, ref.net_toggles);
+      EXPECT_EQ(act.storage_clock_events, ref.storage_clock_events);
+      EXPECT_EQ(act.storage_write_toggles, ref.storage_write_toggles);
+      EXPECT_EQ(act.phase_pulses, ref.phase_pulses);
+      EXPECT_EQ(act.steps, ref.steps);
+      EXPECT_EQ(act.computations, ref.computations);
+
+      const double mw =
+          power::estimate_power(*syn.design, act, tech).total;
+      auto twin = synthesize(*b.graph, *b.schedule, it->second.first);
+      EXPECT_NE(power::estimate_power(*twin.design, act, tech).total, mw);
+      set_interconnect(*twin.design, opts.interconnect);
+      const auto kinds = [](const rtl::Design& d) {
+        std::vector<rtl::CompKind> k;
+        for (const auto& c : d.netlist.components()) k.push_back(c.kind);
+        return k;
+      };
+      EXPECT_EQ(kinds(*twin.design), kinds(*syn.design));
+      EXPECT_EQ(power::estimate_power(*twin.design, act, tech).total, mw);
+      EXPECT_EQ(power::estimate_area(*twin.design, tech).total,
+                power::estimate_area(*syn.design, tech).total);
+    }
+  }
+  EXPECT_GT(shared, 50u);
 }
 
 TEST(SynthesizeTest, ReusedAllocationBuildsTheSameDesign) {

@@ -351,9 +351,10 @@ TEST(Search, RowsAreBitIdenticalToExhaustiveAndFrontIsExact) {
 
 TEST(Search, PrefixRunsAreTimeSlicedAndRowsStayExact) {
   // Every prefix rung runs on the time-sliced kernel under its budget (no
-  // scalar run, no fallback), every full-depth evaluation of a 2-stream
-  // search takes the bundle path, and the guided rows still equal the
-  // exhaustive rows.
+  // scalar run, no fallback) — except a candidate that shares the prefix
+  // of the run member it only differs from in the interconnect — every
+  // full-depth evaluation of a 2-stream search takes the bundle path, and
+  // the guided rows still equal the exhaustive rows.
   const Grid g = small_grid();
   auto cfg = small_cfg();
   cfg.streams = 2;
@@ -371,7 +372,10 @@ TEST(Search, PrefixRunsAreTimeSlicedAndRowsStayExact) {
   }
   obs::Registry::instance().reset();
   EXPECT_GT(prefix_runs, 0u);
-  EXPECT_EQ(counters["sim.time_sliced.budgeted_runs"], prefix_runs);
+  EXPECT_GT(counters["search.prefix.shared"], 0u);
+  EXPECT_EQ(counters["sim.time_sliced.budgeted_runs"] +
+                counters["search.prefix.shared"],
+            prefix_runs);
   EXPECT_EQ(counters["sim.time_sliced.bundle_runs"], guided.full_evaluations);
   EXPECT_EQ(counters["sim.time_sliced.fallbacks"], 0u);
   EXPECT_EQ(counters["sim.runs"], 0u) << "a scalar run() took place";
