@@ -349,7 +349,8 @@ int main() {
       auto time_bare = [&] {
         sim::Simulator bare(*syn.design, sim::Simulator::Mode::BitSliced);
         const auto t0 = std::chrono::steady_clock::now();
-        bare.run_time_sliced(stream, b.graph->inputs(), b.graph->outputs());
+        bare.run_time_sliced({&stream, 1}, b.graph->inputs(),
+                             b.graph->outputs());
         bare_samples.push_back(seconds_since(t0));
       };
       for (int rep = 0; rep < kSlicedReps; ++rep) {
@@ -360,8 +361,9 @@ int main() {
         sim::PowerProbe ts_probe(attr.energy_model());
         ts.set_power_probe(&ts_probe);
         auto t0 = std::chrono::steady_clock::now();
-        ts_res = ts.run_time_sliced(stream, b.graph->inputs(),
-                                    b.graph->outputs());
+        ts_res = std::move(ts.run_time_sliced({&stream, 1}, b.graph->inputs(),
+                                              b.graph->outputs())
+                               .front());
         ts_samples.push_back(seconds_since(t0));
         if (rep % 2 == 0) time_bare();
 

@@ -4,8 +4,8 @@
 #include <chrono>
 #include <exception>
 #include <memory>
+#include <numeric>
 #include <optional>
-#include <unordered_map>
 
 #include "core/checkpoint.hpp"
 #include "core/measure.hpp"
@@ -162,33 +162,13 @@ ExplorationResult explore(const dfg::Graph& graph, const dfg::Schedule& sched,
       obs::count("explore.journal.replayed", replayed_count);
     }
   }
-  // Only a slot the journal did not replay (a duplicate included) appends,
-  // and only an append needs a torn tail cut first: a full replay leaves
-  // the file alone.
+  // Only a slot the journal did not replay appends, and only an append
+  // needs a torn tail cut first: a full replay leaves the file alone.
+  const bool evaluates = replayed_count < configs.size();
   std::unique_ptr<CheckpointJournal> journal;
-  if (!cfg.checkpoint_file.empty() && !journal_unreadable &&
-      replayed_count < configs.size()) {
+  if (!cfg.checkpoint_file.empty() && !journal_unreadable && evaluates) {
     journal = std::make_unique<CheckpointJournal>(cfg.checkpoint_file,
                                                   journal_fp);
-  }
-
-  // In-sweep deduplication: identical configurations (possible with
-  // explicit_configs, e.g. the search layer's survivor lists) are
-  // simulated once per unique config hash; the measurement is fanned out
-  // to the duplicate labels after the join. canonical[i] == i marks the
-  // slot that actually evaluates.
-  std::vector<std::size_t> canonical(configs.size());
-  {
-    std::unordered_map<std::uint64_t, std::size_t> first;
-    for (std::size_t i = 0; i < configs.size(); ++i) {
-      canonical[i] = first.emplace(config_hash(configs[i].first), i)
-                         .first->second;
-    }
-  }
-
-  bool evaluates = false;
-  for (std::size_t i = 0; i < configs.size(); ++i) {
-    evaluates = evaluates || (canonical[i] == i && !replayed[i]);
   }
 
   // One pool serves the per-stream preamble below and then the points; a
@@ -199,22 +179,17 @@ ExplorationResult explore(const dfg::Graph& graph, const dfg::Schedule& sched,
 
   // The stimulus is derived from the seed up front and then shared
   // read-only by every evaluation — this is what makes the result
-  // independent of how the points are scheduled across workers. streams ==
-  // 1 keeps the historical scalar stream derivation (an Rng seeded with
-  // cfg.seed); stream s of a Monte-Carlo bundle is seeded with
-  // stream_seeds()[s], exactly as uniform_streams() builds it. The golden
-  // model's outputs depend on the stimulus alone, so the interpreter runs
-  // once per stream rather than once per point. Neither is built when the
-  // journal replays every point.
+  // independent of how the points are scheduled across workers. Stream s
+  // is drawn from sim::stream_seed(), as every stimulus of the seed is.
+  // The golden model's outputs depend on the stimulus alone, so the
+  // interpreter runs once per stream rather than once per point. Neither is
+  // built when the journal replays every point.
   //
   // On a pool each stream is one task: generate it, then run the golden
   // model over it. Every buffer is allocated here on the calling thread and
   // the tasks only fill them; allocating inside the workers spreads the
   // buffers over per-thread malloc arenas and raises peak RSS.
   const std::size_t num_streams = evaluates ? cfg.streams : 0;
-  const std::vector<std::uint64_t> seeds =
-      cfg.streams == 1 ? std::vector<std::uint64_t>{cfg.seed}
-                       : sim::stream_seeds(cfg.seed, num_streams);
   const dfg::Interpreter interp(graph);
   Stimulus stim;
   stim.streams.assign(
@@ -223,7 +198,7 @@ ExplorationResult explore(const dfg::Graph& graph, const dfg::Schedule& sched,
       num_streams,
       sim::GoldenOutputs(cfg.computations, interp.num_outputs()));
   auto prepare_stream = [&](std::size_t s) {
-    Rng rng(seeds[s]);
+    Rng rng(sim::stream_seed(cfg.seed, cfg.streams, s));
     sim::fill_uniform(rng, stim.streams[s], graph.width());
     sim::fill_golden_outputs(interp, stim.streams[s], stim.golden[s]);
   };
@@ -292,38 +267,8 @@ ExplorationResult explore(const dfg::Graph& graph, const dfg::Schedule& sched,
     if (cfg.on_point) cfg.on_point(result.points[i]);
   };
 
-  // Fan a canonical slot's measurement out to a duplicate slot: same
-  // numbers under the duplicate's own label/options. Runs after every
-  // canonical slot settled (evaluation, replay or quarantine), in
-  // enumeration order — deterministic for any jobs value. A journalled
-  // duplicate replays like any other slot; only genuine fan-outs count as
-  // explore.deduped.
-  auto fill_duplicate = [&](std::size_t i) {
-    const std::size_t c = canonical[i];
-    if (replayed[i]) {
-      result.points[i] = std::move(*replayed[i]);
-    } else if (failed[c]) {
-      failed[i] = std::make_unique<FailedPoint>(*failed[c]);
-      failed[i]->label = configs[i].second;
-      failed[i]->options = configs[i].first;
-      obs::count("explore.deduped");
-      obs::count("explore.quarantined");
-      return;
-    } else {
-      ExplorationPoint p = result.points[c];
-      p.options = configs[i].first;
-      p.label = configs[i].second;
-      result.points[i] = std::move(p);
-      obs::count("explore.deduped");
-      journal_point(i);
-    }
-    if (cfg.on_point) cfg.on_point(result.points[i]);
-  };
-
   if (!pool) {
-    for (std::size_t i = 0; i < configs.size(); ++i) {
-      if (canonical[i] == i) run_point(i);
-    }
+    for (std::size_t i = 0; i < configs.size(); ++i) run_point(i);
   } else {
     // Submission order: descending cost rank. Simulation cost is dominated
     // by the clock count (the period is the smallest multiple of n >= T+1,
@@ -337,11 +282,8 @@ ExplorationResult explore(const dfg::Graph& graph, const dfg::Schedule& sched,
     // the queues; a model of this pool on measured point costs gave an
     // 85 ms makespan for it against 91 ms for running the points strictly
     // in rank order (ideal 76 ms), so it stays.
-    std::vector<std::size_t> order;
-    order.reserve(configs.size());
-    for (std::size_t i = 0; i < configs.size(); ++i) {
-      if (canonical[i] == i) order.push_back(i);
-    }
+    std::vector<std::size_t> order(configs.size());
+    std::iota(order.begin(), order.end(), std::size_t{0});
     auto cost_rank = [&](std::size_t i) {
       const SynthesisOptions& o = configs[i].first;
       const int n = o.style == DesignStyle::MultiClock ? o.num_clocks : 1;
@@ -368,9 +310,6 @@ ExplorationResult explore(const dfg::Graph& graph, const dfg::Schedule& sched,
     for (const auto& e : errors) {
       if (e) std::rethrow_exception(e);
     }
-  }
-  for (std::size_t i = 0; i < configs.size(); ++i) {
-    if (canonical[i] != i) fill_duplicate(i);
   }
   obs::count("explore.points", configs.size());
 

@@ -81,10 +81,10 @@ struct ExplorerConfig {
   bool include_dff_variant = false;  ///< also try multi-clock with DFFs
   std::size_t computations = 1500;
   std::uint64_t seed = 1;
-  /// Independent Monte-Carlo stimulus streams per point (1..64). 1 (the
-  /// default) keeps the historical single-stream scalar simulation and a
-  /// byte-identical result. N > 1 evaluates every point with the bit-sliced
-  /// kernel over N independently seeded streams in one pass: the reported
+  /// Independent Monte-Carlo stimulus streams per point (1..64), stream s
+  /// drawn from sim::stream_seed(seed, streams, s). 1 (the default) is the
+  /// paper's protocol: one stream from Rng(seed). N > 1 evaluates every
+  /// point over N independently seeded streams in one pass: the reported
   /// power becomes the per-stream sample mean and each point additionally
   /// carries power_stddev / power_ci95. Each of the N streams is
   /// `computations` long, so the per-point simulated work scales with N
@@ -131,8 +131,8 @@ struct ExplorerConfig {
   /// above). This is how the search layer runs its full-depth survivor
   /// re-simulation through the ordinary explorer pipeline — journal,
   /// quarantine and determinism contracts included. Labels should be
-  /// distinct; configurations need not be (identical ones are deduplicated
-  /// and the measurement fanned out, see explore()).
+  /// distinct; configurations need not be (every pair is evaluated, so the
+  /// caller passes one per design it wants measured).
   std::vector<std::pair<SynthesisOptions, std::string>> explicit_configs;
 };
 

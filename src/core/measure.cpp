@@ -22,7 +22,7 @@ Stimulus make_stimulus(const dfg::Graph& graph,
 
 Stimulus uniform_stimulus(const dfg::Graph& graph, std::size_t computations,
                           std::uint64_t seed) {
-  Rng rng(seed);
+  Rng rng(sim::stream_seed(seed, 1, 0));
   std::vector<sim::InputStream> streams;
   streams.push_back(sim::uniform_stream(rng, graph.inputs().size(),
                                         computations, graph.width()));
@@ -39,9 +39,15 @@ Measurement measure(const rtl::Design& design, const dfg::Graph& graph,
                       stimulus.golden.size() == num_streams,
                   "measure() takes 1.." << sim::Simulator::kMaxStreams
                                         << " streams with golden outputs");
-  MCRTL_CHECK_MSG(num_streams == 1 || (!hooks.heatmap && !hooks.observer),
+  // The debug hooks read per-step scalar state, so a hooked run is the
+  // Oblivious reference kernel's run() — bit-identical to the time-sliced
+  // pass every other measurement takes (tests/test_sim_kernel.cpp,
+  // tests/test_sim_sliced.cpp).
+  const bool hooked = hooks.heatmap != nullptr || hooks.observer;
+  MCRTL_CHECK_MSG(num_streams == 1 || !hooked,
                   "measure() hooks a heatmap or observer on one stream only");
-  sim::Simulator simulator(design, sim::Simulator::Mode::BitSliced);
+  sim::Simulator simulator(design, hooked ? sim::Simulator::Mode::Oblivious
+                                          : sim::Simulator::Mode::BitSliced);
   if (hooks.deadline) simulator.set_deadline(*hooks.deadline);
   simulator.set_heatmap(hooks.heatmap);
   if (hooks.observer) simulator.set_observer(hooks.observer);
@@ -56,9 +62,9 @@ Measurement measure(const rtl::Design& design, const dfg::Graph& graph,
   simulator.set_power_probe(&probe);
 
   std::vector<sim::SimResult> results;
-  if (num_streams == 1) {
-    results.push_back(simulator.run_time_sliced(
-        stimulus.streams[0], graph.inputs(), graph.outputs()));
+  if (hooked) {
+    results.push_back(simulator.run(stimulus.streams[0], graph.inputs(),
+                                    graph.outputs()));
   } else {
     results = simulator.run_time_sliced(stimulus.streams, graph.inputs(),
                                         graph.outputs());
@@ -76,41 +82,35 @@ Measurement measure(const rtl::Design& design, const dfg::Graph& graph,
     }
   }
 
+  // Every reported field is a per-stream sample mean (for one stream, its
+  // value: stddev and ci95 are 0); sample_stats accumulates in sorted
+  // order, so the point is invariant under stream permutation.
   ExplorationPoint p;
   p.label = design.style_name;
-  sim::Activity activity;
-  if (num_streams == 1) {
-    p.power = power::estimate_power(design, results[0].activity, tech, params);
-    activity = std::move(results[0].activity);
-  } else {
-    // Every reported field is a per-stream sample mean; sample_stats
-    // accumulates in sorted order, so the point is invariant under stream
-    // permutation.
-    std::vector<power::PowerBreakdown> brs(num_streams);
-    std::vector<double> totals(num_streams);
-    for (std::size_t s = 0; s < num_streams; ++s) {
-      brs[s] = power::estimate_power(design, results[s].activity, tech, params);
-      totals[s] = brs[s].total;
-    }
-    auto mean_of = [&](double power::PowerBreakdown::*field) {
-      std::vector<double> v(num_streams);
-      for (std::size_t s = 0; s < num_streams; ++s) v[s] = brs[s].*field;
-      return sim::sample_stats(std::move(v)).mean;
-    };
-    p.power.combinational = mean_of(&power::PowerBreakdown::combinational);
-    p.power.storage = mean_of(&power::PowerBreakdown::storage);
-    p.power.clock_tree = mean_of(&power::PowerBreakdown::clock_tree);
-    p.power.control = mean_of(&power::PowerBreakdown::control);
-    p.power.io = mean_of(&power::PowerBreakdown::io);
-    p.power.leakage = mean_of(&power::PowerBreakdown::leakage);
-    const sim::SampleStats st = sim::sample_stats(std::move(totals));
-    p.power.total = st.mean;
-    p.power_stddev = st.stddev;
-    p.power_ci95 = st.ci95;
-    // Aggregate attribution across streams: integer Activity records add
-    // exactly, and the probe already accumulated the all-lane waveform.
-    activity = sim::sum_activities(results);
+  std::vector<power::PowerBreakdown> brs(num_streams);
+  std::vector<double> totals(num_streams);
+  for (std::size_t s = 0; s < num_streams; ++s) {
+    brs[s] = power::estimate_power(design, results[s].activity, tech, params);
+    totals[s] = brs[s].total;
   }
+  auto mean_of = [&](double power::PowerBreakdown::*field) {
+    std::vector<double> v(num_streams);
+    for (std::size_t s = 0; s < num_streams; ++s) v[s] = brs[s].*field;
+    return sim::sample_stats(std::move(v)).mean;
+  };
+  p.power.combinational = mean_of(&power::PowerBreakdown::combinational);
+  p.power.storage = mean_of(&power::PowerBreakdown::storage);
+  p.power.clock_tree = mean_of(&power::PowerBreakdown::clock_tree);
+  p.power.control = mean_of(&power::PowerBreakdown::control);
+  p.power.io = mean_of(&power::PowerBreakdown::io);
+  p.power.leakage = mean_of(&power::PowerBreakdown::leakage);
+  const sim::SampleStats st = sim::sample_stats(std::move(totals));
+  p.power.total = st.mean;
+  p.power_stddev = st.stddev;
+  p.power_ci95 = st.ci95;
+  // Aggregate attribution across streams: integer Activity records add
+  // exactly, and the probe already accumulated the all-lane waveform.
+  sim::Activity activity = sim::sum_activities(results);
   auto arep = energy->attribute(activity);
   if (!arep.rows.empty()) {
     p.hotspot = arep.rows.front().component;

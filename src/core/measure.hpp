@@ -9,10 +9,11 @@
 //
 // The run is one time-sliced pass of the bit-sliced kernel
 // (Simulator::run_time_sliced): a single stream cut into 64 chunks, or a
-// Monte-Carlo bundle of S streams cut into ⌊64/S⌋ chunks each. A step
-// observer (the VCD dump) or a design that fails time_sliceable() takes the
-// scalar simulation instead. Either way the results are bit-identical to a
-// scalar run of each stream.
+// Monte-Carlo bundle of S streams cut into ⌊64/S⌋ chunks each (a design
+// that fails time_sliceable() takes the lockstep layout). A run with a
+// debug hook — a step observer (the VCD dump) or a heatmap — is the
+// Oblivious reference kernel's run() instead. Either way the results are
+// bit-identical to a scalar run of each stream.
 #pragma once
 
 #include <chrono>
@@ -42,12 +43,12 @@ Stimulus make_stimulus(const dfg::Graph& graph,
                        std::vector<sim::InputStream> streams);
 
 /// The paper's protocol: one stream of `computations` uniform random input
-/// vectors drawn from Rng(seed).
+/// vectors drawn from Rng(seed) (sim::stream_seed of a single stream).
 Stimulus uniform_stimulus(const dfg::Graph& graph, std::size_t computations,
                           std::uint64_t seed);
 
 /// Optional hooks on the measured run. The heatmap and the observer need a
-/// single-stream stimulus; an observer runs the scalar simulation.
+/// single-stream stimulus and run the Oblivious reference kernel.
 struct MeasureHooks {
   sim::PhaseHeatmap* heatmap = nullptr;
   sim::Simulator::StepObserver observer;

@@ -498,10 +498,8 @@ SearchResult search(const SearchSpace& space, const SearchConfig& cfg) {
 
   // ---- successive-halving rungs -------------------------------------------
   // The (shared, read-only) prefix stimulus, built when the first rung runs.
-  // The prefix ranks on the first stream — the exact stream the full-depth
-  // evaluation will use (streams == 1) or the first lane of its Monte-Carlo
-  // bundle (stream seeds are derived in order, so it is the one stream of a
-  // 1-stream bundle), so a prefix estimate is a true prefix of a real
+  // The prefix ranks on stream 0 of the full-depth evaluation's stimulus
+  // (sim::stream_seed), so a prefix estimate is a true prefix of a real
   // measurement, not a differently-seeded proxy.
   std::vector<sim::InputStream> prefix_stream;
   const unsigned jobs = ThreadPool::resolve_jobs(cfg.jobs);
@@ -517,16 +515,11 @@ SearchResult search(const SearchSpace& space, const SearchConfig& cfg) {
     ++result.rungs_run;
     for (std::size_t b = 0; prefix_stream.size() < nb; ++b) {
       const auto& bh = space.behaviours[b];
-      if (cfg.streams == 1) {
-        Rng rng(cfg.seed);
-        prefix_stream.push_back(
-            sim::uniform_stream(rng, bh.graph->inputs().size(),
-                                cfg.computations, bh.graph->width()));
-      } else {
-        prefix_stream.push_back(std::move(
-            sim::uniform_streams(cfg.seed, 1, bh.graph->inputs().size(),
-                                 cfg.computations, bh.graph->width())[0]));
-      }
+      Rng rng(sim::stream_seed(cfg.seed, cfg.streams, 0));
+      prefix_stream.push_back(sim::uniform_stream(rng,
+                                                  bh.graph->inputs().size(),
+                                                  cfg.computations,
+                                                  bh.graph->width()));
     }
 
     std::size_t budget = cfg.computations >> (cfg.budget_rungs - r);
@@ -590,10 +583,10 @@ SearchResult search(const SearchSpace& space, const SearchConfig& cfg) {
           simulator.set_computation_budget(budget);
           // No output order: the prefix only ranks, so it samples no
           // outputs.
-          auto res = simulator.run_time_sliced(prefix_stream[cand.behaviour],
-                                               bh.graph->inputs(), {});
-          prefixes.push_back(
-              Prefix{sim_key, std::move(syn), std::move(res.activity)});
+          auto res = simulator.run_time_sliced(
+              {&prefix_stream[cand.behaviour], 1}, bh.graph->inputs(), {});
+          prefixes.push_back(Prefix{sim_key, std::move(syn),
+                                    std::move(res.front().activity)});
           p = prefixes.end() - 1;
         }
         const rtl::Design& design = *p->syn.design;

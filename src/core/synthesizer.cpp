@@ -23,8 +23,8 @@ std::string style_label(DesignStyle style, int num_clocks) {
 
 std::uint64_t config_hash(const SynthesisOptions& opts) {
   // Serialize every field that changes the synthesized design; a future
-  // SynthesisOptions field must be appended here (the explorer dedupe and
-  // the search cache would otherwise alias distinct configurations).
+  // SynthesisOptions field must be appended here (the search layer's dedupe
+  // and result cache would otherwise alias distinct configurations).
   const std::string s = str_format(
       "style=%d clocks=%d method=%d latches=%d lctl=%d xfer=%d sbind=%d "
       "iso=%d ic=%d fu=%d:%a:%u",

@@ -60,8 +60,8 @@ std::string style_label(DesignStyle style, int num_clocks);
 
 /// Stable 64-bit hash of every SynthesisOptions field. Two options with the
 /// same hash synthesize the same design for the same (graph, schedule):
-/// the explorer's in-sweep deduplication and the search layer's persistent
-/// result cache both key on it.
+/// the search layer's deduplication and its persistent result cache key on
+/// it.
 std::uint64_t config_hash(const SynthesisOptions& opts);
 
 /// Hash of the SynthesisOptions fields the allocation half of synthesize()

@@ -26,18 +26,8 @@ Simulator::Simulator(const rtl::Design& design, Mode mode)
     : design_(&design),
       tab_(&design.tables),
       mode_(mode),
-      net_value_(design.netlist.num_nets(), 0),
-      storage_q_(design.netlist.num_components(), 0),
       static_edges_(mode != Mode::Oblivious && design.tables.static_edges) {
   const rtl::Netlist& nl = design.netlist;
-  if (mode_ != Mode::Oblivious) {  // EventDriven and BitSliced both levelize
-    queue_.resize(tab_->comb_order.size());
-    bucket_end_.resize(tab_->depth());
-    for (std::size_t l = 0; l < bucket_end_.size(); ++l) {
-      bucket_end_[l] = queue_.data() + tab_->level_offset[l];
-    }
-    in_queue_.assign(nl.num_components(), 0);
-  }
   if (mode_ == Mode::BitSliced) {
     // The sliced kernel walks the static phase-edge schedule (per-lane
     // dynamic load enables would make clock-event counts data-dependent);
@@ -52,6 +42,17 @@ Simulator::Simulator(const rtl::Design& design, Mode mode)
       plane_offset_.push_back(plane_offset_.back() + net.width);
     }
     net_planes_.assign(plane_offset_.back(), 0);
+    return;
+  }
+  net_value_.assign(nl.num_nets(), 0);
+  storage_q_.assign(nl.num_components(), 0);
+  if (mode_ == Mode::EventDriven) {
+    queue_.resize(tab_->comb_order.size());
+    bucket_end_.resize(tab_->depth());
+    for (std::size_t l = 0; l < bucket_end_.size(); ++l) {
+      bucket_end_[l] = queue_.data() + tab_->level_offset[l];
+    }
+    in_queue_.assign(nl.num_components(), 0);
   }
 }
 
@@ -162,14 +163,8 @@ SimResult Simulator::run(const InputStream& stream,
   fault::inject("sim.run");
   MCRTL_CHECK_MSG(mode_ != Mode::BitSliced,
                   "run() is scalar-only; a BitSliced simulator batches "
-                  "streams through run_sliced()");
+                  "streams through run_time_sliced()");
   check_stream_width(stream, input_order.size());
-  return run_scalar(stream, input_order, output_order);
-}
-
-SimResult Simulator::run_scalar(const InputStream& stream,
-                                const std::vector<dfg::ValueId>& input_order,
-                                const std::vector<dfg::ValueId>& output_order) {
   const rtl::Design& d = *design_;
   const rtl::Netlist& nl = d.netlist;
   const auto& comps = nl.components();

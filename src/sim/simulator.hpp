@@ -32,44 +32,43 @@
 //    affected cone in level order. In an n-clock design
 //    only ~1/n of the datapath sees new values in any master cycle (the
 //    paper's one-active-DPM property), so most components are never
-//    touched. Every reported number is measured on the BitSliced kernel
-//    (core::measure); the event-driven settle is its scalar fallback (a
-//    step observer, a design that is not time_sliceable()) and the kernel
-//    of the benchmark's traced replay.
+//    touched. No library path measures on it: it is the kernel of the
+//    benchmark's traced replay and the bench's scalar baseline.
 //  * Oblivious — the reference kernel: re-evaluate every combinational
 //    component in topological order on every settle, write every
 //    control-line value every step, and re-derive the phase-edge capture
 //    set from the live load nets at every edge — i.e.
 //    the full pre-event-kernel inner loop. Retained as the
-//    differential-testing baseline for the event-driven kernel and its
+//    differential-testing baseline for the other kernels and their
 //    precomputed control/edge schedules (and as the cost model of the
-//    `sim.kernel.evals_skipped` counter).
-//  * BitSliced (run_sliced()) — the Monte-Carlo batch kernel: up to 64
-//    independent stimulus streams are packed one-per-bit-lane into
-//    bit-slice planes (util/bits.hpp layout: one uint64_t plane per net
-//    bit), components are evaluated with SWAR logic plus ripple-carry
-//    arithmetic on the planes, and per-stream toggle counts accumulate in
-//    carry-save vertical counters — so one settle pass over the levelized
-//    worklist advances all streams at once. It reads the same compiled
-//    levelized fanout index, tabulated controller deltas and static
+//    `sim.kernel.evals_skipped` counter). core::measure() runs its debug
+//    hooks — a StepObserver (the VCD dump) or a PhaseHeatmap — on it.
+//  * BitSliced — the measuring kernel: up to 64 lanes are packed
+//    one-per-bit into bit-slice planes (util/bits.hpp layout: one uint64_t
+//    plane per net bit), components are evaluated with SWAR logic plus
+//    ripple-carry arithmetic on the planes, and one settle pass over the
+//    levelized worklist advances all lanes at once. It reads the same
+//    compiled levelized fanout index, tabulated controller deltas and static
 //    phase-edge schedules; designs whose storage load enables are
 //    not controller-driven (never produced by synthesize()) are rejected
-//    at construction. Per stream, its results are bit-identical to an
-//    independent EventDriven run of that stream's stimulus.
-//    run_time_sliced() fills the lanes in time instead: one long stream is
-//    cut into up to 64 consecutive chunks, one per lane, each preceded by
-//    one uncounted warm-up computation, and the lanes' counted records are
-//    stitched back together in time order — bit-identical to the scalar
-//    run(), probe waveform included. Its bundle form cuts each of S streams
-//    into ⌊64/S⌋ chunks and is bit-identical to run_sliced() of the bundle,
-//    aggregate probe waveform included (DESIGN.md §7). Up to five streams,
-//    a time-sliced pass counts plain per-stream toggle totals (masked
-//    popcounts) instead of vertical counters.
+//    at construction. It holds no scalar net state and takes no step
+//    observer or heatmap. run_sliced() runs up to 64 independent streams in
+//    lockstep, one per lane; per stream, its results are bit-identical to
+//    an independent EventDriven run of that stream's stimulus.
+//    run_time_sliced() fills the lanes in time instead: each of S streams
+//    is cut into ⌊64/S⌋ consecutive chunks, one per lane, each preceded by
+//    one uncounted warm-up computation, and each stream's counted records
+//    are stitched back together in time order — bit-identical to run() of
+//    each stream (S = 1, probe waveform included) and to run_sliced() of
+//    the bundle (aggregate probe waveform included; DESIGN.md §7). Up to
+//    five streams, a time-sliced pass counts plain per-stream toggle totals
+//    (masked popcounts) instead of vertical counters.
 //
 // Because every combinational component is a pure function of its input
 // nets and write_net() only counts transitions on real value changes, the
-// kernels produce identical Activity, outputs and PhaseHeatmap records
-// — asserted across benchmarks, styles and fuzz graphs by
+// kernels produce identical Activity, outputs and power-probe records (and
+// the scalar kernels identical PhaseHeatmaps and per-step net values) —
+// asserted across benchmarks, styles and fuzz graphs by
 // tests/test_sim_kernel.cpp and (per stream) tests/test_sim_sliced.cpp.
 #pragma once
 
@@ -146,10 +145,10 @@ Activity sum_activities(const std::vector<SimResult>& results);
 class Simulator {
  public:
   /// Settle-kernel selection. BitSliced is the measuring kernel: it batches
-  /// up to 64 streams per run_sliced() call and time-slices one stream or a
-  /// bundle in run_time_sliced(). EventDriven is the scalar kernel (also the
-  /// settle of run_time_sliced()'s scalar fallback); Oblivious is the
-  /// retained reference path for differential testing.
+  /// up to 64 streams per run_sliced() call and time-slices 1..64 streams
+  /// in run_time_sliced(). EventDriven and Oblivious are the scalar kernels
+  /// of run(); Oblivious is the reference for differential testing and the
+  /// kernel of measure()'s debug hooks.
   enum class Mode { EventDriven, Oblivious, BitSliced };
 
   /// Maximum number of stimulus streams one run_sliced() call can batch —
@@ -162,49 +161,36 @@ class Simulator {
 
   /// Simulate `stream.size()` computations. `output_order` lists the output
   /// values in the order samples should be emitted. Not available in
-  /// BitSliced mode (use run_sliced).
+  /// BitSliced mode (use run_time_sliced or run_sliced).
   SimResult run(const InputStream& stream,
                 const std::vector<dfg::ValueId>& input_order,
                 const std::vector<dfg::ValueId>& output_order);
 
   /// BitSliced mode only: simulate `streams.size()` (1..64) independent
-  /// stimulus streams of equal length in one bit-sliced pass. Element s of
-  /// the result is bit-identical to what an EventDriven run of streams[s]
-  /// on a fresh Simulator would return — outputs and the full Activity
-  /// record. Per-stream PhaseHeatmaps are collected into the vector
-  /// attached with set_stream_heatmaps() (resized to streams.size()).
+  /// stimulus streams of equal length in one bit-sliced lockstep pass.
+  /// Element s of the result is bit-identical to what an EventDriven run of
+  /// streams[s] on a fresh Simulator would return — outputs and the full
+  /// Activity record.
   std::vector<SimResult> run_sliced(
       const std::vector<InputStream>& streams,
       const std::vector<dfg::ValueId>& input_order,
       const std::vector<dfg::ValueId>& output_order);
 
-  /// BitSliced mode only: simulate one stream by time slicing. Lane k of
-  /// one bit-sliced pass runs the k-th of up to 64 consecutive chunks of
-  /// `stream`, starting one uncounted warm-up computation early; a per-lane
-  /// count mask keeps warm-ups and trailing computations out of every
-  /// count. The result — outputs, the full Activity, the waveform of an
-  /// attached PowerProbe and an attached PhaseHeatmap — is bit-identical to
-  /// run() of `stream` on a fresh EventDriven simulator, under the same
-  /// computation budget. Every call starts from the reset state. Designs
-  /// without the one-period warm-up property (time_sliceable()) or an
-  /// attached StepObserver run that scalar simulation instead.
-  SimResult run_time_sliced(const InputStream& stream,
-                            const std::vector<dfg::ValueId>& input_order,
-                            const std::vector<dfg::ValueId>& output_order);
-
-  /// BitSliced mode only: the Monte-Carlo bundle version. S =
-  /// `streams.size()` (1..64) streams of equal length fill S × ⌊64/S⌋
-  /// lanes; lane k·S + s runs chunk k of stream s, with the single-stream
-  /// chunk layout shared by every stream. Element s of the result (outputs
-  /// and the full Activity) and the per-stream heatmaps of
-  /// set_stream_heatmaps() are bit-identical to run_sliced() of the same
-  /// bundle on a fresh simulator, and an attached PowerProbe receives
-  /// exactly run_sliced()'s aggregate waveform. Every call starts from the
-  /// reset state. When ⌊64/S⌋ == 1 or the design is not time_sliceable()
-  /// the pass uses the lockstep layout (one lane per stream). A computation
-  /// budget n gives every stream the result of a budgeted run().
+  /// BitSliced mode only: simulate S = `streams.size()` (1..64) streams of
+  /// equal length by time slicing. S × ⌊64/S⌋ lanes run in one bit-sliced
+  /// pass; lane k·S + s runs the k-th consecutive chunk of stream s,
+  /// starting one uncounted warm-up computation early, and a per-lane count
+  /// mask keeps warm-ups and trailing computations out of every count.
+  /// Element s of the result — outputs and the full Activity — is
+  /// bit-identical to run() of streams[s] on a fresh EventDriven simulator
+  /// under the same computation budget, and an attached PowerProbe receives
+  /// exactly run_sliced()'s aggregate waveform of the bundle (for S = 1,
+  /// run()'s waveform). Every call starts from the reset state. When
+  /// ⌊64/S⌋ == 1 or the design is not time_sliceable() the pass uses the
+  /// lockstep layout (one lane per stream). An empty stream gives run()'s
+  /// result: no samples and an all-zero Activity.
   std::vector<SimResult> run_time_sliced(
-      const std::vector<InputStream>& streams,
+      std::span<const InputStream> streams,
       const std::vector<dfg::ValueId>& input_order,
       const std::vector<dfg::ValueId>& output_order);
 
@@ -233,7 +219,9 @@ class Simulator {
   const KernelStats& kernel_stats() const { return kernel_stats_; }
 
   /// Optional per-step observer: called after each step settles with
-  /// (global_step, net values). Used by the VCD tracer.
+  /// (global_step, net values). Used by the VCD tracer. Scalar kernels
+  /// only: a BitSliced run with an observer attached throws mcrtl::Error
+  /// before it simulates anything.
   using StepObserver =
       std::function<void(std::uint64_t step, const std::vector<std::uint64_t>&)>;
   void set_observer(StepObserver obs) { observer_ = std::move(obs); }
@@ -241,23 +229,16 @@ class Simulator {
   /// Optional per-partition activity telemetry: run() fills `hm` (resized
   /// to the design's phase count x period) with storage write toggles and
   /// delivered clock edges per (phase, period step). Pass nullptr to
-  /// detach; no collection cost when detached.
+  /// detach; no collection cost when detached. Scalar kernels only, like
+  /// the observer.
   void set_heatmap(PhaseHeatmap* hm) { heatmap_ = hm; }
-
-  /// Per-stream heatmap telemetry for run_sliced() and the bundle
-  /// run_time_sliced(): the vector is resized
-  /// to the stream count and element s receives the heatmap an EventDriven
-  /// run of stream s would have produced. Pass nullptr to detach.
-  void set_stream_heatmaps(std::vector<PhaseHeatmap>* hms) {
-    stream_heatmaps_ = hms;
-  }
 
   /// Optional per-domain energy telemetry (the power-attribution waveform):
   /// every counted transition is folded into `probe` with the weights of
   /// its EnergyModel — per step and per clock domain. run_sliced() gives
   /// the probe the aggregate across all lanes; run_time_sliced() gives it
-  /// exactly the scalar run's waveform (one stream) or run_sliced()'s
-  /// aggregate (a bundle). Pass nullptr to detach;
+  /// exactly run_sliced()'s aggregate, which for one stream is the scalar
+  /// run's waveform. Pass nullptr to detach;
   /// no collection cost when detached, and attaching never changes results.
   void set_power_probe(PowerProbe* probe) { probe_ = probe; }
 
@@ -288,29 +269,22 @@ class Simulator {
  private:
   friend class SlicedKernel;  // sim/sliced.cpp: the BitSliced engine
 
-  /// run() without the mode check: the scalar event-driven (or Oblivious)
-  /// simulation, also the fallback of run_time_sliced().
-  SimResult run_scalar(const InputStream& stream,
-                       const std::vector<dfg::ValueId>& input_order,
-                       const std::vector<dfg::ValueId>& output_order);
-  /// The checks run_sliced() and the bundle run_time_sliced() share
-  /// (BitSliced mode, 1..kMaxStreams streams of equal length and `inputs`
-  /// words per computation); returns the streams' addresses. `fn` names
-  /// the caller in the error.
+  /// The checks run_sliced() and run_time_sliced() share (BitSliced mode,
+  /// no observer or heatmap, 1..kMaxStreams streams of equal length and
+  /// `inputs` words per computation); returns the streams' addresses. `fn`
+  /// names the caller in the error.
   std::vector<const InputStream*> checked_bundle(
-      const std::vector<InputStream>& streams, std::size_t inputs,
+      std::span<const InputStream> streams, std::size_t inputs,
       const char* fn) const;
-  /// The bit-sliced pass behind run_sliced() and both run_time_sliced()
-  /// overloads: `chunks` chunks per stream (1 = lockstep), per-stream
-  /// heatmaps into `heatmaps` (nullptr = none). A `time_sliced` pass starts
+  /// The bit-sliced pass behind run_sliced() and run_time_sliced():
+  /// `chunks` chunks per stream (1 = lockstep). A `time_sliced` pass starts
   /// from reset, honours the computation budget and gives the probe
   /// per-group rows; otherwise it is run_sliced(): it continues from the
   /// persistent plane state and ignores the budget.
   std::vector<SimResult> run_chunked(
       const std::vector<const InputStream*>& streams, std::size_t chunks,
       const std::vector<dfg::ValueId>& input_order,
-      const std::vector<dfg::ValueId>& output_order,
-      std::vector<PhaseHeatmap>* heatmaps, bool time_sliced);
+      const std::vector<dfg::ValueId>& output_order, bool time_sliced);
   void settle(Activity& act, bool count);
   void settle_oblivious(Activity& act, bool count);
   void settle_event(Activity& act, bool count);
@@ -330,10 +304,11 @@ class Simulator {
   const rtl::Design* design_;
   const rtl::DesignTables* tab_;  // design_->tables
   Mode mode_;
+  // Scalar state (empty in BitSliced mode).
   std::vector<std::uint64_t> net_value_;
   std::vector<std::uint64_t> storage_q_;  // by CompId (storage comps only)
 
-  // Event-driven worklist (empty in Oblivious mode), bucketed by level in
+  // Event-driven worklist (empty in the other modes), bucketed by level in
   // one array: level L's pending components fill
   // queue_[level_offset[L] .. bucket_end_[L]), in enqueue order. A component
   // is queued at most once (in_queue_), so a level's slice never overflows.
@@ -357,7 +332,6 @@ class Simulator {
   StepObserver observer_;
   PowerProbe* probe_ = nullptr;
   PhaseHeatmap* heatmap_ = nullptr;
-  std::vector<PhaseHeatmap>* stream_heatmaps_ = nullptr;
   bool has_deadline_ = false;
   std::chrono::steady_clock::time_point deadline_;
   std::size_t computation_budget_ = 0;  // 0 = unlimited

@@ -89,14 +89,13 @@ constexpr std::uint64_t pack_even_lanes(std::uint64_t x) {
 }
 
 /// Counter depth that holds any per-lane toggle total of a pass of `steps`
-/// steps over `comps` components: a net is written at most twice per step
-/// (once per settle, or once by its controller, port or capture) and a
-/// heatmap cell takes at most one capture per storage element per step,
-/// each flipping at most 64 bits. Short passes — the search's prefix runs —
-/// then zero and unpack a fraction of the planes; an overflow would still
-/// be caught.
-unsigned counter_depth(std::uint64_t steps, std::uint64_t comps) {
-  const std::uint64_t most = steps * 64 * (comps + 2);
+/// steps: a net is written at most twice per step (once per settle, or once
+/// by its controller, port or capture) and a storage element captures at
+/// most once, each write flipping at most 64 bits. Short passes — the
+/// search's prefix runs — then zero and unpack a fraction of the planes; an
+/// overflow would still be caught.
+unsigned counter_depth(std::uint64_t steps) {
+  const std::uint64_t most = steps * 2 * 64;
   unsigned depth = 1;
   while (depth < kCounterPlanes && most >> depth != 0) ++depth;
   return depth;
@@ -177,11 +176,9 @@ class SlicedKernel {
   /// l % `streams`, and the `streams` lanes of one chunk form a group.
   /// `time_sliced` gives an attached PowerProbe one row per group and step
   /// (put at the group's place in time) instead of one aggregate row across
-  /// lanes — the same thing when there is one group. Per-stream heatmaps go
-  /// to `heatmaps` (nullptr = not collected).
+  /// lanes — the same thing when there is one group.
   SlicedKernel(Simulator& sim, std::vector<SliceLane> lanes,
-               std::size_t local_comps, std::size_t streams, bool time_sliced,
-               std::vector<PhaseHeatmap>* heatmaps)
+               std::size_t local_comps, std::size_t streams, bool time_sliced)
       : sim_(sim),
         design_(*sim.design_),
         tab_(design_.tables),
@@ -198,12 +195,10 @@ class SlicedKernel {
         totals_(time_sliced && streams <= kMaxTotalsStreams),
         words_(totals_ ? static_cast<unsigned>(streams)
                        : counter_depth(static_cast<std::uint64_t>(local_comps) *
-                                           static_cast<std::uint64_t>(
-                                               design_.clocks.period()),
-                                       nl_.num_components())),
+                                       static_cast<std::uint64_t>(
+                                           design_.clocks.period()))),
         time_sliced_(time_sliced),
         per_group_probe_(time_sliced && groups_ > 1 && sim.probe_ != nullptr),
-        heatmaps_(heatmaps),
         net_counters_(nl_.num_nets() * words_, 0),
         storage_counters_(nl_.num_components() * words_, 0),
         uniform_(nl_.num_nets(), 0),
@@ -242,7 +237,7 @@ class SlicedKernel {
   void simulate(const std::vector<dfg::ValueId>& input_order,
                 const std::vector<dfg::ValueId>& output_order);
   /// One SimResult per stream: its lanes' counted records concatenated in
-  /// lane (= time) order, plus the per-stream heatmaps.
+  /// lane (= time) order.
   std::vector<SimResult> results();
 
  private:
@@ -419,7 +414,6 @@ class SlicedKernel {
   /// `computations` counted master periods' controller-driven records —
   /// clock events, phase pulses, steps — with zeroed toggle counts.
   Activity periods_activity(std::uint64_t computations) const;
-  PhaseHeatmap periods_heatmap(std::uint64_t computations) const;
 
   Simulator& sim_;
   const rtl::Design& design_;
@@ -443,12 +437,10 @@ class SlicedKernel {
   std::uint64_t stream_mask_[kMaxTotalsStreams] = {};  // lanes of stream s
   const bool time_sliced_;
   const bool per_group_probe_;
-  std::vector<PhaseHeatmap>* const heatmaps_;
   std::vector<std::uint64_t> count_mask_;  // by local computation
 
   std::vector<std::uint64_t> net_counters_;      // num_nets x words_
   std::vector<std::uint64_t> storage_counters_;  // num_comps x words_
-  std::vector<std::uint64_t> heat_counters_;     // (phase x step) x words_
   std::vector<std::uint8_t> uniform_;            // by NetId
   std::vector<std::uint64_t> uniform_scalar_;    // by NetId, uniform nets only
   std::vector<std::uint64_t> capture_buf_;       // D planes, read-before-write
@@ -952,11 +944,6 @@ void SlicedKernel::simulate(const std::vector<dfg::ValueId>& input_order,
     out_chunks.push_back(ch);
   }
 
-  const bool heat = heatmaps_ != nullptr;
-  if (heat) {
-    heat_counters_.assign(static_cast<std::size_t>(nphases) * P * words_, 0);
-  }
-
   // One probe record per pass: per-group rows fill the record in the
   // kernel's own layout, an aggregate row is appended per step.
   PowerProbe* const probe = sim_.probe_;
@@ -1018,8 +1005,6 @@ void SlicedKernel::simulate(const std::vector<dfg::ValueId>& input_order,
       settle(count);
 
       const int phase = tab_.phase_by_step[static_cast<std::size_t>(t)];
-      const std::size_t cell = static_cast<std::size_t>(phase - 1) * P +
-                               static_cast<std::size_t>(t - 1);
       const auto clocked = tab_.edge_clock_events[static_cast<std::size_t>(t)];
       // Phase pulses and clock delivery are controller-driven and identical
       // in every lane; their counts come from the per-period schedule at
@@ -1064,13 +1049,7 @@ void SlicedKernel::simulate(const std::vector<dfg::ValueId>& input_order,
               storage_counters_.data() + cid.index() * words_;
           std::uint64_t* const net =
               net_counters_.data() + c.output.index() * words_;
-          if (heat) {
-            count_toggles(counted, c.width,
-                          {storage, net, heat_counters_.data() + cell * words_},
-                          sums);
-          } else {
-            count_toggles(counted, c.width, {storage, net}, sums);
-          }
+          count_toggles(counted, c.width, {storage, net}, sums);
         }
         for (unsigned b = 0; b < c.width; ++b) q[b] ^= diff[b];
         probe_net(c.output, sums);
@@ -1163,18 +1142,6 @@ Activity SlicedKernel::periods_activity(std::uint64_t computations) const {
   return act;
 }
 
-PhaseHeatmap SlicedKernel::periods_heatmap(std::uint64_t computations) const {
-  const int P = design_.clocks.period();
-  PhaseHeatmap hm;
-  hm.resize(design_.clocks.num_phases(), P);
-  for (int t = 1; t <= P; ++t) {
-    const auto ts = static_cast<std::size_t>(t);
-    hm.clock_events[hm.at(tab_.phase_by_step[ts], t)] +=
-        computations * tab_.edge_clock_events[ts].size();
-  }
-  return hm;
-}
-
 std::vector<SimResult> SlicedKernel::results() {
   std::vector<SimResult> results(streams_);
   for (std::size_t s = 0; s < streams_; ++s) {
@@ -1212,28 +1179,17 @@ std::vector<SimResult> SlicedKernel::results() {
              results[s].activity.storage_write_toggles[i] += v;
            });
   }
-  if (heatmaps_) {
-    auto& hms = *heatmaps_;
-    hms.clear();
-    for (std::size_t s = 0; s < streams_; ++s) {
-      hms.push_back(periods_heatmap(computations_));
-    }
-    for (std::size_t cell = 0; cell < hms.front().write_toggles.size();
-         ++cell) {
-      unpack(heat_counters_.data() + cell * words_,
-             [&](std::size_t s, std::uint64_t v) {
-               hms[s].write_toggles[cell] += v;
-             });
-    }
-  }
   return results;
 }
 
 std::vector<const InputStream*> Simulator::checked_bundle(
-    const std::vector<InputStream>& streams, std::size_t inputs,
+    std::span<const InputStream> streams, std::size_t inputs,
     const char* fn) const {
   MCRTL_CHECK_MSG(mode_ == Mode::BitSliced,
                   fn << " requires a Mode::BitSliced simulator");
+  MCRTL_CHECK_MSG(!observer_ && heatmap_ == nullptr,
+                  fn << " takes no step observer or heatmap; attach them to "
+                        "a scalar simulator's run()");
   MCRTL_CHECK_MSG(!streams.empty() && streams.size() <= kMaxStreams,
                   fn << " batches 1.." << kMaxStreams << " streams, got "
                      << streams.size());
@@ -1255,33 +1211,11 @@ std::vector<SimResult> Simulator::run_sliced(
   fault::inject("sim.run");
   return run_chunked(
       checked_bundle(streams, input_order.size(), "run_sliced()"), 1,
-      input_order, output_order, stream_heatmaps_, false);
-}
-
-SimResult Simulator::run_time_sliced(
-    const InputStream& stream, const std::vector<dfg::ValueId>& input_order,
-    const std::vector<dfg::ValueId>& output_order) {
-  obs::Span span("sim.run");
-  fault::inject("sim.run");
-  MCRTL_CHECK_MSG(mode_ == Mode::BitSliced,
-                  "run_time_sliced() requires a Mode::BitSliced simulator");
-  check_stream_width(stream, input_order.size());
-  // Both paths start from the reset state, as a fresh simulator would.
-  if (observer_ || stream.empty() || !time_sliceable()) {
-    obs::count("sim.time_sliced.fallbacks");
-    std::fill(net_value_.begin(), net_value_.end(), 0);
-    std::fill(storage_q_.begin(), storage_q_.end(), 0);
-    return run_scalar(stream, input_order, output_order);
-  }
-  std::vector<PhaseHeatmap> hms;
-  auto results = run_chunked({&stream}, kMaxStreams, input_order, output_order,
-                             heatmap_ != nullptr ? &hms : nullptr, true);
-  if (heatmap_ != nullptr) *heatmap_ = std::move(hms.front());
-  return std::move(results.front());
+      input_order, output_order, false);
 }
 
 std::vector<SimResult> Simulator::run_time_sliced(
-    const std::vector<InputStream>& streams,
+    std::span<const InputStream> streams,
     const std::vector<dfg::ValueId>& input_order,
     const std::vector<dfg::ValueId>& output_order) {
   obs::Span span("sim.run");
@@ -1293,15 +1227,13 @@ std::vector<SimResult> Simulator::run_time_sliced(
     obs::count("sim.time_sliced.fallbacks");
     chunks = 1;  // the lockstep layout, exact for any design
   }
-  return run_chunked(ptrs, chunks, input_order, output_order,
-                     stream_heatmaps_, true);
+  return run_chunked(ptrs, chunks, input_order, output_order, true);
 }
 
 std::vector<SimResult> Simulator::run_chunked(
     const std::vector<const InputStream*>& streams, std::size_t chunks,
     const std::vector<dfg::ValueId>& input_order,
-    const std::vector<dfg::ValueId>& output_order,
-    std::vector<PhaseHeatmap>* heatmaps, bool time_sliced) {
+    const std::vector<dfg::ValueId>& output_order, bool time_sliced) {
   std::size_t n = streams.front()->size();
   if (time_sliced) {
     std::fill(net_planes_.begin(), net_planes_.end(), 0);
@@ -1312,7 +1244,7 @@ std::vector<SimResult> Simulator::run_chunked(
   std::size_t local = 0;
   auto lanes = chunk_lanes(streams, n, chunks, local);
   SlicedKernel kernel(*this, std::move(lanes), local, streams.size(),
-                      time_sliced, heatmaps);
+                      time_sliced);
   kernel.simulate(input_order, output_order);
   return kernel.results();
 }

@@ -26,6 +26,11 @@ std::vector<std::uint64_t> stream_seeds(std::uint64_t seed,
   return seeds;
 }
 
+std::uint64_t stream_seed(std::uint64_t seed, std::size_t streams,
+                          std::size_t s) {
+  return streams == 1 ? seed : stream_seeds(seed, s + 1)[s];
+}
+
 std::vector<InputStream> uniform_streams(std::uint64_t seed,
                                          std::size_t streams,
                                          std::size_t num_inputs,

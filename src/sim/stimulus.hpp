@@ -29,6 +29,15 @@ void fill_uniform(Rng& rng, InputStream& stream, unsigned width);
 std::vector<std::uint64_t> stream_seeds(std::uint64_t seed,
                                         std::size_t streams);
 
+/// The seed stream s of a stimulus of `streams` streams drawn from `seed`
+/// is generated with: `seed` itself for a single stream (the paper
+/// protocol's Rng(seed)), else stream_seeds(seed, streams)[s] — which
+/// depends on s alone, so stream 0 of every bundle is the same. explore(),
+/// search()'s prefix rungs and core::uniform_stimulus() all draw their
+/// streams this way.
+std::uint64_t stream_seed(std::uint64_t seed, std::size_t streams,
+                          std::size_t s);
+
 /// A bundle of `streams` independent uniform streams for the bit-sliced
 /// kernel: element s is uniform_stream() driven by an Rng seeded with
 /// stream_seeds(seed, streams)[s]. Stream s's contents depend only on

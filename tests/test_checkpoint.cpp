@@ -187,9 +187,9 @@ TEST(CheckpointTest, FullReplayOnAPoolRunsInlineAndLeavesTheJournalAlone) {
 }
 
 TEST(CheckpointTest, JournalLackingADuplicateSlotIsReopenedAndAppended) {
-  // Every canonical slot replays, but a duplicate's record is missing: the
-  // duplicate is fanned out from its replayed canonical point and its
-  // record appended again, restoring the complete journal.
+  // Every slot but a duplicate configuration's replays: the duplicate is
+  // evaluated like any other slot and its record appended again, restoring
+  // the complete journal.
   const auto b = suite::by_name("facet", 4);
   TempPath journal("ck_dup.journal");
   auto cfg = small_config();
@@ -198,7 +198,7 @@ TEST(CheckpointTest, JournalLackingADuplicateSlotIsReopenedAndAppended) {
   cfg.checkpoint_file = journal.path;
   const auto first = core::explore(*b.graph, *b.schedule, cfg);
   const std::string full = slurp(journal.path);
-  // The fan-out runs after every canonical slot, so its record is last.
+  // A serial sweep journals in enumeration order, so its record is last.
   const std::size_t last = full.rfind('\n', full.size() - 2) + 1;
   ASSERT_EQ(full.compare(last, 2, "p "), 0);
   spit(journal.path, full.substr(0, last));

@@ -374,7 +374,9 @@ TEST(SynthesizeTest, EqualSimulationHashesShareOneSimulation) {
       const auto syn = synthesize(*b.graph, *b.schedule, opts);
       sim::Simulator simulator(*syn.design, sim::Simulator::Mode::BitSliced);
       const auto act =
-          simulator.run_time_sliced(stream, b.graph->inputs(), {}).activity;
+          simulator.run_time_sliced({&stream, 1}, b.graph->inputs(), {})
+              .front()
+              .activity;
       const auto [it, fresh] =
           first.emplace(simulation_hash(opts), std::make_pair(opts, act));
       if (fresh) continue;

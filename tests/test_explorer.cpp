@@ -336,8 +336,9 @@ TEST(ExplorerTest, MeasureIsTheExplorePoint) {
 }
 
 TEST(ExplorerTest, MeasureWithObserverTakesScalarPathAndSamePoint) {
-  // A step observer (the --vcd dump) runs the scalar simulation instead of
-  // the time-sliced pass; the measured point must not change.
+  // The debug hooks — a step observer (the --vcd dump) and a heatmap — run
+  // on the Oblivious reference kernel's run() instead of the time-sliced
+  // pass; the measured point must not change.
   const auto b = suite::by_name("hal", 4);
   ExplorerConfig cfg;
   cfg.computations = 300;
@@ -348,14 +349,20 @@ TEST(ExplorerTest, MeasureWithObserverTakesScalarPathAndSamePoint) {
   obs::Registry::instance().reset();
   obs::set_enabled(true);
   std::size_t steps = 0;
+  sim::PhaseHeatmap heatmap;
   MeasureHooks hooks;
   hooks.observer = [&](std::uint64_t, const std::vector<std::uint64_t>&) {
     ++steps;
   };
+  hooks.heatmap = &heatmap;
+  std::uint64_t captured = 0;
   for (const auto& p : r.points) {
     EXPECT_EQ(record::encode_point_fields(measured_like(b, p, stim, hooks)),
               record::encode_point_fields(p))
         << p.label;
+    for (int ph = 1; ph <= heatmap.num_phases; ++ph) {
+      captured += heatmap.phase_total(ph);
+    }
   }
   obs::set_enabled(false);
   std::map<std::string, std::uint64_t> counters;
@@ -363,8 +370,12 @@ TEST(ExplorerTest, MeasureWithObserverTakesScalarPathAndSamePoint) {
     counters[k] = v;
   }
   obs::Registry::instance().reset();
-  EXPECT_EQ(counters["sim.time_sliced.fallbacks"], 5u);
+  EXPECT_EQ(counters["sim.runs"], 5u);
+  EXPECT_EQ(counters.count("sim.time_sliced.runs"), 0u);
+  EXPECT_EQ(counters.count("sim.sliced.runs"), 0u);
+  EXPECT_EQ(counters.count("sim.kernel.events_popped"), 0u);
   EXPECT_GT(steps, 5u * cfg.computations);
+  EXPECT_GT(captured, 0u);
 }
 
 TEST(ExplorerTest, RejectsZeroComputationsUpFront) {
@@ -434,6 +445,29 @@ TEST(ExplorerTest, SlicedSweepReportsSpread) {
                 1e-12 * p.power_stddev)
         << p.label;
     EXPECT_GT(p.power.total, 0.0) << p.label;
+  }
+}
+
+TEST(ExplorerTest, EnumeratedConfigurationsHaveDistinctHashes) {
+  // explore() evaluates every configuration it is given, so the built-in
+  // enumeration must never list one design twice.
+  for (int max_clocks = 1; max_clocks <= 16; ++max_clocks) {
+    for (int flags = 0; flags < 8; ++flags) {
+      ExplorerConfig cfg;
+      cfg.max_clocks = max_clocks;
+      cfg.include_conventional = (flags & 1) != 0;
+      cfg.include_split = (flags & 2) != 0;
+      cfg.include_dff_variant = (flags & 4) != 0;
+      const auto configs = enumerate_configurations(cfg);
+      std::map<std::uint64_t, std::string> seen;
+      for (const auto& [opts, label] : configs) {
+        const auto [it, fresh] = seen.emplace(config_hash(opts), label);
+        EXPECT_TRUE(fresh) << "max_clocks " << max_clocks << " flags "
+                           << flags << ": '" << label << "' repeats '"
+                           << it->second << "'";
+      }
+      EXPECT_EQ(seen.size(), configs.size());
+    }
   }
 }
 

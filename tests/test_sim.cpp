@@ -282,6 +282,22 @@ TEST(StimulusTest, FilledStreamsMatchUniformStreams) {
   }
 }
 
+TEST(StimulusTest, StreamSeedIsTheSeedAloneOrItsBundleSeed) {
+  // One stream is drawn from the seed itself (the paper protocol's
+  // Rng(seed)); stream s of a bundle from stream_seeds()[s], whatever the
+  // bundle size.
+  for (std::uint64_t seed : {0ull, 1996ull, ~0ull}) {
+    EXPECT_EQ(stream_seed(seed, 1, 0), seed);
+    for (std::size_t streams : {2u, 5u, 64u}) {
+      const auto seeds = stream_seeds(seed, streams);
+      for (std::size_t s = 0; s < streams; ++s) {
+        EXPECT_EQ(stream_seed(seed, streams, s), seeds[s])
+            << "seed " << seed << " stream " << s << "/" << streams;
+      }
+    }
+  }
+}
+
 TEST(StimulusTest, CorrelatedZeroFlipIsConstant) {
   Rng rng(10);
   const auto s = correlated_stream(rng, 2, 12, 8, 0.0);

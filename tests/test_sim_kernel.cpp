@@ -1,6 +1,8 @@
 // The event-driven settle kernel's correctness spine: it must produce
-// bit-identical Activity, outputs and PhaseHeatmap records to the retained
-// oblivious reference kernel (Simulator::Mode::Oblivious) on every design —
+// bit-identical Activity, outputs and PhaseHeatmap records, power-probe
+// waveforms and per-step net values (what a StepObserver sees) to the
+// retained oblivious reference kernel (Simulator::Mode::Oblivious) on every
+// design —
 // the clock-management *and* the kernel machinery are only allowed to change
 // how fast things are computed, never what is counted. Covered here across
 // all four paper benchmarks x design styles x clock counts, plus randomized
@@ -8,12 +10,15 @@
 // perf-smoke CI guard relies on.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cstring>
 #include <sstream>
 #include <vector>
 
 #include "core/synthesizer.hpp"
 #include "dfg/random_graph.hpp"
 #include "hand_built.hpp"
+#include "power/attribution.hpp"
 #include "sim/simulator.hpp"
 #include "sim/stimulus.hpp"
 #include "suite/benchmarks.hpp"
@@ -83,10 +88,40 @@ void expect_identical_activity(const Activity& a, const Activity& b,
   EXPECT_EQ(a.computations, b.computations) << what;
 }
 
+/// The bits of every whole-design per-step energy of `probe`, then the
+/// bits of its crest factor.
+std::vector<std::uint64_t> waveform_bits(const PowerProbe& probe) {
+  std::vector<std::uint64_t> bits;
+  auto add = [&](double v) {
+    std::uint64_t b;
+    std::memcpy(&b, &v, sizeof b);
+    bits.push_back(b);
+  };
+  for (std::size_t st = 0; st < probe.steps(); ++st) {
+    for (int d = 0; d <= probe.num_domains(); ++d) add(probe.step_fj(st, d));
+    add(probe.step_total_fj(st));
+  }
+  add(probe.crest());
+  return bits;
+}
+
+/// What a StepObserver saw: each step's number followed by every net value.
+struct ObservedSteps {
+  std::vector<std::uint64_t> values;
+  Simulator::StepObserver observer() {
+    return [this](std::uint64_t step, const std::vector<std::uint64_t>& nets) {
+      values.push_back(step);
+      values.insert(values.end(), nets.begin(), nets.end());
+    };
+  }
+};
+
 /// Simulate `design` with both kernels over `stream` and assert every
-/// observable record is bit-identical. Also asserts the work accounting:
-/// the event-driven kernel never evaluates more components than the
-/// oblivious one would over the same settle() calls.
+/// observable record is bit-identical: outputs, Activity, heatmap, the
+/// power probe's waveform and crest, and the observer's per-step net
+/// values. Also asserts the work accounting: the event-driven kernel never
+/// evaluates more components than the oblivious one would over the same
+/// settle() calls.
 void differential_check(const rtl::Design& design, const dfg::Graph& graph,
                         const InputStream& stream, const std::string& what) {
   Simulator ev(design);  // EventDriven is the default
@@ -95,6 +130,13 @@ void differential_check(const rtl::Design& design, const dfg::Graph& graph,
   PhaseHeatmap hm_ev, hm_ob;
   ev.set_heatmap(&hm_ev);
   ob.set_heatmap(&hm_ob);
+  const power::Attribution attr(design, power::TechLibrary::cmos08());
+  PowerProbe probe_ev(attr.energy_model()), probe_ob(attr.energy_model());
+  ev.set_power_probe(&probe_ev);
+  ob.set_power_probe(&probe_ob);
+  ObservedSteps steps_ev, steps_ob;
+  ev.set_observer(steps_ev.observer());
+  ob.set_observer(steps_ob.observer());
   const auto in = graph.inputs();
   const auto out = graph.outputs();
   const SimResult rev = ev.run(stream, in, out);
@@ -106,6 +148,20 @@ void differential_check(const rtl::Design& design, const dfg::Graph& graph,
   EXPECT_EQ(hm_ev.period, hm_ob.period) << what;
   EXPECT_EQ(hm_ev.write_toggles, hm_ob.write_toggles) << what;
   EXPECT_EQ(hm_ev.clock_events, hm_ob.clock_events) << what;
+  EXPECT_EQ(probe_ev.steps(), rev.activity.steps) << what;
+  EXPECT_TRUE(waveform_bits(probe_ev) == waveform_bits(probe_ob))
+      << what << ": probe waveform or crest differs";
+  EXPECT_EQ(steps_ev.values.size(),
+            rev.activity.steps * (design.netlist.num_nets() + 1))
+      << what;
+  const auto diverged = std::mismatch(steps_ev.values.begin(),
+                                      steps_ev.values.end(),
+                                      steps_ob.values.begin(),
+                                      steps_ob.values.end());
+  EXPECT_TRUE(diverged.first == steps_ev.values.end() &&
+              diverged.second == steps_ob.values.end())
+      << what << ": observed net values differ at entry "
+      << (diverged.first - steps_ev.values.begin());
 
   const auto& sev = ev.kernel_stats();
   const auto& sob = ob.kernel_stats();

@@ -1,17 +1,19 @@
 // Correctness spine of the bit-sliced Monte-Carlo kernel: a run_sliced()
 // over N streams must be indistinguishable, stream by stream, from N
-// independent EventDriven runs — outputs, the full Activity record and the
-// PhaseHeatmap, bit for bit. Covered across the four paper benchmarks x
+// independent EventDriven runs — outputs and the full Activity record, bit
+// for bit. Covered across the four paper benchmarks x
 // design styles x clock counts, fuzz graphs (including partial bundles and
 // full-width 64-bit datapaths), lane-permutation invariance of the
 // aggregates, the statistical summary layer, and per-stream functional
 // equivalence against the DFG golden model.
 //
 // The time-sliced mode (run_time_sliced: one stream cut into 64 chunks)
-// is held to the scalar run() itself: outputs, the full Activity, the
-// PhaseHeatmap and the power probe's waveform and crest, bit for bit, over
-// every suite behaviour x width x design style x stream length, plus fuzz
-// graphs, a design the static warm-up check must reject, and deadlines.
+// is held to the scalar run() itself: outputs, the full Activity and the
+// power probe's waveform and crest, bit for bit, over every suite
+// behaviour x width x design style x stream length, plus fuzz graphs, a
+// design the static warm-up check must reject, deadlines and an empty
+// stream. The bit-sliced kernel takes no step observer or heatmap; both are
+// rejected before anything is simulated.
 // Its bundle form (S streams x floor(64/S) chunks) is held the same way to
 // a lockstep run_sliced() of the bundle — per-stream records and the
 // aggregate waveform — and, under a computation budget, to budgeted run()s.
@@ -108,7 +110,7 @@ void expect_identical_activity(const Activity& a, const Activity& b,
 
 /// Run the bundle through one BitSliced pass and every stream through its
 /// own fresh EventDriven simulator; assert per-stream bit-identity of
-/// outputs, Activity and PhaseHeatmap.
+/// outputs and Activity.
 void differential_check_sliced(const rtl::Design& design,
                                const dfg::Graph& graph,
                                const std::vector<InputStream>& streams,
@@ -117,25 +119,16 @@ void differential_check_sliced(const rtl::Design& design,
   const auto out = graph.outputs();
 
   Simulator sliced(design, Simulator::Mode::BitSliced);
-  std::vector<PhaseHeatmap> hms;
-  sliced.set_stream_heatmaps(&hms);
   const auto results = sliced.run_sliced(streams, in, out);
   ASSERT_EQ(results.size(), streams.size()) << what;
-  ASSERT_EQ(hms.size(), streams.size()) << what;
 
   for (std::size_t s = 0; s < streams.size(); ++s) {
     Simulator ev(design);  // fresh per stream: independent-run semantics
-    PhaseHeatmap hm_ev;
-    ev.set_heatmap(&hm_ev);
     const SimResult ref = ev.run(streams[s], in, out);
     std::ostringstream tag;
     tag << what << " stream=" << s << "/" << streams.size();
     EXPECT_EQ(results[s].outputs, ref.outputs) << tag.str();
     expect_identical_activity(results[s].activity, ref.activity, tag.str());
-    EXPECT_EQ(hms[s].num_phases, hm_ev.num_phases) << tag.str();
-    EXPECT_EQ(hms[s].period, hm_ev.period) << tag.str();
-    EXPECT_EQ(hms[s].write_toggles, hm_ev.write_toggles) << tag.str();
-    EXPECT_EQ(hms[s].clock_events, hm_ev.clock_events) << tag.str();
   }
 }
 
@@ -346,6 +339,22 @@ TEST(SimSlicedTest, RejectsUnsupportedConfigurations) {
 
 // ---- time slicing: one stream, 64 chunks, bit-identical to run() --------
 
+/// Obs counters of `fn`'s run (the registry is reset around it).
+template <typename Fn>
+std::map<std::string, std::uint64_t> counters_of(Fn&& fn) {
+  obs::Registry::instance().reset();
+  obs::set_enabled(true);
+  fn();
+  obs::set_enabled(false);
+  std::map<std::string, std::uint64_t> counters;
+  for (const auto& [k, v] : obs::Registry::instance().counters()) {
+    counters[k] = v;
+  }
+  obs::Registry::instance().reset();
+  return counters;
+}
+
+
 std::uint64_t bits_of(double v) {
   std::uint64_t b;
   std::memcpy(&b, &v, sizeof b);
@@ -423,11 +432,11 @@ void expect_identical_waveforms(const PowerProbe& got, const PowerProbe& ref,
   EXPECT_EQ(bits_of(got.crest()), bits_of(ref.crest())) << what;
 }
 
-/// run_time_sliced() on a BitSliced simulator against run() on a fresh
-/// EventDriven one, both with a power probe and a heatmap attached:
-/// outputs, Activity, heatmap, every per-domain waveform entry,
-/// step_energies() and crest() must agree bit for bit. Returns whether the
-/// design took the time-sliced path.
+/// run_time_sliced() of one stream on a BitSliced simulator against run()
+/// on a fresh EventDriven one, both with a power probe attached: outputs,
+/// Activity, every per-domain waveform entry, step_energies() and crest()
+/// must agree bit for bit. Returns whether the design took the time-sliced
+/// path.
 bool differential_check_time_sliced(const rtl::Design& design,
                                     const dfg::Graph& graph,
                                     const InputStream& stream,
@@ -438,22 +447,17 @@ bool differential_check_time_sliced(const rtl::Design& design,
 
   Simulator ev(design);
   PowerProbe ev_probe(attr.energy_model());
-  PhaseHeatmap ev_hm;
   ev.set_power_probe(&ev_probe);
-  ev.set_heatmap(&ev_hm);
   const SimResult ref = ev.run(stream, in, out);
 
   Simulator ts(design, Simulator::Mode::BitSliced);
   PowerProbe ts_probe(attr.energy_model());
-  PhaseHeatmap ts_hm;
   ts.set_power_probe(&ts_probe);
-  ts.set_heatmap(&ts_hm);
-  const SimResult got = ts.run_time_sliced(stream, in, out);
+  const auto got = ts.run_time_sliced({&stream, 1}, in, out);
 
-  EXPECT_EQ(got.outputs, ref.outputs) << what;
-  expect_identical_activity(got.activity, ref.activity, what);
-  EXPECT_EQ(ts_hm.write_toggles, ev_hm.write_toggles) << what;
-  EXPECT_EQ(ts_hm.clock_events, ev_hm.clock_events) << what;
+  EXPECT_EQ(got.size(), 1u) << what;
+  EXPECT_EQ(got.front().outputs, ref.outputs) << what;
+  expect_identical_activity(got.front().activity, ref.activity, what);
   expect_identical_waveforms(ts_probe, ev_probe, what);
   return ts.time_sliceable();
 }
@@ -539,17 +543,20 @@ TEST(TimeSlicedTest, RepeatedCallsStartFromReset) {
   const auto s1 = uniform_stream(rng, in.size(), 300, 4);
   const auto s2 = uniform_stream(rng, in.size(), 90, 4);
   Simulator ts(*syn.design, Simulator::Mode::BitSliced);
-  ts.run_time_sliced(s1, in, out);
-  const SimResult again = ts.run_time_sliced(s2, in, out);
+  ts.run_time_sliced({&s1, 1}, in, out);
+  const auto again = ts.run_time_sliced({&s2, 1}, in, out);
   Simulator fresh(*syn.design);
   const SimResult ref = fresh.run(s2, in, out);
-  EXPECT_EQ(again.outputs, ref.outputs);
-  expect_identical_activity(again.activity, ref.activity, "second call");
+  EXPECT_EQ(again.front().outputs, ref.outputs);
+  expect_identical_activity(again.front().activity, ref.activity,
+                            "second call");
 }
 
 using fixtures::TwoPeriodChain;
 
 TEST(TimeSlicedTest, StaticCheckRejectsATwoPeriodChainAndFallsBack) {
+  // A design the static check rejects runs its one stream in the lockstep
+  // layout (one lane), still bit-identical to run().
   TwoPeriodChain chain;
   const rtl::Design& d = *chain.design;
   Simulator ts(d, Simulator::Mode::BitSliced);
@@ -558,11 +565,16 @@ TEST(TimeSlicedTest, StaticCheckRejectsATwoPeriodChainAndFallsBack) {
   const auto stream = uniform_stream(rng, 1, 200, 4);
   const std::vector<dfg::ValueId> in{chain.in_value};
   const std::vector<dfg::ValueId> out{chain.out_value};
-  const SimResult got = ts.run_time_sliced(stream, in, out);
+  std::vector<SimResult> got;
+  const auto counters =
+      counters_of([&] { got = ts.run_time_sliced({&stream, 1}, in, out); });
+  EXPECT_EQ(counters.at("sim.time_sliced.fallbacks"), 1u);
+  EXPECT_EQ(counters.at("sim.time_sliced.lanes"), 1u);
   Simulator ev(d);
   const SimResult ref = ev.run(stream, in, out);
-  EXPECT_EQ(got.outputs, ref.outputs);
-  expect_identical_activity(got.activity, ref.activity, "fallback");
+  ASSERT_EQ(got.size(), 1u);
+  EXPECT_EQ(got.front().outputs, ref.outputs);
+  expect_identical_activity(got.front().activity, ref.activity, "fallback");
   // Not vacuous: the chain really reaches two computations back, so a
   // one-computation warm-up would have been wrong.
   ASSERT_GE(ref.outputs.size(), 3u);
@@ -582,40 +594,112 @@ TEST(TimeSlicedTest, ExpiredDeadlineTimesOutOnBothPaths) {
   Simulator ts(*syn.design, Simulator::Mode::BitSliced);
   ASSERT_TRUE(ts.time_sliceable());
   ts.set_deadline(expired);
-  EXPECT_THROW(
-      ts.run_time_sliced(stream, b.graph->inputs(), b.graph->outputs()),
-      TimeoutError);
+  EXPECT_THROW(ts.run_time_sliced({&stream, 1}, b.graph->inputs(),
+                                  b.graph->outputs()),
+               TimeoutError);
 
   TwoPeriodChain chain;
   Simulator fb(*chain.design, Simulator::Mode::BitSliced);
   ASSERT_FALSE(fb.time_sliceable());
   fb.set_deadline(expired);
-  EXPECT_THROW(fb.run_time_sliced(uniform_stream(rng, 1, 10, 4),
-                                  {chain.in_value}, {chain.out_value}),
+  const auto chain_stream = uniform_stream(rng, 1, 10, 4);
+  EXPECT_THROW(fb.run_time_sliced({&chain_stream, 1}, {chain.in_value},
+                                  {chain.out_value}),
                TimeoutError);
+}
+
+TEST(TimeSlicedTest, EmptyStreamGivesTheScalarResult) {
+  // No computation to slice: one stream or a bundle of empty streams gets
+  // run()'s result — no samples, an all-zero Activity, an empty waveform.
+  const auto b = suite::by_name("hal", 4);
+  core::SynthesisOptions opts;
+  opts.style = DesignStyle::MultiClock;
+  opts.num_clocks = 3;
+  const auto syn = core::synthesize(*b.graph, *b.schedule, opts);
+  const auto in = b.graph->inputs();
+  const auto out = b.graph->outputs();
+  const power::Attribution attr(*syn.design, power::TechLibrary::cmos08());
+  const std::vector<InputStream> empty(2, InputStream(0, in.size()));
+  Simulator ev(*syn.design);
+  PowerProbe ev_probe(attr.energy_model());
+  ev.set_power_probe(&ev_probe);
+  const SimResult ref = ev.run(empty[0], in, out);
+  EXPECT_EQ(ref.outputs.size(), 0u);
+  EXPECT_EQ(ref.activity.computations, 0u);
+  for (std::size_t S : {1u, 2u}) {
+    const std::string tag = "S=" + std::to_string(S);
+    Simulator ts(*syn.design, Simulator::Mode::BitSliced);
+    PowerProbe ts_probe(attr.energy_model());
+    ts.set_power_probe(&ts_probe);
+    const auto got = ts.run_time_sliced({empty.data(), S}, in, out);
+    ASSERT_EQ(got.size(), S) << tag;
+    for (const SimResult& r : got) {
+      EXPECT_EQ(r.outputs, ref.outputs) << tag;
+      expect_identical_activity(r.activity, ref.activity, tag);
+    }
+    expect_identical_waveforms(ts_probe, ev_probe, tag);
+  }
+}
+
+TEST(TimeSlicedTest, BitSlicedRunsRejectAnObserverOrHeatmapBeforeSimulating) {
+  // The bit-sliced kernel keeps no scalar net values to observe and counts
+  // no heatmap: a hook attached to it fails the run up front, on both
+  // entry points and for one stream or a bundle.
+  const auto b = suite::by_name("hal", 4);
+  core::SynthesisOptions opts;
+  opts.style = DesignStyle::MultiClock;
+  opts.num_clocks = 2;
+  const auto syn = core::synthesize(*b.graph, *b.schedule, opts);
+  const auto in = b.graph->inputs();
+  const auto out = b.graph->outputs();
+  const auto streams = uniform_streams(17, 2, in.size(), 100, 4);
+  for (const bool observer : {true, false}) {
+    for (const bool lockstep : {true, false}) {
+      for (std::size_t S : {1u, 2u}) {
+        const std::string tag = std::string(observer ? "observer" : "heatmap") +
+                                (lockstep ? " run_sliced" : " run_time_sliced") +
+                                " S=" + std::to_string(S);
+        Simulator sim(*syn.design, Simulator::Mode::BitSliced);
+        std::size_t steps = 0;
+        PhaseHeatmap hm;
+        if (observer) {
+          sim.set_observer(
+              [&](std::uint64_t, const std::vector<std::uint64_t>&) { ++steps; });
+        } else {
+          sim.set_heatmap(&hm);
+        }
+        const std::vector<InputStream> bundle(streams.begin(),
+                                              streams.begin() + S);
+        const auto counters = counters_of([&] {
+          try {
+            if (lockstep) {
+              sim.run_sliced(bundle, in, out);
+            } else {
+              sim.run_time_sliced(bundle, in, out);
+            }
+            ADD_FAILURE() << tag << ": the hook was accepted";
+          } catch (const Error& e) {
+            EXPECT_NE(std::string(e.what()).find("observer or heatmap"),
+                      std::string::npos)
+                << tag << ": " << e.what();
+          }
+        });
+        EXPECT_EQ(sim.kernel_stats().settles, 0u) << tag;
+        EXPECT_EQ(steps, 0u) << tag;
+        EXPECT_TRUE(hm.write_toggles.empty()) << tag;
+        EXPECT_EQ(counters.count("sim.sliced.runs"), 0u) << tag;
+        EXPECT_EQ(counters.count("sim.time_sliced.runs"), 0u) << tag;
+      }
+    }
+  }
 }
 
 // ---- time-sliced bundles: S streams x floor(64/S) chunks -----------------
 
-/// Obs counters of `fn`'s run (the registry is reset around it).
-template <typename Fn>
-std::map<std::string, std::uint64_t> counters_of(Fn&& fn) {
-  obs::Registry::instance().reset();
-  obs::set_enabled(true);
-  fn();
-  obs::set_enabled(false);
-  std::map<std::string, std::uint64_t> counters;
-  for (const auto& [k, v] : obs::Registry::instance().counters()) {
-    counters[k] = v;
-  }
-  obs::Registry::instance().reset();
-  return counters;
-}
-
 /// The bundle run_time_sliced() against a lockstep run_sliced() of the same
-/// streams on a fresh simulator, both with a power probe and per-stream
-/// heatmaps attached: per-stream outputs, Activity and heatmaps, and the
-/// aggregate waveform, bit for bit.
+/// streams on a fresh simulator, both with a power probe attached:
+/// per-stream outputs and Activity, and the aggregate waveform, bit for
+/// bit.
 void differential_check_bundle(const rtl::Design& design,
                                const dfg::Graph& graph,
                                const std::vector<InputStream>& streams,
@@ -626,26 +710,19 @@ void differential_check_bundle(const rtl::Design& design,
 
   Simulator ls(design, Simulator::Mode::BitSliced);
   PowerProbe ls_probe(attr.energy_model());
-  std::vector<PhaseHeatmap> ls_hms;
   ls.set_power_probe(&ls_probe);
-  ls.set_stream_heatmaps(&ls_hms);
   const auto ref = ls.run_sliced(streams, in, out);
 
   Simulator ts(design, Simulator::Mode::BitSliced);
   PowerProbe ts_probe(attr.energy_model());
-  std::vector<PhaseHeatmap> ts_hms;
   ts.set_power_probe(&ts_probe);
-  ts.set_stream_heatmaps(&ts_hms);
   const auto got = ts.run_time_sliced(streams, in, out);
 
   ASSERT_EQ(got.size(), streams.size()) << what;
-  ASSERT_EQ(ts_hms.size(), streams.size()) << what;
   for (std::size_t s = 0; s < streams.size(); ++s) {
     const std::string tag = what + " stream=" + std::to_string(s);
     EXPECT_EQ(got[s].outputs, ref[s].outputs) << tag;
     expect_identical_activity(got[s].activity, ref[s].activity, tag);
-    EXPECT_EQ(ts_hms[s].write_toggles, ls_hms[s].write_toggles) << tag;
-    EXPECT_EQ(ts_hms[s].clock_events, ls_hms[s].clock_events) << tag;
   }
   expect_identical_waveforms(ts_probe, ls_probe, what);
 }
@@ -877,9 +954,11 @@ TEST(TimeSlicedBundleTest, BudgetMatchesBudgetedScalarRun) {
     PowerProbe ts_probe(attr.energy_model());
     ts.set_power_probe(&ts_probe);
     ts.set_computation_budget(n);
-    SimResult got;
-    const auto counters =
-        counters_of([&] { got = ts.run_time_sliced(streams[0], in, out); });
+    std::vector<SimResult> one;
+    const auto counters = counters_of(
+        [&] { one = ts.run_time_sliced({&streams[0], 1}, in, out); });
+    ASSERT_EQ(one.size(), 1u) << tag;
+    const SimResult& got = one.front();
     EXPECT_EQ(got.outputs, ref.outputs) << tag;
     expect_identical_activity(got.activity, ref.activity, tag);
     expect_identical_waveforms(ts_probe, ev_probe, tag);
@@ -975,14 +1054,11 @@ TEST(StreamShapeTest, RunSlicedRejectsWrongWidthBeforeSimulating) {
   for (std::size_t width : {inputs - 1, inputs + 1}) {
     const auto streams = bundle_with_bad_stream(b, width);
     Simulator sim(*syn.design, Simulator::Mode::BitSliced);
-    std::vector<PhaseHeatmap> hms;
-    sim.set_stream_heatmaps(&hms);
     fixtures::expect_width_error(
         [&] { sim.run_sliced(streams, b.graph->inputs(), b.graph->outputs()); },
         inputs, width);
     EXPECT_EQ(sim.kernel_stats().settles, 0u);
     EXPECT_EQ(sim.kernel_stats().evals, 0u);
-    EXPECT_TRUE(hms.empty());
   }
 }
 
@@ -995,19 +1071,17 @@ TEST(StreamShapeTest, RunTimeSlicedRejectsWrongWidthBeforeSimulating) {
     const auto stream = uniform_stream(rng, width, 200, 4);
     Simulator sim(*syn.design, Simulator::Mode::BitSliced);
     ASSERT_TRUE(sim.time_sliceable());
-    PhaseHeatmap hm;
-    sim.set_heatmap(&hm);
     const auto counters = counters_of([&] {
       fixtures::expect_width_error(
           [&] {
-            sim.run_time_sliced(stream, b.graph->inputs(), b.graph->outputs());
+            sim.run_time_sliced({&stream, 1}, b.graph->inputs(),
+                                b.graph->outputs());
           },
           inputs, width);
     });
     EXPECT_EQ(sim.kernel_stats().settles, 0u);
     EXPECT_EQ(sim.kernel_stats().evals, 0u);
-    EXPECT_TRUE(hm.write_toggles.empty());
-    // Neither the sliced pass nor its scalar fallback started.
+    // Neither the sliced pass nor the static check's lockstep choice ran.
     EXPECT_EQ(counters.count("sim.time_sliced.runs"), 0u);
     EXPECT_EQ(counters.count("sim.time_sliced.fallbacks"), 0u);
   }
@@ -1020,8 +1094,6 @@ TEST(StreamShapeTest, RunTimeSlicedBundleRejectsWrongWidthBeforeSimulating) {
   for (std::size_t width : {inputs - 1, inputs + 1}) {
     const auto streams = bundle_with_bad_stream(b, width);
     Simulator sim(*syn.design, Simulator::Mode::BitSliced);
-    std::vector<PhaseHeatmap> hms;
-    sim.set_stream_heatmaps(&hms);
     const auto counters = counters_of([&] {
       fixtures::expect_width_error(
           [&] {
@@ -1032,7 +1104,6 @@ TEST(StreamShapeTest, RunTimeSlicedBundleRejectsWrongWidthBeforeSimulating) {
     });
     EXPECT_EQ(sim.kernel_stats().settles, 0u);
     EXPECT_EQ(sim.kernel_stats().evals, 0u);
-    EXPECT_TRUE(hms.empty());
     EXPECT_EQ(counters.count("sim.time_sliced.runs"), 0u);
   }
 }
