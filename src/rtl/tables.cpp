@@ -2,6 +2,8 @@
 
 #include <algorithm>
 
+#include "util/bits.hpp"
+
 namespace mcrtl::rtl {
 
 namespace {
@@ -79,6 +81,16 @@ DesignTables compile_tables(const Netlist& nl, const ClockScheme& clocks,
       }
     }
     tab.step_writes.end_row();
+  }
+  tab.line_toggles.assign(S, 0);
+  for (std::size_t s = 0; s < S; ++s) {
+    const unsigned w = nl.net(tab.line_net[s]).width;
+    std::uint64_t prev = truncate(tab.lines_at(P)[s], w);
+    for (int t = 1; t <= P; ++t) {
+      const std::uint64_t v = truncate(tab.lines_at(t)[s], w);
+      tab.line_toggles[s] += hamming(prev, v);
+      prev = v;
+    }
   }
 
   // Storage by clock phase, and the phase of every step's edge.

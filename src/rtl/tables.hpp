@@ -72,6 +72,12 @@ struct DesignTables {
   /// step t-1 and step t (step 0 = step period of the previous
   /// computation), ascending signal index, with their step-t values.
   Csr<LineWrite> step_writes;
+  /// By signal: the bit toggles its line makes in one master period, from
+  /// step P of the previous period through step P, its values truncated to
+  /// the line's width as a kernel's planes hold them. The same in every
+  /// period, so a kernel counts a line's toggles as this times the counted
+  /// computations.
+  std::vector<std::uint64_t> line_toggles;
 
   /// Phase 1..n of the clock edge ending step t, indexed by t (0 unused).
   std::vector<int> phase_by_step;

@@ -54,10 +54,10 @@ PowerProbe::PowerProbe(const EnergyModel& model)
   counts_.assign(class_fj_.size(), 0);
 }
 
-void PowerProbe::weigh_counts(double* row, std::size_t classes) {
-  std::fill(row, row + domains_, 0.0);
+void PowerProbe::add_counts(double* row, std::size_t first,
+                            std::size_t last) {
   // A zero count would add +0.0, which changes no non-negative row.
-  for (std::size_t c = 0; c < classes; ++c) {
+  for (std::size_t c = first; c < last; ++c) {
     const std::uint64_t n = counts_[c];
     if (n == 0) continue;
     counts_[c] = 0;
@@ -65,7 +65,12 @@ void PowerProbe::weigh_counts(double* row, std::size_t classes) {
   }
 }
 
-void PowerProbe::end_step() {
+void PowerProbe::weigh_counts(double* row, std::size_t classes) {
+  std::fill(row, row + domains_, 0.0);
+  add_counts(row, 0, classes);
+}
+
+void PowerProbe::end_step(const double* ctrl_row) {
   const std::size_t entries = domains_ + 1;
   if ((steps_ + 1) * entries > capacity_) {
     const std::size_t capacity = std::max(256 * entries, 2 * capacity_);
@@ -75,7 +80,12 @@ void PowerProbe::end_step() {
     capacity_ = capacity;
   }
   double* const row = rows_.get() + steps_ * entries;
-  weigh_counts(row, counts_.size());
+  if (ctrl_row == nullptr) {
+    weigh_counts(row, counts_.size());
+  } else {
+    std::copy(ctrl_row, ctrl_row + domains_, row);
+    add_counts(row, controller_classes_, counts_.size());
+  }
   double total = 0.0;
   for (std::size_t d = 0; d < domains_; ++d) total += row[d];
   row[domains_] = total;

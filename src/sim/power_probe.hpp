@@ -92,8 +92,11 @@ class PowerProbe {
     counts_[phase_class_[static_cast<std::size_t>(phase)]] += lanes;
   }
   /// Close the current step: weigh its counts into the next row of the
-  /// record.
-  void end_step();
+  /// record. A kernel that weighs the controller classes once per period
+  /// step passes their row `ctrl_row` (weigh_counts() of them, n+1
+  /// domains): it stands in for their counts, which are zero, and the data
+  /// classes are weighed on top in class order — the same row.
+  void end_step(const double* ctrl_row = nullptr);
 
   // ---- the time-sliced kernel's group rows ------------------------------
 
@@ -159,6 +162,9 @@ class PowerProbe {
   void reset();
 
  private:
+  /// Add fj × count of classes [first, last) to `row` in class order,
+  /// clearing their counts.
+  void add_counts(double* row, std::size_t first, std::size_t last);
   /// Entry of step `step`'s domain-0 energy in rows_.
   std::size_t slot(std::size_t step) const;
   /// Call f(step, slot(step)) for every step, in step order.

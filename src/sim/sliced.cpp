@@ -28,30 +28,37 @@
 // (count-masked) XOR-diff planes under the stream's lane mask — or of the
 // bit-sliced per-lane sums (slice_popcount_planes) when a probe needs those
 // anyway. Larger bundles and the lockstep run_sliced() keep a per-net
-// "vertical" counter whose planes are bit-sliced across lanes: each write
-// adds its per-lane sums (slice_counter_add), and at the end of the run one
-// transpose64 per counter unpacks exact per-lane totals (or a popcount per
-// plane sums them for one stream).
+// "vertical" counter whose planes are bit-sliced across lanes. A counted
+// write adds each diff plane into its bit's small kSmallPlanes-plane
+// counter, branch-free; after kFlushWrites counted writes to a net, before
+// any lane's count of one bit can pass what the small counter holds, the
+// net's small counters are summed into its deep counter once. At the end
+// of the run one transpose64 per counter unpacks exact per-lane totals (or
+// a popcount per plane sums them for one stream). A storage element's
+// write toggles are its Q net's: captures are the only counted writes to
+// a Q net.
 //
 // The kernel reads the design's compiled tables (rtl::DesignTables): the
 // levelized fanout index, the tabulated controller deltas and the static
-// phase-edge schedules. Control lines, clock events and phase
-// pulses are controller-driven and therefore identical across lanes — they
-// are counted once per master period and scaled by each lane's counted
-// computations.
+// phase-edge schedules. Control lines, clock events and phase pulses are
+// controller-driven and therefore identical across lanes — their counts
+// come from the per-period schedule (DesignTables::line_toggles for the
+// lines), scaled by each lane's counted computations, so a line write only
+// updates the planes.
 //
 // An attached PowerProbe counts integer events per energy class
-// (sim/power_probe.hpp). Lockstep passes give it one aggregate row per
-// step; a time-sliced pass keeps one row per group of lanes at the same
-// step: a bit-sliced per-lane counter per data class, sized by a static
-// per-step bound, is weighed into the group rows of the probe's record
-// when the step closes, after the controller classes' row, which is the
-// same for every step t of every period and is weighed once per pass.
+// (sim/power_probe.hpp). The controller classes' row is the same for every
+// step t of every period and is weighed once per pass from the static
+// schedule. Lockstep passes give the probe one aggregate row per step,
+// that row plus the data classes' counts summed across lanes; a
+// time-sliced pass keeps one row per group of lanes at the same step: a
+// bit-sliced per-lane counter per data class, sized by a static per-step
+// bound, is weighed into the group rows of the probe's record when the
+// step closes, after the controller row.
 #include <algorithm>
 #include <array>
 #include <bit>
 #include <cstring>
-#include <initializer_list>
 
 #include "obs/obs.hpp"
 #include "sim/simulator.hpp"
@@ -70,11 +77,19 @@ namespace {
 // need ~2^42 master cycles to overflow a 64-bit-wide net.
 constexpr unsigned kCounterPlanes = 48;
 
+/// Planes of a vertical pass's small per-(net, bit) counters, and the
+/// counted writes to a net after which they are summed into its deep
+/// counter: one write adds at most 1 to a lane's count of one bit, so
+/// kFlushWrites writes fill but never overflow them (DESIGN.md §7).
+constexpr unsigned kSmallPlanes = 4;
+constexpr unsigned kFlushWrites = (1u << kSmallPlanes) - 1;
+
 /// Largest time-sliced bundle whose counters hold plain per-stream totals
-/// (S masked popcounts per write) instead of vertical counters (one
-/// carry-save add per write, one transpose64 per counter at the end): the
-/// measured crossover on the suite's designs (DESIGN.md §7).
-constexpr std::size_t kMaxTotalsStreams = 5;
+/// (S masked popcounts per plane of a write) instead of vertical counters
+/// (a small-counter increment per plane, a flush every kFlushWrites
+/// writes, one transpose64 per counter at the end): the measured crossover
+/// on the suite's designs (DESIGN.md §7).
+constexpr std::size_t kMaxTotalsStreams = 4;
 
 constexpr std::uint64_t kEvenLanes = 0x5555555555555555;
 
@@ -108,6 +123,13 @@ inline std::uint64_t lanes_total(const std::uint64_t* planes, unsigned k) {
   for (unsigned j = 0; j < k; ++j) {
     total += static_cast<std::uint64_t>(popcount64(planes[j])) << j;
   }
+  return total;
+}
+
+/// Set bits across `w` planes: the toggles of a write summed over lanes.
+inline std::uint64_t planes_total(const std::uint64_t* planes, unsigned w) {
+  std::uint64_t total = 0;
+  for (unsigned b = 0; b < w; ++b) total += popcount64(planes[b]);
   return total;
 }
 
@@ -200,7 +222,9 @@ class SlicedKernel {
         time_sliced_(time_sliced),
         per_group_probe_(time_sliced && groups_ > 1 && sim.probe_ != nullptr),
         net_counters_(nl_.num_nets() * words_, 0),
-        storage_counters_(nl_.num_components() * words_, 0),
+        small_counters_(totals_ ? 0 : sim.net_planes_.size() * kSmallPlanes,
+                        0),
+        unflushed_(totals_ ? 0 : nl_.num_nets(), 0),
         uniform_(nl_.num_nets(), 0),
         uniform_scalar_(nl_.num_nets(), 0),
         queue_(tab_.comb_order.size()),
@@ -230,7 +254,7 @@ class SlicedKernel {
       }
       if (totals_) stream_mask_[l % streams_] |= std::uint64_t{1} << l;
     }
-    if (per_group_probe_) init_group_probe(*sim.probe_);
+    if (sim.probe_ != nullptr) init_probe(*sim.probe_);
   }
 
   /// Simulate every lane for `local_comps` computations.
@@ -279,49 +303,13 @@ class SlicedKernel {
     ++pending_;
   }
 
-  /// Count one write's toggles — `diff`, `w` planes masked to the counted
-  /// lanes, not all zero — into `counters` and leave the per-lane sums the
-  /// probe reads in `sums` (k == 0 when no probe needs them). Plain totals
-  /// take each stream's masked popcounts of the planes (of the sums, when a
-  /// probe needs those anyway); vertical counters add the bit-sliced
-  /// per-lane sums.
-  void count_toggles(const std::uint64_t* diff, unsigned w,
-                     std::initializer_list<std::uint64_t*> counters,
-                     LaneSums& sums) {
-    if (totals_) {
-      if (sim_.probe_ != nullptr) {
-        sums.k = slice_popcount_planes(diff, w, sums.p);
-      }
-      for (std::size_t s = 0; s < streams_; ++s) {
-        const std::uint64_t m = stream_mask_[s];
-        std::uint64_t total = 0;
-        if (sim_.probe_ != nullptr) {
-          for (unsigned j = 0; j < sums.k; ++j) {
-            total += static_cast<std::uint64_t>(popcount64(sums.p[j] & m))
-                     << j;
-          }
-        } else {
-          for (unsigned b = 0; b < w; ++b) total += popcount64(diff[b] & m);
-        }
-        for (std::uint64_t* c : counters) c[s] += total;
-      }
-      return;
-    }
-    sums.k = slice_popcount_planes(diff, w, sums.p);
-    for (std::uint64_t* c : counters) {
-      MCRTL_CHECK_MSG(slice_counter_add(c, words_, sums.p, sums.k),
-                      "bit-sliced toggle counter overflow");
-    }
-  }
-
-  /// Commit `val` planes (masked to the active lanes) into `net`, counting
-  /// the toggles of the lanes in `count` into `sums` and the net's
-  /// counter. Returns the lanes whose value changed.
+  /// Commit `val` planes (masked to the active lanes) into `net`, leaving
+  /// the XOR-diff planes masked to the counted lanes `count` in `diff`.
+  /// Returns the lanes whose value changed.
   std::uint64_t commit(NetId net, const std::uint64_t* val,
-                       std::uint64_t count, LaneSums& sums) {
+                       std::uint64_t count, std::uint64_t* diff) {
     std::uint64_t* old = planes(net);
     const unsigned w = width(net);
-    std::uint64_t diff[64];
     std::uint64_t any = 0;
     // Commit as we diff: XORing a zero diff is a no-op, so the unchanged
     // case needs no second pass either way.
@@ -331,21 +319,75 @@ class SlicedKernel {
       any |= d;
       old[b] ^= d;
     }
-    sums.k = 0;
-    if ((any & count) != 0) {
-      count_toggles(diff, w, {net_counters_.data() + net.index() * words_},
-                    sums);
-    }
     return any;
   }
 
+  /// The bit-sliced per-lane sums of a counted write's `diff` planes when a
+  /// per-group probe needs them (k == 0 otherwise).
+  LaneSums lane_sums(const std::uint64_t* diff, unsigned w) const {
+    LaneSums sums;
+    if (per_group_probe_) sums.k = slice_popcount_planes(diff, w, sums.p);
+    return sums;
+  }
+
+  /// Count one write's toggles — `diff`, `w` planes masked to the counted
+  /// lanes, not all zero — into `net`'s counter and the attached probe.
+  /// Plain totals take each stream's masked popcounts of the planes (of the
+  /// per-lane sums, when a probe needs those anyway); vertical counters add
+  /// the planes into the net's small counters.
+  void count_toggles(NetId net, const std::uint64_t* diff, unsigned w) {
+    const LaneSums sums = lane_sums(diff, w);
+    if (totals_) {
+      std::uint64_t* const c = net_counters_.data() + net.index() * words_;
+      for (std::size_t s = 0; s < streams_; ++s) {
+        const std::uint64_t m = stream_mask_[s];
+        std::uint64_t total = 0;
+        if (sums.k != 0) {
+          for (unsigned j = 0; j < sums.k; ++j) {
+            total += static_cast<std::uint64_t>(popcount64(sums.p[j] & m))
+                     << j;
+          }
+        } else {
+          for (unsigned b = 0; b < w; ++b) total += popcount64(diff[b] & m);
+        }
+        c[s] += total;
+      }
+    } else {
+      add_small(net, diff, w);
+    }
+    if (sim_.probe_ != nullptr) probe_net(net, diff, w, sums);
+  }
+
+  /// Add each diff plane into its bit's small counter (a branch-free
+  /// bit-sliced increment), and flush the net after kFlushWrites writes.
+  void add_small(NetId net, const std::uint64_t* diff, unsigned w) {
+    std::uint64_t* c = small_counters(net);
+    for (unsigned b = 0; b < w; ++b, c += kSmallPlanes) {
+      std::uint64_t carry = diff[b];
+      for (unsigned j = 0; j + 1 < kSmallPlanes; ++j) {
+        const std::uint64_t x = c[j];
+        c[j] = x ^ carry;
+        carry &= x;
+      }
+      c[kSmallPlanes - 1] ^= carry;
+    }
+    if (++unflushed_[net.index()] == kFlushWrites) flush(net);
+  }
+  std::uint64_t* small_counters(NetId net) {
+    return small_counters_.data() +
+           std::size_t{sim_.plane_offset_[net.index()]} * kSmallPlanes;
+  }
+  /// Sum `net`'s small counters into its deep vertical counter, clearing
+  /// them.
+  void flush(NetId net);
+
   /// Count a write's counted toggles into the attached probe: their total
-  /// across lanes for an aggregate row, else into the per-lane counter of
-  /// the net's (data) energy class, weighed when the step closes.
-  void probe_net(NetId net, const LaneSums& s) {
-    if (s.k == 0 || sim_.probe_ == nullptr) return;
+  /// across lanes for an aggregate row, else the per-lane sums `s` into the
+  /// counter of the net's (data) energy class, weighed when the step closes.
+  void probe_net(NetId net, const std::uint64_t* diff, unsigned w,
+                 const LaneSums& s) {
     if (!per_group_probe_) {
-      sim_.probe_->add_net(net.index(), lanes_total(s.p, s.k));
+      sim_.probe_->add_net(net.index(), planes_total(diff, w));
       return;
     }
     const std::uint32_t c = sim_.probe_->net_class(net.index());
@@ -356,26 +398,30 @@ class SlicedKernel {
     touched_[c / 64] |= std::uint64_t{1} << (c % 64);
   }
 
-  /// The generic write of every control/input/preamble write: commit,
-  /// probe, dirty the fanout.
+  /// The generic write of every input, settle, capture and preamble write:
+  /// commit, count, dirty the fanout.
   void write_net(NetId net, const std::uint64_t* val, std::uint64_t count) {
-    LaneSums sums;
-    if (commit(net, val, count, sums) == 0) return;
-    probe_net(net, sums);
+    std::uint64_t diff[64];
+    const std::uint64_t any = commit(net, val, count, diff);
+    if (any == 0) return;
+    if ((any & count) != 0) count_toggles(net, diff, width(net));
     mark_fanout_dirty(net);
   }
 
-  /// Write a controller line or constant: the same word in every lane.
+  /// Write a controller line or constant: the same word in every lane. Its
+  /// toggles are counted from the static schedule, and so is its probe
+  /// class, unless the energy model weighs it as data.
   void write_broadcast(NetId net, std::uint64_t value, std::uint64_t count) {
+    const unsigned w = width(net);
     std::uint64_t buf[64];
-    slice_broadcast(value, width(net), buf);
-    uniform_scalar_[net.index()] = truncate(value, width(net));
-    LaneSums sums;
-    if (commit(net, buf, count, sums) == 0) return;
-    // A controller class is weighed from the static per-step schedule.
-    if (!per_group_probe_ ||
+    slice_broadcast(value, w, buf);
+    uniform_scalar_[net.index()] = truncate(value, w);
+    std::uint64_t diff[64];
+    const std::uint64_t any = commit(net, buf, count, diff);
+    if (any == 0) return;
+    if ((any & count) != 0 && sim_.probe_ != nullptr &&
         sim_.probe_->net_class(net.index()) >= first_data_) {
-      probe_net(net, sums);
+      probe_net(net, diff, w, lane_sums(diff, w));
     }
     mark_fanout_dirty(net);
   }
@@ -389,11 +435,11 @@ class SlicedKernel {
   void settle(std::uint64_t count);
   /// Present local computation `comp`'s inputs in every lane.
   void apply_inputs(std::size_t comp, std::uint64_t count);
-  /// Size one bit-sliced per-lane counter per data class of `probe`, deep
-  /// enough for any step: a net is written at most twice per step, each
-  /// write flipping at most its width. Weigh the controller classes' row
-  /// of every period step.
-  void init_group_probe(PowerProbe& probe);
+  /// Weigh the controller classes' row of every period step of `probe`
+  /// for a group of S lanes. For per-group rows, also size one bit-sliced
+  /// per-lane counter per data class, deep enough for any step: a net is
+  /// written at most twice per step, each write flipping at most its width.
+  void init_probe(PowerProbe& probe);
   /// Move a data class counter of `depth` planes into `sum` (room for
   /// depth + 1 planes) as 32 pair totals: lane pair g's sum is lane g of
   /// `sum`, clearing the counter. Returns the depth of `sum` (one more
@@ -412,7 +458,8 @@ class SlicedKernel {
   /// step's rows of the probe's record.
   void close_group_rows(std::size_t comp, int t);
   /// `computations` counted master periods' controller-driven records —
-  /// clock events, phase pulses, steps — with zeroed toggle counts.
+  /// clock events, phase pulses, steps, controller-line toggles — with
+  /// zeroed datapath toggle counts.
   Activity periods_activity(std::uint64_t computations) const;
 
   Simulator& sim_;
@@ -439,11 +486,16 @@ class SlicedKernel {
   const bool per_group_probe_;
   std::vector<std::uint64_t> count_mask_;  // by local computation
 
-  std::vector<std::uint64_t> net_counters_;      // num_nets x words_
-  std::vector<std::uint64_t> storage_counters_;  // num_comps x words_
-  std::vector<std::uint8_t> uniform_;            // by NetId
-  std::vector<std::uint64_t> uniform_scalar_;    // by NetId, uniform nets only
-  std::vector<std::uint64_t> capture_buf_;       // D planes, read-before-write
+  std::vector<std::uint64_t> net_counters_;  // num_nets x words_
+  // Vertical passes: bit b of net i counts into kSmallPlanes planes at
+  // plane (plane_offset_[i] + b) x kSmallPlanes; unflushed_ holds each
+  // net's counted writes since its last flush.
+  std::vector<std::uint64_t> small_counters_;
+  std::vector<std::uint8_t> unflushed_;         // by NetId
+  std::uint64_t flushes_ = 0;                   // adds into deep counters
+  std::vector<std::uint8_t> uniform_;           // by NetId
+  std::vector<std::uint64_t> uniform_scalar_;   // by NetId, uniform nets only
+  std::vector<std::uint64_t> capture_buf_;      // D planes, read-before-write
 
   // The worklist, bucketed by level in one array: level L's entries fill
   // queue_[level_offset[L] .. bucket_end_[L]) in enqueue order.
@@ -456,7 +508,8 @@ class SlicedKernel {
   // g for computation g, written by whichever lane counts it.
   std::vector<WordTable> samples_;
 
-  // Per-group probe state. Data class c (c >= first_data_) counts into
+  // Probe state. ctrl_rows_ holds each period step's controller row.
+  // Per-group rows: data class c (c >= first_data_) counts into
   // class_counters_[offset .. offset + depth); touched_ flags the classes
   // counted in the open step. While a step closes, a domain's group slots
   // in the record are valid once row_init_ says so, else they hold the
@@ -486,9 +539,8 @@ class SlicedKernel {
   std::uint64_t plane_evals_ = 0;
 };
 
-void SlicedKernel::init_group_probe(PowerProbe& probe) {
+void SlicedKernel::init_probe(PowerProbe& probe) {
   domains_ = static_cast<std::size_t>(probe.num_domains()) + 1;
-  row_init_.resize(domains_);
   first_data_ = probe.num_controller_classes();
   std::vector<std::uint64_t> bound(probe.num_classes() - first_data_, 0);
   for (const auto& net : nl_.nets()) {
@@ -504,13 +556,15 @@ void SlicedKernel::init_group_probe(PowerProbe& probe) {
     }
   }
   // Controller-driven events are the same in every lane and every period:
-  // weigh each step's once, for a group of S lanes.
+  // weigh each step's once, for a group of S lanes (all n_ = S lanes of an
+  // aggregate row).
   const int P = design_.clocks.period();
   ctrl_rows_.resize(static_cast<std::size_t>(P) * domains_);
   std::vector<std::uint64_t> line(nl_.num_nets(), 0);
   const auto lines = tab_.lines_at(P);
   for (std::size_t i = 0; i < lines.size(); ++i) {
-    line[tab_.line_net[i].index()] = lines[i];
+    const NetId net = tab_.line_net[i];
+    line[net.index()] = truncate(lines[i], width(net));
   }
   for (int t = 1; t <= P; ++t) {
     const auto ts = static_cast<std::size_t>(t);
@@ -528,6 +582,8 @@ void SlicedKernel::init_group_probe(PowerProbe& probe) {
     }
     probe.weigh_counts(ctrl_rows_.data() + (ts - 1) * domains_, first_data_);
   }
+  if (!per_group_probe_) return;
+  row_init_.resize(domains_);
   classes_.resize(bound.size());
   std::size_t offset = 0;
   for (std::size_t i = 0; i < bound.size(); ++i) {
@@ -538,6 +594,29 @@ void SlicedKernel::init_group_probe(PowerProbe& probe) {
   }
   class_counters_.assign(offset, 0);
   touched_.assign((probe.num_classes() + 63) / 64, 0);
+}
+
+void SlicedKernel::flush(NetId net) {
+  std::uint64_t* c = small_counters(net);
+  // One net's counts after kFlushWrites writes: at most kFlushWrites x 64
+  // per lane, kSmallPlanes + 6 planes.
+  std::uint64_t sum[kSmallPlanes + 6] = {};
+  unsigned k = kSmallPlanes;
+  for (unsigned b = width(net); b != 0; --b, c += kSmallPlanes) {
+    std::uint64_t carry = slice_add(sum, c, kSmallPlanes, sum);
+    for (unsigned j = kSmallPlanes; carry != 0; ++j) {
+      const std::uint64_t x = sum[j];
+      sum[j] = x ^ carry;
+      carry &= x;
+      k = std::max(k, j + 1);
+    }
+    std::fill(c, c + kSmallPlanes, 0);
+  }
+  MCRTL_CHECK_MSG(slice_counter_add(net_counters_.data() + net.index() * words_,
+                                    words_, sum, k),
+                  "bit-sliced toggle counter overflow");
+  unflushed_[net.index()] = 0;
+  ++flushes_;
 }
 
 void SlicedKernel::close_group_rows(std::size_t comp, int t) {
@@ -830,10 +909,7 @@ void SlicedKernel::settle(std::uint64_t count) {
       queued_[bucket[i].index()] = 0;
       ++sim_.kernel_stats_.evals;
       plane_evals_ += c.width;
-      LaneSums sums;
-      if (commit(c.output, eval_comp(c, out), count, sums) == 0) continue;
-      probe_net(c.output, sums);
-      mark_fanout_dirty(c.output);
+      write_net(c.output, eval_comp(c, out), count);
     }
     pending_ -= n;
     bucket_end_[l] = bucket;
@@ -1004,17 +1080,6 @@ void SlicedKernel::simulate(const std::vector<dfg::ValueId>& input_order,
       if (t == P) apply_inputs(comp + 1, count);
       settle(count);
 
-      const int phase = tab_.phase_by_step[static_cast<std::size_t>(t)];
-      const auto clocked = tab_.edge_clock_events[static_cast<std::size_t>(t)];
-      // Phase pulses and clock delivery are controller-driven and identical
-      // in every lane; their counts come from the per-period schedule at
-      // the end, so only an aggregate probe row sees them here (group rows
-      // weigh them from the schedule).
-      if (probe && !per_group_probe_) {
-        probe->add_phase_pulse(phase, n_);
-        for (CompId cid : clocked) probe->add_storage_clock(cid.index(), n_);
-      }
-
       // Captures commit simultaneously: when an edge chains registers,
       // stage every D input before any Q output changes.
       const auto caps = tab_.edge_captures[static_cast<std::size_t>(t)];
@@ -1030,36 +1095,17 @@ void SlicedKernel::simulate(const std::vector<dfg::ValueId>& input_order,
       std::size_t off = 0;
       for (CompId cid : caps) {
         const rtl::Component& c = comps_[cid.index()];
-        const std::uint64_t* dval =
-            staged ? capture_buf_.data() + off : planes(c.inputs[0]);
+        write_net(c.output,
+                  staged ? capture_buf_.data() + off : planes(c.inputs[0]),
+                  count);
         off += c.width;
-        std::uint64_t* q = planes(c.output);
-        std::uint64_t diff[64];
-        std::uint64_t counted[64];
-        std::uint64_t any = 0;
-        for (unsigned b = 0; b < c.width; ++b) {
-          diff[b] = dval[b] ^ q[b];
-          counted[b] = diff[b] & count;
-          any |= diff[b];
-        }
-        if (any == 0) continue;
-        LaneSums sums;
-        if ((any & count) != 0) {
-          std::uint64_t* const storage =
-              storage_counters_.data() + cid.index() * words_;
-          std::uint64_t* const net =
-              net_counters_.data() + c.output.index() * words_;
-          count_toggles(counted, c.width, {storage, net}, sums);
-        }
-        for (unsigned b = 0; b < c.width; ++b) q[b] ^= diff[b];
-        probe_net(c.output, sums);
-        mark_fanout_dirty(c.output);
       }
       settle(count);
       if (per_group_probe_) {
         close_group_rows(comp, t);
       } else if (probe) {
-        probe->end_step();
+        probe->end_step(ctrl_rows_.data() +
+                        static_cast<std::size_t>(t - 1) * domains_);
       }
       if (t == T) {
         // Each counted lane writes its sample straight to its computation's
@@ -1137,12 +1183,22 @@ Activity SlicedKernel::periods_activity(std::uint64_t computations) const {
       act.storage_clock_events[cid.index()] += computations;
     }
   }
+  for (std::size_t s = 0; s < tab_.num_signals(); ++s) {
+    act.net_toggles[tab_.line_net[s].index()] +=
+        tab_.line_toggles[s] * computations;
+  }
   act.steps = computations * static_cast<std::uint64_t>(P);
   act.computations = computations;
   return act;
 }
 
 std::vector<SimResult> SlicedKernel::results() {
+  if (!totals_) {
+    for (const auto& net : nl_.nets()) {
+      if (unflushed_[net.id.index()] != 0) flush(net.id);
+    }
+    if (obs::enabled()) obs::count("sim.sliced.counter_flushes", flushes_);
+  }
   std::vector<SimResult> results(streams_);
   for (std::size_t s = 0; s < streams_; ++s) {
     results[s].activity = periods_activity(computations_);
@@ -1172,12 +1228,13 @@ std::vector<SimResult> SlicedKernel::results() {
              results[s].activity.net_toggles[i] += v;
            });
   }
-  for (CompId cid : tab_.storage_by_phase.items) {
-    const std::size_t i = cid.index();
-    unpack(storage_counters_.data() + i * words_,
-           [&](std::size_t s, std::uint64_t v) {
-             results[s].activity.storage_write_toggles[i] += v;
-           });
+  // A storage element's write toggles are its Q net's: captures are the
+  // only counted writes to it.
+  for (SimResult& r : results) {
+    for (CompId cid : tab_.storage_by_phase.items) {
+      r.activity.storage_write_toggles[cid.index()] =
+          r.activity.net_toggles[comps_[cid.index()].output.index()];
+    }
   }
   return results;
 }

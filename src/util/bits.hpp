@@ -220,7 +220,8 @@ inline unsigned slice_popcount_planes(const std::uint64_t* masks,
 
 /// Add a bit-sliced per-lane value (`val`, `val_planes` planes) into a
 /// vertical per-lane counter of `counter_planes` planes. Returns false on
-/// overflow (a carry out of the top plane in any lane).
+/// overflow (a carry out of the top plane, or a set value plane above it,
+/// in any lane).
 inline bool slice_counter_add(std::uint64_t* counter, unsigned counter_planes,
                               const std::uint64_t* val, unsigned val_planes) {
   std::uint64_t carry = 0;
@@ -231,6 +232,7 @@ inline bool slice_counter_add(std::uint64_t* counter, unsigned counter_planes,
     carry = (x & add) | (carry & (x ^ add));
     if (p >= val_planes && carry == 0) return true;
   }
+  for (unsigned p = counter_planes; p < val_planes; ++p) carry |= val[p];
   return carry == 0;
 }
 

@@ -68,23 +68,28 @@ TEST(ExplorerParallelTest, JobsCountDoesNotChangeTheResult) {
     expect_identical(serial, two, name);
     expect_identical(serial, eight, name);
   }
-  // A Monte-Carlo bundle prepares its streams on the pool as well.
+  // A Monte-Carlo bundle prepares its streams on the pool as well. Both
+  // sizes count into vertical counters: 8 streams run time-sliced with
+  // per-group probe rows, 64 in the lockstep layout with aggregate rows.
   const auto b = suite::by_name("hal", 4);
-  auto bundle_config = [](int jobs) {
-    ExplorerConfig cfg = base_config(jobs);
-    cfg.streams = 8;
-    return cfg;
-  };
-  const auto serial = explore(*b.graph, *b.schedule, bundle_config(1));
-  for (const int jobs : {2, 8}) {
-    const auto pooled = explore(*b.graph, *b.schedule, bundle_config(jobs));
-    expect_identical(serial, pooled, "hal, 8 streams");
-    ASSERT_EQ(serial.points.size(), pooled.points.size());
-    for (std::size_t i = 0; i < serial.points.size(); ++i) {
-      EXPECT_EQ(serial.points[i].power_stddev, pooled.points[i].power_stddev)
-          << "jobs " << jobs << " point " << i;
-      EXPECT_EQ(serial.points[i].power_ci95, pooled.points[i].power_ci95)
-          << "jobs " << jobs << " point " << i;
+  for (const std::size_t streams : {8u, 64u}) {
+    auto bundle_config = [&](int jobs) {
+      ExplorerConfig cfg = base_config(jobs);
+      cfg.streams = streams;
+      return cfg;
+    };
+    const std::string what = "hal, " + std::to_string(streams) + " streams";
+    const auto serial = explore(*b.graph, *b.schedule, bundle_config(1));
+    for (const int jobs : {2, 8}) {
+      const auto pooled = explore(*b.graph, *b.schedule, bundle_config(jobs));
+      expect_identical(serial, pooled, what.c_str());
+      ASSERT_EQ(serial.points.size(), pooled.points.size());
+      for (std::size_t i = 0; i < serial.points.size(); ++i) {
+        EXPECT_EQ(serial.points[i].power_stddev, pooled.points[i].power_stddev)
+            << what << " jobs " << jobs << " point " << i;
+        EXPECT_EQ(serial.points[i].power_ci95, pooled.points[i].power_ci95)
+            << what << " jobs " << jobs << " point " << i;
+      }
     }
   }
 }

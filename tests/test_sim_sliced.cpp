@@ -727,7 +727,7 @@ void differential_check_bundle(const rtl::Design& design,
   expect_identical_waveforms(ts_probe, ls_probe, what);
 }
 
-// 5 and 6 straddle the largest bundle that counts plain per-stream totals.
+// 4 and 5 straddle the largest bundle that counts plain per-stream totals.
 const std::size_t kBundleSizes[] = {2, 3, 4, 5, 6, 8, 16, 32, 33, 64};
 
 TEST(TimeSlicedBundleTest, MatchesLockstepOnEverySuiteConfiguration) {
@@ -894,10 +894,10 @@ TEST(TimeSlicedBundleTest, TakesTheBundlePathOnSuiteDesigns) {
 }
 
 TEST(TimeSlicedBundleTest, SmallBundlesCountPlainPerStreamTotals) {
-  // Up to five streams, each counter holds one plain total per stream;
+  // Up to four streams, each counter holds one plain total per stream;
   // larger bundles and the lockstep pass keep per-lane vertical counters.
-  // Five is the measured crossover (DESIGN.md §7).
-  constexpr std::size_t kMaxTotalsStreams = 5;
+  // Four is the measured crossover (DESIGN.md §7).
+  constexpr std::size_t kMaxTotalsStreams = 4;
   const auto b = suite::by_name("hal", 4);
   core::SynthesisOptions opts;
   opts.style = DesignStyle::MultiClock;
@@ -1034,6 +1034,178 @@ TEST(TimeSlicedBundleTest, RejectsBadBundles) {
   EXPECT_THROW(ev.run_time_sliced(uniform_streams(1, 2, in.size(), 10, 4), in,
                                   out),
                Error);
+}
+
+// ---- vertical counters: per-bit small counters, flushed every 15 writes ---
+
+/// An energy model in which every net, storage element and phase is its
+/// own domain at 1 fJ per event, so a probe row holds each item's integer
+/// count of the step and rows add exactly across streams. Controller and
+/// constant nets form controller classes when `controller_classes`, else
+/// (net_controller empty) every net is a data class.
+EnergyModel counting_model(const rtl::Design& design, bool controller_classes) {
+  const rtl::Netlist& nl = design.netlist;
+  const auto phases = static_cast<std::size_t>(design.clocks.num_phases());
+  const std::size_t nets = nl.num_nets();
+  const std::size_t comps = nl.num_components();
+  EnergyModel m;
+  m.num_domains = static_cast<int>(phases + nets + comps);
+  m.period = design.clocks.period();
+  m.net_fj.assign(nets, 1.0);
+  m.storage_clock_fj.assign(comps, 1.0);
+  for (std::size_t i = 0; i < nets; ++i) {
+    m.net_domain.push_back(static_cast<std::uint32_t>(phases + 1 + i));
+  }
+  for (std::size_t i = 0; i < comps; ++i) {
+    m.storage_domain.push_back(
+        static_cast<std::uint32_t>(phases + 1 + nets + i));
+  }
+  m.phase_pulse_fj.assign(static_cast<std::size_t>(m.num_domains) + 1, 0.0);
+  std::fill_n(m.phase_pulse_fj.begin() + 1, phases, 1.0);
+  if (controller_classes) {
+    m.net_controller.assign(nets, 0);
+    for (const auto& c : nl.components()) {
+      if (c.kind == rtl::CompKind::ControlSource ||
+          c.kind == rtl::CompKind::Constant) {
+        m.net_controller[c.output.index()] = 1;
+      }
+    }
+  }
+  return m;
+}
+
+/// Every stream of `streams` on its own Oblivious simulator, and the bundle
+/// through run_time_sliced() and the lockstep run_sliced(), all with a
+/// probe on the counting model: each stream's outputs and Activity, and
+/// every row of the bundle's probe (the streams' rows summed), bit for
+/// bit.
+void check_vertical_counters(const rtl::Design& design, const dfg::Graph& graph,
+                             const std::vector<InputStream>& streams,
+                             bool controller_classes, const std::string& what) {
+  const auto in = graph.inputs();
+  const auto out = graph.outputs();
+  const EnergyModel model = counting_model(design, controller_classes);
+  std::vector<SimResult> refs;
+  std::vector<double> rows;  // steps x (n+1) domains, summed over streams
+  const auto domains = static_cast<std::size_t>(model.num_domains) + 1;
+  for (const auto& stream : streams) {
+    Simulator ob(design, Simulator::Mode::Oblivious);
+    PowerProbe probe(model);
+    ob.set_power_probe(&probe);
+    refs.push_back(ob.run(stream, in, out));
+    rows.resize(probe.steps() * domains, 0.0);
+    for (std::size_t st = 0; st < probe.steps(); ++st) {
+      for (std::size_t d = 0; d < domains; ++d) {
+        rows[st * domains + d] += probe.step_fj(st, static_cast<int>(d));
+      }
+    }
+  }
+  for (const bool lockstep : {false, true}) {
+    const std::string tag = what + (lockstep ? " run_sliced" : " time-sliced");
+    Simulator sim(design, Simulator::Mode::BitSliced);
+    PowerProbe probe(model);
+    sim.set_power_probe(&probe);
+    const auto got = lockstep ? sim.run_sliced(streams, in, out)
+                              : sim.run_time_sliced(streams, in, out);
+    ASSERT_EQ(got.size(), streams.size()) << tag;
+    for (std::size_t s = 0; s < streams.size(); ++s) {
+      const std::string st = tag + " stream=" + std::to_string(s);
+      EXPECT_EQ(got[s].outputs, refs[s].outputs) << st;
+      expect_identical_activity(got[s].activity, refs[s].activity, st);
+    }
+    ASSERT_EQ(probe.steps() * domains, rows.size()) << tag;
+    std::size_t differ = 0;
+    for (std::size_t st = 0; st < probe.steps(); ++st) {
+      for (std::size_t d = 0; d < domains; ++d) {
+        differ += bits_of(probe.step_fj(st, static_cast<int>(d))) !=
+                  bits_of(rows[st * domains + d]);
+      }
+    }
+    EXPECT_EQ(differ, 0u) << tag << ": probe rows differ from the summed "
+                                    "Oblivious rows";
+  }
+}
+
+/// Bundles past the plain-totals limit (S = 6: ten groups of per-group
+/// rows; 33 and 64: the lockstep layout) over stream lengths whose nets end
+/// the pass with 0..14 unflushed writes — N = 1 flushes nothing before the
+/// results — on a 4-bit suite design and a 64-bit fuzz design.
+void check_vertical_counter_grid(bool controller_classes) {
+  const auto b = suite::by_name("hal", 4);
+  core::SynthesisOptions opts;
+  opts.style = DesignStyle::MultiClock;
+  opts.num_clocks = 3;
+  const auto hal = core::synthesize(*b.graph, *b.schedule, opts);
+  const WideFuzz f(5401, 12);
+  core::SynthesisOptions wide_opts;
+  wide_opts.style = DesignStyle::MultiClock;
+  wide_opts.num_clocks = 2;
+  const auto wide = core::synthesize(f.graph, f.sched, wide_opts);
+  const struct {
+    const char* name;
+    const rtl::Design& design;
+    const dfg::Graph& graph;
+    unsigned width;
+  } designs[] = {{"hal/w4", *hal.design, *b.graph, 4},
+                 {"fuzz/w64", *wide.design, f.graph, 64}};
+  for (const auto& d : designs) {
+    for (std::size_t S : {6u, 33u, 64u}) {
+      for (std::size_t n : {1u, 23u, 61u}) {
+        const auto streams = uniform_streams(5400 + S * 131 + n, S,
+                                             d.graph.inputs().size(), n,
+                                             d.width);
+        const auto counters = counters_of([&] {
+          check_vertical_counters(d.design, d.graph, streams,
+                                  controller_classes,
+                                  std::string(d.name) + " S=" +
+                                      std::to_string(S) +
+                                      " N=" + std::to_string(n));
+        });
+        EXPECT_GT(counters.at("sim.sliced.counter_flushes"), 0u)
+            << d.name << " S=" << S << " N=" << n;
+      }
+    }
+  }
+}
+
+TEST(VerticalCounterTest, BundlesMatchObliviousRunsRowForRow) {
+  check_vertical_counter_grid(true);
+}
+
+TEST(VerticalCounterTest, DataClassLinesMatchObliviousRunsRowForRow) {
+  // No net_controller: every controller line is a data class, counted into
+  // the probe per write while its Activity still comes from the schedule.
+  check_vertical_counter_grid(false);
+}
+
+TEST(VerticalCounterTest, ShortPassFlushesEachCountedNetOnce) {
+  // One computation writes a net at most twice per step, fewer than 15
+  // times in all: no net flushes before the results, which flush each net
+  // a counted write reached — every datapath net that toggled (controller
+  // lines are counted from the schedule) — exactly once.
+  const auto b = suite::by_name("facet", 4);
+  core::SynthesisOptions opts;
+  opts.style = DesignStyle::MultiClock;
+  opts.num_clocks = 2;
+  const auto syn = core::synthesize(*b.graph, *b.schedule, opts);
+  ASSERT_LT(2 * syn.design->clocks.period(), 15);
+  const auto streams = uniform_streams(77, 8, b.graph->inputs().size(), 1, 4);
+  std::vector<SimResult> got;
+  const auto counters = counters_of([&] {
+    Simulator ls(*syn.design, Simulator::Mode::BitSliced);
+    got = ls.run_sliced(streams, b.graph->inputs(), b.graph->outputs());
+  });
+  const rtl::Netlist& nl = syn.design->netlist;
+  std::uint64_t toggled = 0;
+  for (const auto& net : nl.nets()) {
+    const auto kind = nl.comp(net.driver).kind;
+    if (kind == rtl::CompKind::ControlSource) continue;
+    std::uint64_t total = 0;
+    for (const auto& r : got) total += r.activity.net_toggles[net.id.index()];
+    toggled += total != 0 ? 1 : 0;
+  }
+  EXPECT_GT(toggled, 0u);
+  EXPECT_EQ(counters.at("sim.sliced.counter_flushes"), toggled);
 }
 
 // ---- stream shape: checked once, at the entry point ----------------------
